@@ -3,7 +3,7 @@ auxiliary graph, with exact steady states of the boundary-driven chain.
 
 Subpackages are plain modules:
 
-- linalg: small dimension-checked operator helpers (dense + scipy.sparse)
+- linalg: the single-qubit operator basis and the 4x4 site operators
 - aux_space: the auxiliary vertex graph, index map, and its reflection
 - lax_builder: the S/T/X/Y operator tables and assembled Lax components
 - algebra_verifier: residual checks for all defining operator identities

@@ -78,18 +78,8 @@ def xk_matrix(k: int, params: LaxParams) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class XkBlock:
-    k: int
-    matrix: np.ndarray
-
-    @property
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.matrix))
-
-
 def xk_blocks(max_k: int, params: LaxParams) -> list:
-    return [XkBlock(k, xk_matrix(k, params)) for k in range(max_k + 1)]
+    return [xk_matrix(k, params) for k in range(max_k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +166,7 @@ def build_X(space: AuxSpace, params: LaxParams):
             X[i, i] = om * (-1) ** m
     for k in range(1, space.cutoff_K + 1):
         vm, vp = AuxVertex(2 * k, -1), AuxVertex(2 * k, +1)
-        mat = (-1) ** k * blocks[k].matrix
+        mat = (-1) ** k * blocks[k]
         _put(space, X, vm, vm, mat[0, 0])
         _put(space, X, vm, vp, mat[0, 1])
         _put(space, X, vp, vm, mat[1, 0])
@@ -200,7 +190,7 @@ def x_inverse(space: AuxSpace, params: LaxParams, blocks=None) -> np.ndarray:
             Xi[i, i] = 1.0 / (om * (-1) ** m)
     for k in range(1, space.cutoff_K + 1):
         vm, vp = AuxVertex(2 * k, -1), AuxVertex(2 * k, +1)
-        b = blocks[k].matrix
+        b = blocks[k]
         inv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]]) / (-om**2)
         inv = inv * (-1) ** k  # inverse of (-1)^k X_k
         _put(space, Xi, vm, vm, inv[0, 0])
@@ -402,14 +392,3 @@ def apply_gauge(fam: LaxFamily, xi: complex) -> LaxFamily:
     out.L = conj_dict(fam.L)
     out.Ltilde = conj_dict(fam.Ltilde)
     return out
-
-
-def dump_operator_entries(space: AuxSpace, op: np.ndarray, tol: float = 0.0):
-    """Debug listing of an operator as (row_label, col_label, re, im)."""
-    rows = []
-    for i, vi in enumerate(space.vertices):
-        for j, vj in enumerate(space.vertices):
-            z = op[i, j]
-            if abs(z) > tol:
-                rows.append((vi.label, vj.label, float(z.real), float(z.imag)))
-    return rows

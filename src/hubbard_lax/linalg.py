@@ -1,19 +1,9 @@
-"""Minimal operator algebra shared by every module.
-
-Everything here is a thin, dimension-checked layer over numpy / scipy.sparse.
-Operators are either dense ``numpy.ndarray`` or any ``scipy.sparse`` matrix;
-binary operations accept a mix of both and preserve sparsity when both inputs
-are sparse.
-"""
+"""The single-qubit operator basis and the 4x4 ladder-site operators built
+from it, shared by every module."""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-
-# Refuse kron products beyond this combined dimension (guards against a typo
-# like n=12 silently trying to allocate a 16M x 16M operator).
-MAX_KRON_DIM = 1 << 20
 
 # Single-qubit operator basis used throughout: s in {"+", "-", "0", "z"}.
 PAULI = {
@@ -24,102 +14,6 @@ PAULI = {
 }
 
 SPIN_LABELS = ("+", "-", "0", "z")
-
-
-class DimensionMismatch(ValueError):
-    """Raised when operator shapes are incompatible; names both shapes."""
-
-
-class KronOverflow(ValueError):
-    """Raised when a tensor product would exceed MAX_KRON_DIM."""
-
-
-def is_sparse(a) -> bool:
-    return sp.issparse(a)
-
-
-def shape_of(a):
-    return a.shape
-
-
-def compose(a, b):
-    """Matrix product a @ b with an explicit shape check.
-
-    sparse @ sparse stays sparse; mixed products densify.
-    """
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"compose: inner dimensions differ, left is {a.shape}, right is {b.shape}"
-        )
-    if is_sparse(a) and is_sparse(b):
-        return (a @ b).tocsr()
-    return as_dense(a) @ as_dense(b)
-
-
-def _check_square_pair(a, b, what):
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise DimensionMismatch(f"{what}: operands must be square, got {a.shape} and {b.shape}")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{what}: shapes differ, {a.shape} vs {b.shape}")
-
-
-def commutator(a, b):
-    _check_square_pair(a, b, "commutator")
-    return compose(a, b) - compose(b, a)
-
-
-def anticommutator(a, b):
-    _check_square_pair(a, b, "anticommutator")
-    return compose(a, b) + compose(b, a)
-
-
-def kron(a, b):
-    """Tensor product with row-major index convention: (i_a, i_b) -> i_a * dim_b + i_b."""
-    combined = a.shape[0] * b.shape[0]
-    if combined > MAX_KRON_DIM:
-        raise KronOverflow(
-            f"kron: combined dimension {combined} exceeds maximum {MAX_KRON_DIM}"
-        )
-    if is_sparse(a) or is_sparse(b):
-        return sp.kron(a, b, format="csr")
-    return np.kron(a, b)
-
-
-def kron_chain(ops):
-    """Left-to-right tensor product of a list of operators."""
-    out = ops[0]
-    for o in ops[1:]:
-        out = kron(out, o)
-    return out
-
-
-def dagger(a):
-    if is_sparse(a):
-        return a.conj().T.tocsr()
-    return a.conj().T
-
-
-def as_dense(a) -> np.ndarray:
-    if is_sparse(a):
-        return a.toarray()
-    return np.asarray(a)
-
-
-def norms(a):
-    """Return (frobenius, max_abs) of an operator."""
-    if is_sparse(a):
-        data = a.tocoo().data
-        if data.size == 0:
-            return 0.0, 0.0
-        return float(np.linalg.norm(data)), float(np.max(np.abs(data)))
-    arr = np.asarray(a)
-    if arr.size == 0:
-        return 0.0, 0.0
-    return float(np.linalg.norm(arr)), float(np.max(np.abs(arr)))
-
-
-def fro(a) -> float:
-    return norms(a)[0]
 
 
 def local4(s: str, t: str) -> np.ndarray:

@@ -18,15 +18,18 @@ the choice, which is what makes the convention easy to get wrong.
 The module also builds the doubled (bra-ket) single-site operators used by
 the telescoping and boundary checks, and a pair-transfer engine that
 evaluates local expectation values in the steady state without ever
-materializing rho (used for n up to 8).
+materializing rho (used for n up to 8). Omega, the doubled chains and the
+pair-transfer chains are all contracted by one helper, _chain, which refuses
+any contraction whose peak memory estimate exceeds MAX_CHAIN_BYTES.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,7 +39,9 @@ from .lax_builder import LaxFamily, LaxParams, assemble_family
 from .linalg import local4
 
 TRUNCATION_RTOL = 1e-13
-DENSE_OMEGA_MAX_SITES = 6
+# Largest peak allocation, in bytes, that a contraction may make; a larger one
+# is refused with MemoryError before anything is allocated.
+MAX_CHAIN_BYTES = 1 << 30
 RHO_MAGIC = b"NESSRHO1"
 
 
@@ -54,13 +59,17 @@ class DrivingConfig:
     n_sites: int
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.gamma_L <= 0 or self.gamma_R <= 0:
             raise ValueError(
                 "both injection/ejection rates must be positive for a unique "
                 "steady state"
             )
-        if self.n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
+        if self.n_sites < 2:
+            raise ValueError("the steady-state construction needs n_sites >= 2")
 
     def key(self) -> str:
         return (
@@ -118,37 +127,67 @@ def _root_index(fam: LaxFamily) -> int:
     return fam.space.index[AuxVertex(0, +1)]
 
 
+def _basis(dim: int, i: int) -> np.ndarray:
+    e = np.zeros(dim)
+    e[i] = 1.0
+    return e
+
+
+def _guard(nbytes: int, what: str) -> None:
+    """Refuse a contraction whose peak allocation would exceed MAX_CHAIN_BYTES."""
+    if nbytes > MAX_CHAIN_BYTES:
+        raise MemoryError(
+            f"{what} needs about {nbytes / 2**30:.1f} GiB, over the "
+            f"{MAX_CHAIN_BYTES / 2**30:g} GiB limit"
+        )
+
+
+def _chain(tensors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """<left| A_1 ... A_n |right> for site tensors A[p, q, a, b], as a
+    (P^n, Q^n) matrix over the physical row (p_1..p_n) and column (q_1..q_n)
+    indices.
+
+    `right` is folded into the last tensor before that site is contracted,
+    so the chain ends on one boundary row and never holds a copy of the
+    output per auxiliary index. Each site is one tensordot over the
+    auxiliary index; the physical indices stay interleaved (p_1 q_1 ... p_j
+    q_j) in the rows of the intermediate, which makes every reshape free,
+    until one transpose at the end.
+    """
+    n = len(tensors)
+    P, Q = tensors[0].shape[:2]
+    # Element counts of the intermediates: the boundary row, the (PQ)^j x D_j
+    # partial products, and the result before and after the final transpose.
+    sizes = [len(left)]
+    sizes += [(P * Q) ** j * A.shape[3] for j, A in enumerate(tensors[:-1], 1)]
+    sizes.append(2 * (P * Q) ** n)
+    _guard(16 * max(a + b for a, b in zip(sizes, sizes[1:])), f"{n}-site contraction")
+    cur = np.asarray(left)[None, :]
+    for A in tensors[:-1]:
+        cur = np.tensordot(cur, A, axes=(1, 2)).reshape(-1, A.shape[3])
+    cur = np.tensordot(cur, np.tensordot(tensors[-1], right, axes=(3, 0)), axes=(1, 2))
+    if P * Q == 1:
+        # nothing to reorder, and the 2n axes below would pass numpy's limit
+        # of 64 dimensions on long pair-transfer chains
+        return cur.reshape(1, 1)
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return cur.reshape((P, Q) * n).transpose(order).reshape(P ** n, Q ** n)
+
+
 def contract_omega(fam: LaxFamily, n_sites: int) -> np.ndarray:
     """<0+| L_1 ... L_n |0+> by direct 16-component contraction."""
-    if 4**n_sites > 4**DENSE_OMEGA_MAX_SITES:
-        raise MemoryError(
-            f"dense transfer operator for n={n_sites} would be "
-            f"{4**n_sites}x{4**n_sites}; use omega_apply or the pair-transfer "
-            "engine instead"
-        )
-    A = phys_transfer_tensor(fam)
-    i0 = _root_index(fam)
-    cur = A[:, :, i0, :].transpose(2, 0, 1).copy()  # (da, 4, 4)
-    for _ in range(1, n_sites - 1):
-        d = cur.shape[1]
-        cur = np.einsum("aij,pqab->bipjq", cur, A).reshape(fam.dim, d * 4, d * 4)
-    if n_sites == 1:
-        return cur[i0]
-    # Last site: contract straight onto the root row, so the peak allocation
-    # is one 4^n x 4^n matrix rather than dim_aux of them.
-    d = cur.shape[1]
-    return np.einsum("aij,pqa->ipjq", cur, A[:, :, :, i0]).reshape(d * 4, d * 4)
+    e0 = _basis(fam.dim, _root_index(fam))
+    return _chain([phys_transfer_tensor(fam)] * n_sites, e0, e0)
 
 
 def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:
-    """Same contraction but applying the three factors of each transfer
-    component separately (S, then T, then the interaction operator); used as
-    an independent route for cross-checks."""
-    if 4**n_sites > 4**DENSE_OMEGA_MAX_SITES:
-        raise MemoryError("dense route limited to small n")
+    """Cross-check route for contract_omega: the same contraction applying
+    the three factors of each transfer component separately (S, then T, then
+    the interaction operator), with its own einsum chain."""
     from .linalg import PAULI, SPIN_LABELS
 
     da = fam.dim
+    _guard(32 * da * 16 ** n_sites, f"{n_sites}-site factored contraction")
     AS = np.zeros((2, 2, da, da), dtype=complex)
     AT = np.zeros((2, 2, da, da), dtype=complex)
     for s in SPIN_LABELS:
@@ -168,8 +207,9 @@ def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:
 
 def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
     """Matrix-free Omega @ vec; memory O(dim_aux * 4^n)."""
-    A = phys_transfer_tensor(fam)
     da = fam.dim
+    _guard(32 * da * 4 ** n_sites, f"{n_sites}-site matrix-free product")
+    A = phys_transfer_tensor(fam)
     i0 = _root_index(fam)
     v = np.asarray(vec, dtype=complex).reshape(4 ** n_sites)
     # cur[a, P, R]: partial rows P over processed sites, remaining input R
@@ -230,8 +270,6 @@ class NessResult:
 
 def build_ness(cfg: DrivingConfig, cutoff_K=None, compute_spectrum: bool = True) -> NessResult:
     """Assemble rho = Omega Omega^dag M / tr(...) and its sanity diagnostics."""
-    if cfg.n_sites < 2:
-        raise ValueError("the steady-state construction needs n_sites >= 2")
     n = cfg.n_sites
     K = k_exact(n) if cutoff_K is None else int(cutoff_K)
     om = omega_dense(cfg, cutoff_K=K)
@@ -320,24 +358,13 @@ def _double_tensor(op: np.ndarray, daux2: int) -> np.ndarray:
 
 def double_contract(dlax: DoubleLax, n_sites: int, special=None) -> np.ndarray:
     """<00| O_1 ... O_n |00> where O_j defaults to LL and `special` may remap
-    individual sites (dict j -> matrix), 1-based."""
-    D2 = dlax.daux2
-    if 4**n_sites > 4**DENSE_OMEGA_MAX_SITES:
-        raise MemoryError("doubled contraction limited to small n")
+    individual sites (dict j -> matrix), 1-based. With no remapping this is
+    R = Omega Omega^dag M reproduced through the doubled route."""
     special = special or {}
-    tensors = [
-        _double_tensor(special.get(j, dlax.LL), D2) for j in range(1, n_sites + 1)
-    ]
-    cur = tensors[0][:, :, dlax.root, :].transpose(2, 0, 1).copy()
-    for A in tensors[1:]:
-        d = cur.shape[1]
-        cur = np.einsum("aij,pqab->bipjq", cur, A).reshape(D2, d * 4, d * 4)
-    return cur[dlax.root]
-
-
-def double_r_matrix(dlax: DoubleLax, n_sites: int) -> np.ndarray:
-    """R reproduced through the doubled route; must equal Omega Omega^dag M."""
-    return double_contract(dlax, n_sites)
+    tensors = [_double_tensor(special.get(j, dlax.LL), dlax.daux2)
+               for j in range(1, n_sites + 1)]
+    e0 = _basis(dlax.daux2, dlax.root)
+    return _chain(tensors, e0, e0)
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +525,11 @@ def mpo_expectation(cfg: DrivingConfig, site_ops: dict, cutoff_K=None) -> comple
     M_loc = np.diag(m_diag(1, eta)).astype(complex)
     F_id = pair_transfer(fam, M_loc)
     i0 = _root_index(fam)
-    root = i0 * fam.dim + i0
+    e0 = _basis(fam.dim ** 2, i0 * fam.dim + i0)
 
     def chain(ops):
-        vec = np.zeros(fam.dim ** 2, dtype=complex)
-        vec[root] = 1.0
-        for j in range(1, n + 1):
-            Fj = ops.get(j, F_id)
-            vec = vec @ Fj
-        return vec[root]
+        # [1, 1, a, b] views of the transfer matrices; never copied
+        return _chain([ops.get(j, F_id)[None, None] for j in range(1, n + 1)], e0, e0)[0, 0]
 
     special = {j: pair_transfer(fam, M_loc @ np.asarray(op, dtype=complex))
                for j, op in site_ops.items()}

@@ -15,13 +15,13 @@ constant and the sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hubbard_model import SIGMA, TAU, site_operator
-from .linalg import PAULI, local4
-from .ness_engine import DrivingConfig, NessResult, mpo_expectation
+from .linalg import local4
+from .ness_engine import DrivingConfig, NessResult, build_ness, mpo_expectation
 
 REAL_TOL = 1e-10
 
@@ -33,7 +33,6 @@ class ObservableSet:
     densities_tau: list
     currents_sigma: list
     currents_tau: list
-    driving: dict = field(default_factory=dict)
 
 
 def expectation(rho: np.ndarray, obs) -> complex:
@@ -75,11 +74,6 @@ def profile_and_currents(ness: NessResult) -> ObservableSet:
     return ObservableSet(
         n_sites=n, densities_sigma=dens_s, densities_tau=dens_t,
         currents_sigma=cur_s, currents_tau=cur_t,
-        driving=vars(ness.cfg).copy() if hasattr(ness.cfg, "__dict__") else {
-            "gamma_L": ness.cfg.gamma_L, "gamma_R": ness.cfg.gamma_R,
-            "mu_L": ness.cfg.mu_L, "mu_R": ness.cfg.mu_R,
-            "u": ness.cfg.u, "n_sites": n,
-        },
     )
 
 
@@ -106,11 +100,20 @@ def profile_and_currents_mpo(cfg: DrivingConfig, cutoff_K=None) -> ObservableSet
     return ObservableSet(
         n_sites=n, densities_sigma=dens[SIGMA], densities_tau=dens[TAU],
         currents_sigma=curr[SIGMA], currents_tau=curr[TAU],
-        driving={
-            "gamma_L": cfg.gamma_L, "gamma_R": cfg.gamma_R,
-            "mu_L": cfg.mu_L, "mu_R": cfg.mu_R, "u": cfg.u, "n_sites": n,
-        },
     )
+
+
+def steady_observables(cfg: DrivingConfig, compute_spectrum: bool = False):
+    """Profile and currents through the dense steady state for n <= 5, else
+    through the pair-transfer engine, which never builds rho.
+
+    Returns (observables, diagnostics); the diagnostics are those of the
+    dense state, and empty on the matrix-free route.
+    """
+    if cfg.n_sites <= 5:
+        res = build_ness(cfg, compute_spectrum=compute_spectrum)
+        return profile_and_currents(res), res.diagnostics
+    return profile_and_currents_mpo(cfg), {}
 
 
 def current_uniformity(obs: ObservableSet) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+import resource
 import subprocess
 import sys
 
@@ -38,6 +39,33 @@ def test_zero_rate_rejected(tmp_path):
             "--out", str(tmp_path))
     assert r.returncode == 2
     assert "positive" in r.stderr
+    r = run("observe", "--n", "3", "--gammaL", "1", "--gammaR", "1", "--u", "nan",
+            "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "u must be finite, got nan" in r.stderr
+    r = run("ness", "--n", "2", "--gammaL", "nan", "--gammaR", "1", "--u", "1",
+            "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "gamma_L must be finite, got nan" in r.stderr
+    r = run("ness", "--n", "2", "--gammaL", "1", "--gammaR", "1", "--muR", "inf",
+            "--u", "1", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "mu_R must be finite, got inf" in r.stderr
+
+
+def _cap_address_space():
+    # the same 3 GiB cap the benchmark puts on each job
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_ness_five_sites_under_memory_cap(tmp_path):
+    r = run("ness", "--n", "5", "--gammaL", "1.5", "--gammaR", "0.7", "--muL", "0.3",
+            "--muR", "-0.4", "--u", "2", "--out", str(tmp_path),
+            preexec_fn=_cap_address_space)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["passed"] is True
+    assert doc["diagnostics"]["telescoping_residual"] <= 1e-10
 
 
 def test_oracle_size_refusal(tmp_path):
@@ -114,6 +142,14 @@ def test_sweep_deterministic_ordering(tmp_path):
     r2 = run(*args, "--out", str(tmp_path / "b"))
     assert (tmp_path / "a" / "sweep.json").read_bytes() == \
            (tmp_path / "b" / "sweep.json").read_bytes()
+
+
+def test_sweep_matrix_free_rows(tmp_path):
+    r = run("sweep", "--n", "7", "--u", "2", "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["passed"] is True
+    assert doc["configurations"][0]["diagnostics"] == {}
 
 
 def test_unwritable_output(tmp_path):

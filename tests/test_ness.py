@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,9 +14,10 @@ from hubbard_lax.ness_engine import (
     check_boundary_conditions,
     check_telescoping,
     _telescoping_full_two_site,
+    _chain,
     contract_omega,
     contract_omega_factored,
-    double_r_matrix,
+    double_contract,
     dump_rho,
     k_exact,
     load_rho,
@@ -63,6 +65,8 @@ def test_k_exact():
 def test_zero_rate_rejected():
     with pytest.raises(ValueError, match="positive"):
         DrivingConfig(0.0, 1.0, 0.0, 0.0, 1.0, 2)
+    with pytest.raises(ValueError, match="n_sites >= 2"):
+        DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +78,18 @@ def test_contraction_routes_agree():
     o1 = contract_omega(fam, 3)
     o2 = contract_omega_factored(fam, 3)
     assert np.linalg.norm(o1 - o2) < REL_TOL * np.linalg.norm(o1)
+
+
+def test_chain_of_scalar_sites_past_64_axes():
+    # pair-transfer chains have 1x1 physical blocks and may be longer than
+    # numpy's 64-dimension limit on the interleaved index
+    rng = np.random.default_rng(3)
+    F = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    left, right = rng.normal(size=5), rng.normal(size=5)
+    got = _chain([F[None, None]] * 40, left, right)
+    want = left @ np.linalg.matrix_power(F, 40) @ right
+    assert got.shape == (1, 1)
+    assert abs(got[0, 0] - want) <= REL_TOL * abs(want)
 
 
 def test_omega_commutes_with_magnetizations():
@@ -167,8 +183,21 @@ def test_double_route_reproduces_r():
         om = omega_dense(cfg)
         _, _, eta = map_driving_to_params(cfg)
         R = (om @ om.conj().T) * m_diag(n, eta)[None, :]
-        R2 = double_r_matrix(build_double_lax(cfg), n)
+        R2 = double_contract(build_double_lax(cfg), n)
         assert np.linalg.norm(R - R2) < 1e-12 * np.linalg.norm(R)
+
+
+def test_double_contract_refused_before_allocation():
+    # n=6 would hold 16^5 partial rows of dimension dim_aux^2 (about 5 GB)
+    dl = build_double_lax(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            double_contract(dl, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_interaction_operator_fixes_root():
