@@ -280,15 +280,13 @@ def verify_family(params: LaxParams, cutoff_K: int, tol: float = DEFAULT_TOL) ->
 
 
 def verify_suite(num_samples: int = 5, cutoffs=(3, 4, 5), tol: float = DEFAULT_TOL,
-                 seed: int = 42, include_special_points: bool = True) -> list:
+                 seed: int = 42) -> list:
     """The standard verification sweep: random samples plus the lambda=0 and
     u=0 special points, at each cutoff."""
-    points = sample_params(num_samples, seed=seed)
-    if include_special_points:
-        points = points + [
-            LaxParams(0.0, 0.9 + 0.35j, 1.0),
-            LaxParams(0.45 - 0.6j, 0.8 + 0.25j, 0.0),
-        ]
+    points = sample_params(num_samples, seed=seed) + [
+        LaxParams(0.0, 0.9 + 0.35j, 1.0),
+        LaxParams(0.45 - 0.6j, 0.8 + 0.25j, 0.0),
+    ]
     reports = []
     for K in cutoffs:
         for p in points:

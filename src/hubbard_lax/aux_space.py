@@ -70,9 +70,6 @@ class AuxSpace:
     def dim(self) -> int:
         return len(self.vertices)
 
-    def index_of(self, v: AuxVertex) -> int:
-        return self.index[v]
-
     def levels(self) -> np.ndarray:
         """Vertex levels as a float array in basis order."""
         return np.array([v.level for v in self.vertices])

@@ -15,8 +15,14 @@ The boundary-condition checks (check_boundary_conditions) pin this sign: with
 does the Lindblad fixed-point residual for n >= 3. n = 2 is insensitive to
 the choice, which is what makes the convention easy to get wrong.
 
-The module also builds the doubled (bra-ket) single-site operators used by
-the telescoping and boundary checks, and a pair-transfer engine that
+The module also builds the doubled (bra-ket) operators as site tensors
+LL, LLt over the paired auxiliary index, in the same layout as the transfer
+tensor. Stationarity rests on local identities of these tensors: in the
+bulk, the bond commutator of LL_1 ... LL_n telescopes to one leftover term at
+each end (check_telescoping, contracted at the doubled root for every n, and
+open between all interior doubled levels at n = 2); at the ends, one
+dissipative equation each, read off the root row and the root column of the
+single-site tensors (check_boundary_conditions). A pair-transfer engine
 evaluates local expectation values in the steady state without ever
 materializing rho (used for n up to 8). Omega, the doubled chains and the
 pair-transfer chains are all contracted by one helper, _chain, which refuses
@@ -114,12 +120,12 @@ def ness_family(cfg: DrivingConfig, cutoff_K=None) -> LaxFamily:
 # ---------------------------------------------------------------------------
 # transfer contraction
 
-def phys_transfer_tensor(fam: LaxFamily) -> np.ndarray:
-    """A[p, q, a, b] = sum_st (sigma^s tau^t)[p, q] * L^{st}[a, b]."""
-    da = fam.dim
-    A = np.zeros((4, 4, da, da), dtype=complex)
-    for st, Lm in fam.L.items():
-        A += local4(*st)[:, :, None, None] * Lm[None, None, :, :]
+def phys_transfer_tensor(components: dict) -> np.ndarray:
+    """A[p, q, a, b] = sum_st (sigma^s tau^t)[p, q] * C^{st}[a, b] for the
+    components C of a family (fam.L, or fam.Ltilde)."""
+    A = np.zeros((4, 4) + next(iter(components.values())).shape, dtype=complex)
+    for st, Cm in components.items():
+        A += local4(*st)[:, :, None, None] * Cm[None, None, :, :]
     return A
 
 
@@ -147,8 +153,12 @@ def _chain(tensors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     (P^n, Q^n) matrix over the physical row (p_1..p_n) and column (q_1..q_n)
     indices.
 
+    `left` and `right` are each a boundary vector or a (B, D) block of
+    boundary rows; with blocks the result is (B_left, B_right, P^n, Q^n), one
+    matrix per pair of boundary rows.
+
     `right` is folded into the last tensor before that site is contracted,
-    so the chain ends on one boundary row and never holds a copy of the
+    so the chain ends on the boundary rows and never holds a copy of the
     output per auxiliary index. Each site is one tensordot over the
     auxiliary index; the physical indices stay interleaved (p_1 q_1 ... p_j
     q_j) in the rows of the intermediate, which makes every reshape free,
@@ -156,28 +166,35 @@ def _chain(tensors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """
     n = len(tensors)
     P, Q = tensors[0].shape[:2]
-    # Element counts of the intermediates: the boundary row, the (PQ)^j x D_j
-    # partial products, and the result before and after the final transpose.
-    sizes = [len(left)]
-    sizes += [(P * Q) ** j * A.shape[3] for j, A in enumerate(tensors[:-1], 1)]
-    sizes.append(2 * (P * Q) ** n)
+    lrows, rrows = np.atleast_2d(left), np.atleast_2d(right)
+    B, C = len(lrows), len(rrows)
+    # Element counts of the intermediates: the boundary rows, the
+    # B (PQ)^j x D_j partial products, and the result before and after the
+    # final transpose.
+    sizes = [lrows.size]
+    sizes += [B * (P * Q) ** j * A.shape[3] for j, A in enumerate(tensors[:-1], 1)]
+    sizes.append(2 * B * C * (P * Q) ** n)
     _guard(16 * max(a + b for a, b in zip(sizes, sizes[1:])), f"{n}-site contraction")
-    cur = np.asarray(left)[None, :]
+    cur = lrows
     for A in tensors[:-1]:
         cur = np.tensordot(cur, A, axes=(1, 2)).reshape(-1, A.shape[3])
-    cur = np.tensordot(cur, np.tensordot(tensors[-1], right, axes=(3, 0)), axes=(1, 2))
+    cur = np.tensordot(cur, np.tensordot(tensors[-1], rrows, axes=(3, 1)), axes=(1, 2))
     if P * Q == 1:
         # nothing to reorder, and the 2n axes below would pass numpy's limit
         # of 64 dimensions on long pair-transfer chains
-        return cur.reshape(1, 1)
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return cur.reshape((P, Q) * n).transpose(order).reshape(P ** n, Q ** n)
+        out = cur.reshape(B, C, 1, 1)
+    else:
+        # axes (b, p_1, q_1, ..., p_n, q_n, c) -> (b, c, p_1..p_n, q_1..q_n)
+        order = [0, 2 * n + 1] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
+        out = cur.reshape((B,) + (P, Q) * n + (C,)).transpose(order)
+        out = out.reshape(B, C, P ** n, Q ** n)
+    return out[0, 0] if np.ndim(left) == np.ndim(right) == 1 else out
 
 
 def contract_omega(fam: LaxFamily, n_sites: int) -> np.ndarray:
     """<0+| L_1 ... L_n |0+> by direct 16-component contraction."""
     e0 = _basis(fam.dim, _root_index(fam))
-    return _chain([phys_transfer_tensor(fam)] * n_sites, e0, e0)
+    return _chain([phys_transfer_tensor(fam.L)] * n_sites, e0, e0)
 
 
 def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:
@@ -209,7 +226,7 @@ def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
     """Matrix-free Omega @ vec; memory O(dim_aux * 4^n)."""
     da = fam.dim
     _guard(32 * da * 4 ** n_sites, f"{n_sites}-site matrix-free product")
-    A = phys_transfer_tensor(fam)
+    A = phys_transfer_tensor(fam.L)
     i0 = _root_index(fam)
     v = np.asarray(vec, dtype=complex).reshape(4 ** n_sites)
     # cur[a, P, R]: partial rows P over processed sites, remaining input R
@@ -224,7 +241,7 @@ def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
     return cur[i0, :, 0]
 
 
-def omega_dense(cfg: DrivingConfig, cutoff_K=None, enforce_exactness: bool = True):
+def omega_dense(cfg: DrivingConfig, cutoff_K=None):
     """Omega for the driving configuration, with the cutoff-exactness guard:
     a cutoff below the exact bound triggers a K vs K+1 comparison and an
     error on mismatch."""
@@ -232,7 +249,7 @@ def omega_dense(cfg: DrivingConfig, cutoff_K=None, enforce_exactness: bool = Tru
     K = k_exact(n) if cutoff_K is None else int(cutoff_K)
     fam = assemble_family(K, ness_lax_params(cfg))
     om = contract_omega(fam, n)
-    if K < k_exact(n) and enforce_exactness:
+    if K < k_exact(n):
         warnings.warn(
             f"cutoff K={K} below exactness bound {k_exact(n)} for n={n}; "
             "comparing against K+1"
@@ -301,11 +318,9 @@ def build_ness(cfg: DrivingConfig, cutoff_K=None, compute_spectrum: bool = True)
 class DoubleLax:
     cfg: DrivingConfig
     fam: LaxFamily
-    LL: np.ndarray       # site operator on (aux x aux) (x) C4
-    LLt: np.ndarray      # its divergence partner
-    YY: np.ndarray       # doubled spectral operator, ((aux x aux) * 4) sized
-    YY_aux: np.ndarray   # same restricted to the doubled auxiliary space
-    M_loc: np.ndarray    # single-site filter diag(e^{2eta},1,1,e^{-2eta})
+    LL: np.ndarray       # site tensor [p, q, (ac), (bd)] over the doubled aux space
+    LLt: np.ndarray      # its divergence partner, same layout
+    YY_aux: np.ndarray   # doubled spectral operator on the doubled aux space
     root: int            # index of (0+, 0+) in the doubled auxiliary space
 
     @property
@@ -314,11 +329,16 @@ class DoubleLax:
 
 
 def build_double_lax(cfg: DrivingConfig, cutoff_K=None, lax_params=None) -> DoubleLax:
-    """Site-local doubled operators: LL = L Lbar M, LLt = (Lt Lbar - L Lbar_t) M,
-    YY = Y (x) 1 - 1 (x) conj(Y).
+    """Site tensors of the doubled operators, in the [p, q, a, b] layout of
+    _chain with the ket and bra auxiliary indices paired, (ac) and (bd):
 
-    The conjugate (bar) copy is the elementwise complex conjugate family with
-    transposed physical factors; it shares the same auxiliary space.
+        LL[p, q, (ac), (bd)] = sum_r A[p, r, a, b] conj(A[q, r, c, d]) m[q],
+
+    i.e. L Lbar M, where A is the transfer tensor of the components L and m
+    the single-site diagonal of M. LLt = (Lt Lbar - L Lbar_t) M is the same
+    pairing with the tensor of Ltilde in place of A in one factor, then the
+    other. YY_aux = Y (x) 1 - 1 (x) conj(Y).
+
     lax_params overrides the family parameters derived from the driving (used
     by the necessity probes, which perturb the spectral parameter on purpose).
     """
@@ -326,67 +346,52 @@ def build_double_lax(cfg: DrivingConfig, cutoff_K=None, lax_params=None) -> Doub
     fam = assemble_family(K, ness_lax_params(cfg) if lax_params is None else lax_params)
     da = fam.dim
     _, _, eta = map_driving_to_params(cfg)
-    M_loc = np.diag(m_diag(1, eta)).astype(complex)
+    m = m_diag(1, eta)
+    A, At = phys_transfer_tensor(fam.L), phys_transfer_tensor(fam.Ltilde)
+
+    def pair(X, Z):
+        T = np.einsum("prab,qrcd,q->pqacbd", X, np.conj(Z), m)
+        return T.reshape(4, 4, da * da, da * da)
+
     Ia = np.eye(da)
-    kr = np.kron
-    U = np.zeros((da * da * 4, da * da * 4), dtype=complex)
-    V = np.zeros_like(U)
-    Ut = np.zeros_like(U)
-    Vt = np.zeros_like(U)
-    for st, Lm in fam.L.items():
-        p4 = local4(*st)
-        U += kr(kr(Lm, Ia), p4)
-        V += kr(kr(Ia, np.conj(Lm)), p4.T)
-        Ut += kr(kr(fam.Ltilde[st], Ia), p4)
-        Vt += kr(kr(Ia, np.conj(fam.Ltilde[st])), p4.T)
-    D2 = kr(np.eye(da * da), M_loc)
-    LL = U @ V @ D2
-    LLt = (Ut @ V - U @ Vt) @ D2
-    YY_aux = kr(fam.Y, Ia) - kr(Ia, np.conj(fam.Y))
-    YY = kr(YY_aux, np.eye(4))
+    YY_aux = np.kron(fam.Y, Ia) - np.kron(Ia, np.conj(fam.Y))
     i0 = _root_index(fam)
-    return DoubleLax(cfg=cfg, fam=fam, LL=LL, LLt=LLt, YY=YY, YY_aux=YY_aux,
-                     M_loc=M_loc, root=i0 * da + i0)
+    return DoubleLax(cfg=cfg, fam=fam, LL=pair(A, A), LLt=pair(At, A) - pair(A, At),
+                     YY_aux=YY_aux, root=i0 * da + i0)
 
 
-def _double_tensor(op: np.ndarray, daux2: int) -> np.ndarray:
-    """Reshape a doubled site operator to A[p, q, a, b] over the doubled
-    auxiliary index."""
-    r = op.reshape(daux2, 4, daux2, 4)
-    return r.transpose(1, 3, 0, 2)
-
-
-def double_contract(dlax: DoubleLax, n_sites: int, special=None) -> np.ndarray:
-    """<00| O_1 ... O_n |00> where O_j defaults to LL and `special` may remap
-    individual sites (dict j -> matrix), 1-based. With no remapping this is
-    R = Omega Omega^dag M reproduced through the doubled route."""
-    special = special or {}
-    tensors = [_double_tensor(special.get(j, dlax.LL), dlax.daux2)
-               for j in range(1, n_sites + 1)]
+def double_contract(dlax: DoubleLax, n_sites: int) -> np.ndarray:
+    """Cross-check route for R = Omega Omega^dag M: <00| LL_1 ... LL_n |00>
+    through the doubled site tensors."""
     e0 = _basis(dlax.daux2, dlax.root)
-    return _chain(tensors, e0, e0)
+    return _chain([dlax.LL] * n_sites, e0, e0)
 
 
 # ---------------------------------------------------------------------------
 # telescoping and boundary residual checks
 
-def _pair_interior_mask(fam: LaxFamily, max_pair_level: float) -> np.ndarray:
+def _pair_interior_mask(fam: LaxFamily) -> np.ndarray:
+    """Doubled auxiliary indices of pair level <= K - 1."""
     lv = fam.space.levels()
     pair = (lv[:, None] + lv[None, :]).ravel()
-    return pair <= max_pair_level + 1e-9
+    return pair <= fam.space.cutoff_K - 1 + 1e-9
 
 
-def check_telescoping(dlax: DoubleLax, n_sites: int, tol: float = 1e-10):
-    """Contracted telescoping residual: the commutator of the Hamiltonian bulk
-    with <00|LL_1...LL_n|00> must equal the two boundary leftovers
-    <00|(LLt_1 + {YY, LL_1}) LL_2 ... |00> - <00| ... (LLt_n + {LL_n, YY})|00>.
+def _telescoping_terms(dlax: DoubleLax, n_sites: int, rows: np.ndarray):
+    """The two sides of the telescoping identity between boundary rows `rows`
+    of the doubled auxiliary space (one vector, or a block of them taken at
+    both ends), as (lhs, rhs):
 
-    Returns (residual_fro, scale). For n = 2 the uncontracted operator
-    identity is also checked and the maximum of both residuals returned.
+        lhs = [H_bulk, <rows| LL_1 ... LL_n |rows>],
+        rhs = <rows| E_1 LL_2 ... LL_n |rows> - <rows| LL_1 ... LL_{n-1} E_n |rows>,
+
+    with the boundary leftover E = LLt + {YY, LL}.
     """
     from .hubbard_model import h_bond
 
-    R = double_contract(dlax, n_sites)
+    LL = dlax.LL
+    # the first chain carries the size guard, before anything else is built
+    R = _chain([LL] * n_sites, rows, rows)
     # the literal bond sum sum_j h_{j,j+1} (u/2 on the two boundary sites,
     # unlike the full Hamiltonian)
     hb = h_bond(dlax.cfg.u)
@@ -397,55 +402,38 @@ def check_telescoping(dlax: DoubleLax, n_sites: int, tol: float = 1e-10):
             np.kron(np.eye(4 ** (j - 1)), hb), np.eye(4 ** (n_sites - j - 1))
         )
     lhs = Hbulk @ R - R @ Hbulk
-    left_end = dlax.LLt + dlax.YY @ dlax.LL + dlax.LL @ dlax.YY
-    right_end = dlax.LLt + dlax.LL @ dlax.YY + dlax.YY @ dlax.LL
-    rhs = double_contract(dlax, n_sites, special={1: left_end}) - double_contract(
-        dlax, n_sites, special={n_sites: right_end}
-    )
+    E = dlax.LLt + dlax.YY_aux @ LL + LL @ dlax.YY_aux
+    rhs = (_chain([E] + [LL] * (n_sites - 1), rows, rows)
+           - _chain([LL] * (n_sites - 1) + [E], rows, rows))
+    return lhs, rhs
+
+
+def check_telescoping(dlax: DoubleLax, n_sites: int):
+    """Contracted telescoping residual: the commutator of the Hamiltonian bulk
+    with <00|LL_1...LL_n|00> must equal the two boundary leftovers
+    <00|E_1 LL_2 ... |00> - <00| ... LL_{n-1} E_n|00>, E = LLt + {YY, LL}.
+
+    Returns (residual_fro, scale). For n = 2 the identity is also checked
+    open, between every pair of interior doubled levels (pair level <= K - 1)
+    and not only at the root; that residual, relative to its own scale, is
+    put on the root scale and the larger of the two returned.
+    """
+    lhs, rhs = _telescoping_terms(dlax, n_sites, _basis(dlax.daux2, dlax.root))
     res = float(np.linalg.norm(lhs - rhs))
     scale = float(max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0))
     if n_sites == 2:
-        full = _telescoping_full_two_site(dlax)
-        res = max(res, full[0] * scale / max(full[1], 1e-300))
+        mask = _pair_interior_mask(dlax.fam)
+        lhs, rhs = _telescoping_terms(dlax, 2, np.eye(dlax.daux2)[mask])
+        open_scale = max(np.linalg.norm(rhs), 1.0)
+        res = max(res, float(np.linalg.norm(lhs - rhs)) * scale / open_scale)
     return res, scale
 
 
-def _telescoping_full_two_site(dlax: DoubleLax):
-    """Uncontracted two-site telescoping identity on (aux x aux) (x) C4 (x) C4."""
-    from .hubbard_model import h_bond
-
-    D2 = dlax.daux2
-    kr = np.kron
-    I4 = np.eye(4)
-    ID = np.eye(D2)
-
-    def embed(op, which):
-        A = _double_tensor(op, D2)
-        if which == 1:
-            M = np.einsum("pqab,ij->apibqj", A, I4)
-        else:
-            M = np.einsum("pqab,ij->aipbjq", A, I4)
-        return M.reshape(D2 * 16, D2 * 16)
-
-    LL1, LL2 = embed(dlax.LL, 1), embed(dlax.LL, 2)
-    LLt1, LLt2 = embed(dlax.LLt, 1), embed(dlax.LLt, 2)
-    YYf = kr(dlax.YY_aux, np.eye(16))
-    hf = kr(ID, h_bond(dlax.cfg.u))
-    prod = LL1 @ LL2
-    lhs = hf @ prod - prod @ hf
-    rhs = (LLt1 + YYf @ LL1 + LL1 @ YYf) @ LL2 - LL1 @ (LLt2 + LL2 @ YYf + YYf @ LL2)
-    # interior projection on the doubled auxiliary level
-    mask = _pair_interior_mask(dlax.fam, dlax.fam.space.cutoff_K - 1)
-    P = kr(np.diag(mask.astype(float)), np.eye(16))
-    res = float(np.linalg.norm(P @ (lhs - rhs) @ P))
-    scale = float(max(np.linalg.norm(P @ rhs @ P), 1.0))
-    return res, scale
-
-
-def _dissipator_slab(op4: np.ndarray, LL: np.ndarray, daux2: int) -> np.ndarray:
-    A = np.kron(np.eye(daux2), op4)
-    Ad = A.conj().T
-    return 2.0 * A @ LL @ Ad - Ad @ A @ LL - LL @ Ad @ A
+def _dissipator(a: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """2 a X a^dag - a^dag a X - X a^dag a on the physical indices (the last
+    two axes) of X."""
+    ad = a.conj().T
+    return 2.0 * a @ X @ ad - ad @ a @ X - X @ ad @ a
 
 
 def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
@@ -456,39 +444,29 @@ def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
     Right: i G_R (D_{s-} + D_{t-}) LL - LLt - YY LL + [h_R, LL]  -> column
            slab at the doubled root vanishes.
 
-    Slabs are restricted to interior doubled levels (pair level <= K - 1).
+    The dissipators and h_L, h_R act on the physical indices of the tensors,
+    YY on the doubled auxiliary index left free by the slab. Slabs are
+    restricted to interior doubled levels (pair level <= K - 1).
     Returns dict with residuals and the common scale.
     """
-    cfg = dlax.cfg
-    D2 = dlax.daux2
-    kr = np.kron
-    hL = kr(np.eye(D2), h_left(cfg.u, cfg.mu_L))
-    hR = kr(np.eye(D2), h_right(cfg.u, cfg.mu_R))
-    OL = (
-        1j * cfg.gamma_L * (
-            _dissipator_slab(local4("+", "0"), dlax.LL, D2)
-            + _dissipator_slab(local4("0", "+"), dlax.LL, D2)
-        )
-        + dlax.LLt + dlax.LL @ dlax.YY + hL @ dlax.LL - dlax.LL @ hL
-    )
-    OR = (
-        1j * cfg.gamma_R * (
-            _dissipator_slab(local4("-", "0"), dlax.LL, D2)
-            + _dissipator_slab(local4("0", "-"), dlax.LL, D2)
-        )
-        - dlax.LLt - dlax.YY @ dlax.LL + hR @ dlax.LL - dlax.LL @ hR
-    )
-    mask = _pair_interior_mask(dlax.fam, dlax.fam.space.cutoff_K - 1)
-    OLr = OL.reshape(D2, 4, D2, 4)
-    ORr = OR.reshape(D2, 4, D2, 4)
-    left = float(np.linalg.norm(OLr[dlax.root][:, mask, :]))
-    right = float(np.linalg.norm(ORr[:, :, dlax.root, :][mask]))
-    Lt = dlax.LLt.reshape(D2, 4, D2, 4)
-    scale = float(max(
-        np.linalg.norm(Lt[dlax.root][:, mask, :]),
-        np.linalg.norm(Lt[:, :, dlax.root, :][mask]),
-        1.0,
-    ))
+    cfg, r = dlax.cfg, dlax.root
+    # slabs [x, p, q]: the free doubled auxiliary index first
+    row, row_t = (T[:, :, r, :].transpose(2, 0, 1) for T in (dlax.LL, dlax.LLt))
+    col, col_t = (T[:, :, :, r].transpose(2, 0, 1) for T in (dlax.LL, dlax.LLt))
+
+    def local(gamma, jumps, h, X):
+        return 1j * gamma * sum(_dissipator(a, X) for a in jumps) + h @ X - X @ h
+
+    OL = (local(cfg.gamma_L, (local4("+", "0"), local4("0", "+")),
+                h_left(cfg.u, cfg.mu_L), row)
+          + row_t + np.tensordot(dlax.YY_aux, row, axes=(0, 0)))
+    OR = (local(cfg.gamma_R, (local4("-", "0"), local4("0", "-")),
+                h_right(cfg.u, cfg.mu_R), col)
+          - col_t - np.tensordot(dlax.YY_aux, col, axes=(1, 0)))
+    mask = _pair_interior_mask(dlax.fam)
+    left = float(np.linalg.norm(OL[mask]))
+    right = float(np.linalg.norm(OR[mask]))
+    scale = float(max(np.linalg.norm(row_t[mask]), np.linalg.norm(col_t[mask]), 1.0))
     return {
         "left_residual": left,
         "right_residual": right,
@@ -507,7 +485,7 @@ def pair_transfer(fam: LaxFamily, w: np.ndarray) -> np.ndarray:
     Products of these from <00| to |00> give tr(Omega Omega^dag W) for
     W = (x)_j w_j.
     """
-    A = phys_transfer_tensor(fam)
+    A = phys_transfer_tensor(fam.L)
     F = np.einsum("rp,pqab,rqcd->acbd", w, A, np.conj(A), optimize=True)
     da = fam.dim
     return F.reshape(da * da, da * da)

@@ -36,11 +36,12 @@ class ObservableSet:
 
 
 def expectation(rho: np.ndarray, obs) -> complex:
-    """tr(rho @ obs)."""
-    obs = obs.toarray() if hasattr(obs, "toarray") else np.asarray(obs)
+    """tr(rho @ obs) = sum_ij rho[j, i] obs[i, j], in O(nnz) for a sparse obs."""
+    sparse = hasattr(obs, "multiply")
+    obs = obs if sparse else np.asarray(obs)
     if rho.shape != obs.shape:
         raise ValueError(f"shape mismatch {rho.shape} vs {obs.shape}")
-    return complex(np.trace(rho @ obs))
+    return complex((obs.multiply(rho.T) if sparse else rho.T * obs).sum())
 
 
 def current_operator(n: int, j: int, species: int):

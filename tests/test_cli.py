@@ -17,7 +17,7 @@ def test_ness_contract(tmp_path):
             "--out", str(out))
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["driving"]["gamma_R"] == 0.5
     assert doc["map"]["lambda"] == [1.0 / 3.0, 0.0]
     assert doc["passed"] is True
@@ -68,6 +68,19 @@ def test_ness_five_sites_under_memory_cap(tmp_path):
     assert doc["diagnostics"]["telescoping_residual"] <= 1e-10
 
 
+def test_ness_six_sites_refused_before_dense_build(tmp_path, monkeypatch, capsys):
+    from hubbard_lax import cli
+
+    def no_dense_state(*args, **kwargs):
+        raise AssertionError("the dense state was built before the size check")
+
+    monkeypatch.setattr(cli, "build_ness", no_dense_state)
+    rc = cli.main(["ness", "--n", "6", "--gammaL", "1.5", "--gammaR", "0.7",
+                   "--u", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "exceeds the dense-route limits" in capsys.readouterr().err
+
+
 def test_oracle_size_refusal(tmp_path):
     r = run("oracle", "--n", "4", "--gammaL", "1", "--gammaR", "1", "--u", "1",
             "--out", str(tmp_path))
@@ -81,6 +94,8 @@ def test_oracle_two_sites(tmp_path):
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["frobenius_distance"] < 1e-10
+    assert doc["lindblad_residual"] < 1e-9
+    assert "mpo_fixed_point_residual" not in doc
     assert doc["passed"] is True
 
 

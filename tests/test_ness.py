@@ -13,8 +13,8 @@ from hubbard_lax.ness_engine import (
     build_ness,
     check_boundary_conditions,
     check_telescoping,
-    _telescoping_full_two_site,
     _chain,
+    _telescoping_terms,
     contract_omega,
     contract_omega_factored,
     double_contract,
@@ -221,15 +221,26 @@ def test_doubled_spectral_operator_root_entry():
 def test_telescoping_two_and_three_sites():
     cfg2 = DrivingConfig(1.4, 0.6, 0.2, -0.3, 1.2, 2)
     dl2 = build_double_lax(cfg2, cutoff_K=2)
+    # at n = 2 this includes the open check between all interior levels
     res, scale = check_telescoping(dl2, 2)
     assert res <= 1e-10 * scale
-    full_res, full_scale = _telescoping_full_two_site(dl2)
-    assert full_res <= 1e-10 * full_scale
 
     cfg3 = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3)
     dl3 = build_double_lax(cfg3, cutoff_K=3)
     res3, scale3 = check_telescoping(dl3, 3)
     assert res3 <= 1e-10 * scale3
+
+
+def test_open_telescoping_detects_off_root_defect():
+    # a defect in LLt away from the doubled root never enters the chain
+    # contracted at the root, only the open n = 2 check
+    dl = build_double_lax(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 2), cutoff_K=2)
+    assert dl.root != 1
+    dl.LLt[:, :, 1, 1] *= 1.01
+    res, scale = check_telescoping(dl, 2)
+    assert res > 1e-4 * scale
+    lhs, rhs = _telescoping_terms(dl, 2, np.eye(dl.daux2)[dl.root])
+    assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
 
 
 def test_boundary_conditions_hold_at_map():
