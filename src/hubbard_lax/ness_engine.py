@@ -22,11 +22,20 @@ bulk, the bond commutator of LL_1 ... LL_n telescopes to one leftover term at
 each end (check_telescoping, contracted at the doubled root for every n, and
 open between all interior doubled levels at n = 2); at the ends, one
 dissipative equation each, read off the root row and the root column of the
-single-site tensors (check_boundary_conditions). A pair-transfer engine
-evaluates local expectation values in the steady state without ever
-materializing rho (used for n up to 8). Omega, the doubled chains and the
-pair-transfer chains are all contracted by one helper, _chain, which refuses
-any contraction whose peak memory estimate exceeds MAX_CHAIN_BYTES.
+single-site tensors (check_boundary_conditions). Omega, the doubled chains
+and the pair-transfer cross-check chains are all contracted by one helper,
+_chain, which refuses any contraction whose peak memory estimate exceeds
+MAX_CHAIN_BYTES.
+
+Local expectation values in the steady state come from an environment
+engine (local_expectations) that never materializes rho: one sweep from each
+end of the chain over the doubled auxiliary space, with the pair transfer
+applied matrix-free through sparse blocks of the transfer tensor and each
+environment rescaled. Time and memory grow as n da^2 (da = 4K + 1, about
+2n + 5), and its store is guarded like _chain, which admits chains up to
+n = 211. mpo_expectation,
+with dense pair transfer matrices, is kept as its cross-check for short
+chains.
 """
 
 from __future__ import annotations
@@ -38,8 +47,9 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy import sparse
 
-from .aux_space import AuxVertex, build_aux_space
+from .aux_space import AuxSpace, AuxVertex, build_aux_space
 from .hubbard_model import h_left, h_right
 from .lax_builder import LaxFamily, LaxParams, assemble_family
 from .linalg import local4
@@ -129,8 +139,8 @@ def phys_transfer_tensor(components: dict) -> np.ndarray:
     return A
 
 
-def _root_index(fam: LaxFamily) -> int:
-    return fam.space.index[AuxVertex(0, +1)]
+def _root_index(space: AuxSpace) -> int:
+    return space.index[AuxVertex(0, +1)]
 
 
 def _basis(dim: int, i: int) -> np.ndarray:
@@ -193,7 +203,7 @@ def _chain(tensors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def contract_omega(fam: LaxFamily, n_sites: int) -> np.ndarray:
     """<0+| L_1 ... L_n |0+> by direct 16-component contraction."""
-    e0 = _basis(fam.dim, _root_index(fam))
+    e0 = _basis(fam.dim, _root_index(fam.space))
     return _chain([phys_transfer_tensor(fam.L)] * n_sites, e0, e0)
 
 
@@ -210,7 +220,7 @@ def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:
     for s in SPIN_LABELS:
         AS += PAULI[s][:, :, None, None] * fam.S[s][None, None, :, :]
         AT += PAULI[s][:, :, None, None] * fam.T[s][None, None, :, :]
-    i0 = _root_index(fam)
+    i0 = _root_index(fam.space)
     cur = np.zeros((da, 1, 1), dtype=complex)
     cur[i0, 0, 0] = 1.0
     for _ in range(n_sites):
@@ -227,7 +237,7 @@ def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
     da = fam.dim
     _guard(32 * da * 4 ** n_sites, f"{n_sites}-site matrix-free product")
     A = phys_transfer_tensor(fam.L)
-    i0 = _root_index(fam)
+    i0 = _root_index(fam.space)
     v = np.asarray(vec, dtype=complex).reshape(4 ** n_sites)
     # cur[a, P, R]: partial rows P over processed sites, remaining input R
     cur = v.reshape(1, 1, 4 ** n_sites)
@@ -355,7 +365,7 @@ def build_double_lax(cfg: DrivingConfig, cutoff_K=None, lax_params=None) -> Doub
 
     Ia = np.eye(da)
     YY_aux = np.kron(fam.Y, Ia) - np.kron(Ia, np.conj(fam.Y))
-    i0 = _root_index(fam)
+    i0 = _root_index(fam.space)
     return DoubleLax(cfg=cfg, fam=fam, LL=pair(A, A), LLt=pair(At, A) - pair(A, At),
                      YY_aux=YY_aux, root=i0 * da + i0)
 
@@ -393,15 +403,18 @@ def _telescoping_terms(dlax: DoubleLax, n_sites: int, rows: np.ndarray):
     # the first chain carries the size guard, before anything else is built
     R = _chain([LL] * n_sites, rows, rows)
     # the literal bond sum sum_j h_{j,j+1} (u/2 on the two boundary sites,
-    # unlike the full Hamiltonian)
-    hb = h_bond(dlax.cfg.u)
-    dim = 4 ** n_sites
-    Hbulk = np.zeros((dim, dim), dtype=complex)
-    for j in range(1, n_sites):
-        Hbulk += np.kron(
-            np.kron(np.eye(4 ** (j - 1)), hb), np.eye(4 ** (n_sites - j - 1))
-        )
-    lhs = Hbulk @ R - R @ Hbulk
+    # unlike the full Hamiltonian), each bond term applied to its two sites
+    # of the physical row and column indices of R
+    h = h_bond(dlax.cfg.u).reshape(4, 4, 4, 4)
+    lead = R.ndim - 2
+    Rs = R.reshape(R.shape[:lead] + (4,) * (2 * n_sites))
+    lhs = np.zeros_like(Rs)
+    for j in range(n_sites - 1):
+        rows_j = [lead + j, lead + j + 1]
+        cols_j = [lead + n_sites + j, lead + n_sites + j + 1]
+        lhs += np.moveaxis(np.tensordot(h, Rs, axes=([2, 3], rows_j)), [0, 1], rows_j)
+        lhs -= np.moveaxis(np.tensordot(Rs, h, axes=(cols_j, [0, 1])), [-2, -1], cols_j)
+    lhs = lhs.reshape(R.shape)
     E = dlax.LLt + dlax.YY_aux @ LL + LL @ dlax.YY_aux
     rhs = (_chain([E] + [LL] * (n_sites - 1), rows, rows)
            - _chain([LL] * (n_sites - 1) + [E], rows, rows))
@@ -477,10 +490,101 @@ def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
 
 
 # ---------------------------------------------------------------------------
-# pair-transfer expectation engine (no dense rho)
+# environment engine: local expectation values without rho
+#
+# tr(Omega Omega^dag W) for W = (x)_j w_j, w_j = m O_j (m the single-site
+# diagonal of M), is <00| F(w_1) ... F(w_n) |00> with the pair transfer F(w)
+# of pair_transfer. Holding a doubled-space vector as a da x da matrix
+# X[a, c], F(w) acts from the right as X -> sum w[r,p] A_pq X A_rq^dag and
+# from the left as X -> sum w[r,p] A_pq^T X conj(A_rq).
+
+class _PairSide:
+    """F(w) applied matrix-free from one side, for many w at once.
+
+    Built from A[p, q, a, b] it applies F(w) from the right; built from A
+    with its two auxiliary indices swapped, from the left. The 16 blocks A_pq
+    are level-banded, with at most about 1.5 da nonzeros each, and are held
+    as sparse matrices; no da^4 array is ever formed. The two sparse products
+    do not depend on w, so the local matrices are contracted in afterwards,
+    all of them in one small product.
+    """
+
+    def __init__(self, A: np.ndarray):
+        da = A.shape[2]
+        self.da = da
+        At = A.transpose(0, 2, 1, 3)  # [p, a, q, b]
+        # rows (p, a, q), columns b: every A_pq X in one product
+        self._first = sparse.csr_matrix(At.reshape(16 * da, da))
+        # rows (c, r), columns (q, d): the conj(A_rq) factor
+        self._second = sparse.csr_matrix(np.conj(At).transpose(1, 0, 2, 3).reshape(4 * da, 4 * da))
+
+    def apply(self, X: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """F(w) X for each w of the (m, 4, 4) stack ws, as [w, a, c]."""
+        da = self.da
+        D = (self._first @ X).reshape(4 * da, 4 * da)        # [(p, a), (q, d)]
+        T = self._second @ np.ascontiguousarray(D.T)         # [(c, r), (p, a)]
+        out = ws.reshape(-1, 16) @ T.reshape(da, 16, da)     # [c, w, a]
+        return out.transpose(1, 2, 0)
+
+
+def local_expectations(cfg: DrivingConfig, site_ops: dict, bond_ops: dict):
+    """Steady-state expectation values of one-site and two-site operators at
+    every position of the chain, without rho, in one sweep each way: time
+    and memory grow as n da^2, not as the da^4 of a dense pair transfer.
+
+    site_ops maps a name to a 4x4 operator O, bond_ops a name to a pair
+    (O, P) of them. Yields, for j = 1..n, the pair of dicts
+    ({name: <O_j>}, {name: <O_j P_{j+1}>}), the second empty at j = n. The
+    generator is lazy: a caller that needs only the first sites stops early.
+
+    One sweep from the right stores the environments F_id^k |00>, each
+    rescaled to unit norm, so long chains cannot overflow. The sweep from the
+    left then reads each value as a ratio of two contractions at the same
+    cut, <left| F(w_j) (F(w_{j+1})) |right> over <left| F_id (F_id) |right>,
+    in which the rescaling cancels.
+    """
+    n = cfg.n_sites
+    space = build_aux_space(k_exact(n))
+    da = space.dim
+    # the environment store plus the family, A and one site's intermediates
+    _guard(16 * da * da * (n + 160), f"{n}-site environment store")
+    A = phys_transfer_tensor(assemble_family(space, ness_lax_params(cfg)).L)
+    right, left = _PairSide(A), _PairSide(A.swapaxes(2, 3))
+    _, _, eta = map_driving_to_params(cfg)
+    m = m_diag(1, eta)
+
+    def stack(ops):
+        return np.array([m[:, None] * np.asarray(op) for op in [np.eye(4), *ops]])
+
+    bonds = list(bond_ops.values())
+    w_left = stack([*site_ops.values(), *(op for op, _ in bonds)])
+    w_right = stack([op for _, op in bonds])
+    n_site = len(site_ops)
+
+    env = np.zeros((n, da, da), dtype=complex)  # env[k] ~ F_id^k |00>
+    i0 = _root_index(space)
+    env[0, i0, i0] = 1.0
+    for k in range(1, n):
+        X = right.apply(env[k - 1], w_right[:1])[0]
+        env[k] = X / np.linalg.norm(X)
+    L = env[0]
+    for j in range(1, n + 1):
+        V = left.apply(L, w_left)
+        site = np.einsum("wac,ac->w", V[:n_site + 1], env[n - j])
+        bond = {}
+        if j < n:
+            RV = right.apply(env[n - j - 1], w_right)
+            pairs = np.einsum("wac,wac->w", V[[0, *range(n_site + 1, len(V))]], RV)
+            bond = dict(zip(bond_ops, pairs[1:] / pairs[0]))
+        yield dict(zip(site_ops, site[1:] / site[0])), bond
+        L = V[0] / np.linalg.norm(V[0])
+
 
 def pair_transfer(fam: LaxFamily, w: np.ndarray) -> np.ndarray:
-    """F(w)[(a,c),(b,d)] = sum_{p,q,r} w[r,p] A[p,q,a,b] conj(A[r,q,c,d]).
+    """Cross-check route for the environment engine: the dense
+    (da^2 x da^2) pair transfer matrix
+
+        F(w)[(a,c),(b,d)] = sum_{p,q,r} w[r,p] A[p,q,a,b] conj(A[r,q,c,d]).
 
     Products of these from <00| to |00> give tr(Omega Omega^dag W) for
     W = (x)_j w_j.
@@ -492,17 +596,20 @@ def pair_transfer(fam: LaxFamily, w: np.ndarray) -> np.ndarray:
 
 
 def mpo_expectation(cfg: DrivingConfig, site_ops: dict, cutoff_K=None) -> complex:
-    """<prod_j O_j> in the steady state via pair transfer matrices.
+    """Cross-check route for local_expectations: <prod_j O_j> in the steady
+    state through dense pair transfer matrices, rebuilt on every call.
 
     site_ops maps 1-based site index -> 4x4 local operator; missing sites get
-    the identity. Never builds rho; works to n = 8 comfortably.
+    the identity. Never builds rho, but each F(w) holds da^4 entries
+    (da = 4K + 1), about 126 MB at n = 24, and the chain is not rescaled;
+    use it on the short chains the tests compare against.
     """
     n = cfg.n_sites
     fam = ness_family(cfg, cutoff_K)
     _, _, eta = map_driving_to_params(cfg)
     M_loc = np.diag(m_diag(1, eta)).astype(complex)
     F_id = pair_transfer(fam, M_loc)
-    i0 = _root_index(fam)
+    i0 = _root_index(fam.space)
     e0 = _basis(fam.dim ** 2, i0 * fam.dim + i0)
 
     def chain(ops):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .hubbard_model import SIGMA, TAU, site_operator
 from .linalg import local4
-from .ness_engine import DrivingConfig, NessResult, build_ness, mpo_expectation
+from .ness_engine import DrivingConfig, NessResult, build_ness, local_expectations
 
 REAL_TOL = 1e-10
 
@@ -84,20 +84,33 @@ _PLUS_LOC = {SIGMA: local4("+", "0"), TAU: local4("0", "+")}
 _MINUS_LOC = {SIGMA: local4("-", "0"), TAU: local4("0", "-")}
 
 
-def profile_and_currents_mpo(cfg: DrivingConfig, cutoff_K=None) -> ObservableSet:
-    """Same observables evaluated through the pair-transfer engine; never
-    builds rho, usable to n = 8."""
+def _current_terms(sp: int) -> dict:
+    """The two bond terms of J = 4i (x+_j x-_{j+1} - x-_j x+_{j+1}) for
+    species x, as engine bond operators."""
+    return {(sp, +1): (_PLUS_LOC[sp], _MINUS_LOC[sp]),
+            (sp, -1): (_MINUS_LOC[sp], _PLUS_LOC[sp])}
+
+
+def _current(bond: dict, sp: int, what: str) -> float:
+    return _real(4j * (bond[sp, +1] - bond[sp, -1]), what)
+
+
+def profile_and_currents_mpo(cfg: DrivingConfig) -> ObservableSet:
+    """Same observables through the environment engine
+    (ness_engine.local_expectations): one sweep from each end, time and
+    memory growing as n da^2, rescaled so that long chains cannot overflow;
+    never builds rho. Its size guard admits chains up to n = 211; a full
+    profile takes seconds at n = 100."""
     n = cfg.n_sites
     dens = {SIGMA: [], TAU: []}
     curr = {SIGMA: [], TAU: []}
-    for sp in (SIGMA, TAU):
-        for j in range(1, n + 1):
-            z = mpo_expectation(cfg, {j: _SZ_LOC[sp]}, cutoff_K)
-            dens[sp].append(_real(z, f"<z_{j}>"))
-        for j in range(1, n):
-            pm = mpo_expectation(cfg, {j: _PLUS_LOC[sp], j + 1: _MINUS_LOC[sp]}, cutoff_K)
-            mp = mpo_expectation(cfg, {j: _MINUS_LOC[sp], j + 1: _PLUS_LOC[sp]}, cutoff_K)
-            curr[sp].append(_real(4j * (pm - mp), f"J_{j}"))
+    terms = {**_current_terms(SIGMA), **_current_terms(TAU)}
+    sweep = local_expectations(cfg, _SZ_LOC, terms)
+    for j, (site, bond) in enumerate(sweep, 1):
+        for sp in (SIGMA, TAU):
+            dens[sp].append(_real(site[sp], f"<z_{j}>"))
+            if j < n:
+                curr[sp].append(_current(bond, sp, f"J_{j}"))
     return ObservableSet(
         n_sites=n, densities_sigma=dens[SIGMA], densities_tau=dens[TAU],
         currents_sigma=curr[SIGMA], currents_tau=curr[TAU],
@@ -106,7 +119,7 @@ def profile_and_currents_mpo(cfg: DrivingConfig, cutoff_K=None) -> ObservableSet
 
 def steady_observables(cfg: DrivingConfig, compute_spectrum: bool = False):
     """Profile and currents through the dense steady state for n <= 5, else
-    through the pair-transfer engine, which never builds rho.
+    through the environment engine, which never builds rho.
 
     Returns (observables, diagnostics); the diagnostics are those of the
     dense state, and empty on the matrix-free route.
@@ -133,14 +146,13 @@ def current_uniformity(obs: ObservableSet) -> float:
 
 def current_series(base: DrivingConfig, n_values) -> list:
     """(n, J_sigma at the first bond) along a family of chain lengths,
-    computed with the pair-transfer engine."""
+    computed with the environment engine, which stops after the first bond."""
     out = []
     for n in n_values:
         cfg = DrivingConfig(base.gamma_L, base.gamma_R, base.mu_L, base.mu_R,
                             base.u, int(n))
-        pm = mpo_expectation(cfg, {1: _PLUS_LOC[SIGMA], 2: _MINUS_LOC[SIGMA]})
-        mp = mpo_expectation(cfg, {1: _MINUS_LOC[SIGMA], 2: _PLUS_LOC[SIGMA]})
-        out.append((int(n), _real(4j * (pm - mp), "J")))
+        _, bond = next(local_expectations(cfg, {}, _current_terms(SIGMA)))
+        out.append((int(n), _current(bond, SIGMA, "J")))
     return out
 
 

@@ -68,6 +68,18 @@ def test_ness_five_sites_under_memory_cap(tmp_path):
     assert doc["diagnostics"]["telescoping_residual"] <= 1e-10
 
 
+def test_observe_long_scaling_under_memory_cap(tmp_path):
+    # the series runs to n = 40, where a dense pair transfer matrix would
+    # need about 800 MiB per copy
+    r = run("observe", "--n", "8", "--scaling", "4,24,40", "--gammaL", "1.5",
+            "--gammaR", "0.7", "--muL", "0.3", "--muR", "-0.4", "--u", "2",
+            "--out", str(tmp_path), preexec_fn=_cap_address_space)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["passed"] is True
+    assert [n for n, _ in doc["scaling"]["series"]] == [4, 24, 40]
+
+
 def test_ness_six_sites_refused_before_dense_build(tmp_path, monkeypatch, capsys):
     from hubbard_lax import cli
 

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from conftest import CANONICAL_DRIVINGS
 from hubbard_lax.hubbard_model import (
     HamiltonianSpec,
     build_hamiltonian,
     site_operator,
     spin_flip_G,
 )
-from hubbard_lax.ness_engine import DrivingConfig, build_ness
+from hubbard_lax.ness_engine import DrivingConfig, build_ness, mpo_expectation
 from hubbard_lax.observables import (
+    _MINUS_LOC,
+    _PLUS_LOC,
+    _SZ_LOC,
     cosine_profile_fit,
     current_operator,
     current_series,
@@ -92,6 +96,60 @@ def test_engine_matches_dense():
         assert np.allclose(od.densities_sigma, om.densities_sigma, atol=1e-12)
         assert np.allclose(od.currents_sigma, om.currents_sigma, atol=1e-12)
         assert np.allclose(od.densities_tau, om.densities_tau, atol=1e-12)
+
+
+def _cross_check_current(cfg, j, sp):
+    pm = mpo_expectation(cfg, {j: _PLUS_LOC[sp], j + 1: _MINUS_LOC[sp]})
+    mp = mpo_expectation(cfg, {j: _MINUS_LOC[sp], j + 1: _PLUS_LOC[sp]})
+    return (4j * (pm - mp)).real
+
+
+def _rel_dev(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+@pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
+def test_environment_engine_matches_cross_check(driving, n):
+    """The one-pass environment engine against the dense pair-transfer
+    cross-check, over the whole profile and every current."""
+    cfg = DrivingConfig(*driving, n)
+    obs = profile_and_currents_mpo(cfg)
+    for sp, dens, curr in ((0, obs.densities_sigma, obs.currents_sigma),
+                           (1, obs.densities_tau, obs.currents_tau)):
+        want = [mpo_expectation(cfg, {j: _SZ_LOC[sp]}).real for j in range(1, n + 1)]
+        assert _rel_dev(dens, want) <= TOL
+        want = [_cross_check_current(cfg, j, sp) for j in range(1, n)]
+        assert _rel_dev(curr, want) <= TOL
+
+
+@pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
+def test_current_series_matches_cross_check(driving):
+    base = DrivingConfig(*driving, 4)
+    for n, J in current_series(base, [16, 20]):
+        want = _cross_check_current(DrivingConfig(*driving, n), 1, 0)
+        assert abs(J - want) <= TOL * abs(want)
+
+
+def test_environments_rescaled_on_long_chains():
+    """At this driving the unscaled <00|F_id^n|00> = tr(Omega Omega^dag M)
+    grows by about e^11 per site near n = 70: it is e^705 at n = 70 and
+    e^822 at n = 80, past the float64 limit of e^709.8 from n = 71 on."""
+    base = DrivingConfig(50.0, 1.0, 0.0, 0.0, 1.0, 80)
+    series = current_series(base, [70, 80])
+    assert [n for n, _ in series] == [70, 80]
+    assert all(np.isfinite(J) and J > 0 for _, J in series)
+    obs = profile_and_currents_mpo(base)
+    J80 = series[1][1]
+    assert abs(obs.currents_sigma[0] - J80) <= TOL * J80
+    assert current_uniformity(obs) <= UNIFORMITY_TOL
+
+
+def test_environment_store_guarded():
+    # refused from the chain length alone, before the family is built
+    with pytest.raises(MemoryError, match="environment store"):
+        current_series(DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 4), [400])
 
 
 def test_scaling_fit_exact_power_laws():
