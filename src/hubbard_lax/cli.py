@@ -438,7 +438,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:
-        print(f"error: problem size exceeds the dense-route limits: {e}", file=sys.stderr)
+        print(f"error: problem size exceeds the memory limits: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)

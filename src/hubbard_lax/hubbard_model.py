@@ -49,16 +49,10 @@ def site_operator(n: int, j: int, species: int, s: str) -> sp.csr_matrix:
     (species=1) qubit of site j (1-based), identity elsewhere."""
     if not 1 <= j <= n:
         raise ValueError(f"site index {j} out of range 1..{n}")
-    op = sp.csr_matrix(PAULI[s])
-    eye2 = sp.identity(2, format="csr", dtype=complex)
-    factors = []
-    for i in range(1, n + 1):
-        for q in (SIGMA, TAU):
-            factors.append(op if (i == j and q == species) else eye2)
-    out = factors[0]
-    for f in factors[1:]:
-        out = sp.kron(out, f, format="csr")
-    return out
+    before = 2 * (j - 1) + species  # qubits left of the one acted on
+    left = sp.identity(2**before, format="csr", dtype=complex)
+    right = sp.identity(2 ** (2 * n - before - 1), format="csr", dtype=complex)
+    return sp.kron(sp.kron(left, PAULI[s], format="csr"), right, format="csr")
 
 
 def hop_bond(species: int) -> np.ndarray:
@@ -110,25 +104,3 @@ def build_hamiltonian(spec: HamiltonianSpec, dense: bool = False):
         site_operator(n, n, SIGMA, "z") + site_operator(n, n, TAU, "z")
     )
     return H.toarray() if dense else H.tocsr()
-
-
-def spin_flip_G(n: int) -> sp.csr_matrix:
-    """Global species swap: exchanges the sigma and tau qubits at every site.
-    G sigma^s G = tau^s, G^2 = identity."""
-    # local 4x4 swap of the two qubits
-    swap = np.zeros((4, 4))
-    for a in range(2):
-        for b in range(2):
-            swap[2 * b + a, 2 * a + b] = 1.0
-    out = sp.csr_matrix(swap)
-    blk = sp.csr_matrix(swap)
-    for _ in range(n - 1):
-        out = sp.kron(out, blk, format="csr")
-    return out
-
-
-def total_magnetization(n: int, species: int) -> sp.csr_matrix:
-    out = sp.csr_matrix((phys_dim(n), phys_dim(n)), dtype=complex)
-    for j in range(1, n + 1):
-        out = out + site_operator(n, j, species, "z")
-    return out.tocsr()

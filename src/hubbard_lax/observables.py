@@ -1,6 +1,12 @@
 """Steady-state observables: density profiles, species currents, uniformity,
 and finite-size scaling fits.
 
+Both routes feed one assembly with the local values <O_j> and <O_j P_{j+1}>.
+The dense route (profile_and_currents, n <= 5) reads them off the one- and
+two-site reduced density matrices of rho and builds no 4^n-dimensional
+operator; the matrix-free route (profile_and_currents_mpo) takes them from
+the environment engine, ness_engine.local_expectations.
+
 Current convention. With hopping 2(s+_j s-_{j+1} + s-_j s+_{j+1}) the local
 magnetization obeys d<sz_j>/dt = i<[H, sz_j]> = <J_{j-1,j}> - <J_{j,j+1}>
 with
@@ -36,7 +42,8 @@ class ObservableSet:
 
 
 def expectation(rho: np.ndarray, obs) -> complex:
-    """tr(rho @ obs) = sum_ij rho[j, i] obs[i, j], in O(nnz) for a sparse obs."""
+    """Cross-check of the dense reader: tr(rho @ obs) = sum_ij rho[j, i]
+    obs[i, j] for a full-size obs, in O(nnz) for a sparse one."""
     sparse = hasattr(obs, "multiply")
     obs = obs if sparse else np.asarray(obs)
     if rho.shape != obs.shape:
@@ -45,7 +52,8 @@ def expectation(rho: np.ndarray, obs) -> complex:
 
 
 def current_operator(n: int, j: int, species: int):
-    """J_{j,j+1} = 4i (x+_j x-_{j+1} - x-_j x+_{j+1}) for species x, sparse."""
+    """Cross-check of the dense reader: the sparse 4^n x 4^n operator
+    J_{j,j+1} = 4i (x+_j x-_{j+1} - x-_j x+_{j+1}) for species x."""
     if not 1 <= j <= n - 1:
         raise ValueError(f"bond index {j} out of range 1..{n - 1}")
     return 4j * (
@@ -60,22 +68,27 @@ def _real(z: complex, what: str) -> float:
     return float(z.real)
 
 
-def profile_and_currents(ness: NessResult) -> ObservableSet:
-    """Densities <sz_j>, <tz_j> and bond currents from a dense steady state."""
-    n = ness.cfg.n_sites
-    rho = ness.rho
-    dens_s = [_real(expectation(rho, site_operator(n, j, SIGMA, "z")), f"<sz_{j}>")
-              for j in range(1, n + 1)]
-    dens_t = [_real(expectation(rho, site_operator(n, j, TAU, "z")), f"<tz_{j}>")
-              for j in range(1, n + 1)]
-    cur_s = [_real(expectation(rho, current_operator(n, j, SIGMA)), f"J_s{j}")
-             for j in range(1, n)]
-    cur_t = [_real(expectation(rho, current_operator(n, j, TAU)), f"J_t{j}")
-             for j in range(1, n)]
-    return ObservableSet(
-        n_sites=n, densities_sigma=dens_s, densities_tau=dens_t,
-        currents_sigma=cur_s, currents_tau=cur_t,
-    )
+def _reduced(rho: np.ndarray, n: int, j: int, k: int) -> np.ndarray:
+    """Tr_rest rho over all but the k sites j..j+k-1: a 4^k x 4^k matrix,
+    summed from the diagonal blocks of a view of rho."""
+    left, d, right = 4 ** (j - 1), 4**k, 4 ** (n - j - k + 1)
+    return np.einsum("aibajb->ij", rho.reshape(left, d, right, left, d, right))
+
+
+def _dense_local_expectations(rho: np.ndarray, n: int, site_ops: dict, bond_ops: dict):
+    """Dense counterpart of ness_engine.local_expectations, with the same
+    arguments and the same per-site ({name: <O_j>}, {name: <O_j P_{j+1}>})
+    pairs, read off the two-site reduced density matrix rho_{j,j+1} (the
+    one-site matrix at j = n)."""
+    for j in range(1, n + 1):
+        bond = {}
+        if j < n:
+            r2 = _reduced(rho, n, j, 2)
+            r1 = np.einsum("ikjk->ij", r2.reshape(4, 4, 4, 4))
+            bond = {k: np.sum(r2.T * np.kron(o, p)) for k, (o, p) in bond_ops.items()}
+        else:
+            r1 = _reduced(rho, n, n, 1)
+        yield {k: np.sum(r1.T * o) for k, o in site_ops.items()}, bond
 
 
 # local 4x4 blocks for the expectation engine
@@ -91,8 +104,34 @@ def _current_terms(sp: int) -> dict:
             (sp, -1): (_MINUS_LOC[sp], _PLUS_LOC[sp])}
 
 
+_CURRENT_TERMS = {**_current_terms(SIGMA), **_current_terms(TAU)}
+
+
 def _current(bond: dict, sp: int, what: str) -> float:
     return _real(4j * (bond[sp, +1] - bond[sp, -1]), what)
+
+
+def _profile(n: int, sweep) -> ObservableSet:
+    """Densities and currents of both species from a sweep of local
+    expectations of _SZ_LOC and _CURRENT_TERMS."""
+    dens = {SIGMA: [], TAU: []}
+    curr = {SIGMA: [], TAU: []}
+    for j, (site, bond) in enumerate(sweep, 1):
+        for sp in (SIGMA, TAU):
+            dens[sp].append(_real(site[sp], f"<{'st'[sp]}z_{j}>"))
+            if j < n:
+                curr[sp].append(_current(bond, sp, f"J_{'st'[sp]}{j}"))
+    return ObservableSet(
+        n_sites=n, densities_sigma=dens[SIGMA], densities_tau=dens[TAU],
+        currents_sigma=curr[SIGMA], currents_tau=curr[TAU],
+    )
+
+
+def profile_and_currents(ness: NessResult) -> ObservableSet:
+    """Densities <sz_j>, <tz_j> and bond currents from a dense steady state,
+    read off its one- and two-site reduced density matrices."""
+    n = ness.cfg.n_sites
+    return _profile(n, _dense_local_expectations(ness.rho, n, _SZ_LOC, _CURRENT_TERMS))
 
 
 def profile_and_currents_mpo(cfg: DrivingConfig) -> ObservableSet:
@@ -101,20 +140,7 @@ def profile_and_currents_mpo(cfg: DrivingConfig) -> ObservableSet:
     memory growing as n da^2, rescaled so that long chains cannot overflow;
     never builds rho. Its size guard admits chains up to n = 211; a full
     profile takes seconds at n = 100."""
-    n = cfg.n_sites
-    dens = {SIGMA: [], TAU: []}
-    curr = {SIGMA: [], TAU: []}
-    terms = {**_current_terms(SIGMA), **_current_terms(TAU)}
-    sweep = local_expectations(cfg, _SZ_LOC, terms)
-    for j, (site, bond) in enumerate(sweep, 1):
-        for sp in (SIGMA, TAU):
-            dens[sp].append(_real(site[sp], f"<z_{j}>"))
-            if j < n:
-                curr[sp].append(_current(bond, sp, f"J_{j}"))
-    return ObservableSet(
-        n_sites=n, densities_sigma=dens[SIGMA], densities_tau=dens[TAU],
-        currents_sigma=curr[SIGMA], currents_tau=curr[TAU],
-    )
+    return _profile(cfg.n_sites, local_expectations(cfg, _SZ_LOC, _CURRENT_TERMS))
 
 
 def steady_observables(cfg: DrivingConfig, compute_spectrum: bool = False):

@@ -1,10 +1,15 @@
-"""Shared driving configurations for the oracle cross-checks.
+"""Shared driving configurations for the oracle cross-checks, and the
+species-swap and total-magnetization operators the symmetry tests use.
 
 The n=3 oracle costs a 4096^2 dense SVD (about two minutes each), and
 fixed_point_oracle caches per configuration, so every module that needs an
 oracle state should pick from this list to avoid paying twice.
 """
 
+import numpy as np
+import scipy.sparse as sp
+
+from hubbard_lax.hubbard_model import phys_dim, site_operator
 from hubbard_lax.ness_engine import DrivingConfig
 
 # asymmetric rates, asymmetric potentials, and a symmetric-rate control
@@ -17,6 +22,28 @@ CANONICAL_DRIVINGS = (
 
 def canonical_configs(n_sites):
     return [DrivingConfig(*d, n_sites) for d in CANONICAL_DRIVINGS]
+
+
+def spin_flip_G(n: int) -> sp.csr_matrix:
+    """Global species swap: exchanges the sigma and tau qubits at every site.
+    G sigma^s G = tau^s, G^2 = identity."""
+    # local 4x4 swap of the two qubits
+    swap = np.zeros((4, 4))
+    for a in range(2):
+        for b in range(2):
+            swap[2 * b + a, 2 * a + b] = 1.0
+    out = sp.csr_matrix(swap)
+    blk = sp.csr_matrix(swap)
+    for _ in range(n - 1):
+        out = sp.kron(out, blk, format="csr")
+    return out
+
+
+def total_magnetization(n: int, species: int) -> sp.csr_matrix:
+    out = sp.csr_matrix((phys_dim(n), phys_dim(n)), dtype=complex)
+    for j in range(1, n + 1):
+        out = out + site_operator(n, j, species, "z")
+    return out.tocsr()
 
 
 # one line per acceptance criterion, emitted after the test run so the

@@ -90,7 +90,19 @@ def test_ness_six_sites_refused_before_dense_build(tmp_path, monkeypatch, capsys
     rc = cli.main(["ness", "--n", "6", "--gammaL", "1.5", "--gammaR", "0.7",
                    "--u", "2", "--out", str(tmp_path)])
     assert rc == 2
-    assert "exceeds the dense-route limits" in capsys.readouterr().err
+    assert "exceeds the memory limits" in capsys.readouterr().err
+
+
+def test_observe_refusal_names_the_environment_store(tmp_path, capsys):
+    # the matrix-free route refuses here, so the message must not blame the
+    # dense route
+    from hubbard_lax import cli
+
+    rc = cli.main(["observe", "--n", "300", "--u", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "environment store" in err
+    assert "dense-route" not in err
 
 
 def test_oracle_size_refusal(tmp_path):

@@ -1,7 +1,9 @@
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
+from conftest import spin_flip_G, total_magnetization
 from hubbard_lax.hubbard_model import (
     HamiltonianSpec,
     build_hamiltonian,
@@ -10,9 +12,8 @@ from hubbard_lax.hubbard_model import (
     h_right,
     phys_dim,
     site_operator,
-    spin_flip_G,
-    total_magnetization,
 )
+from hubbard_lax.linalg import PAULI, SPIN_LABELS
 
 TOL = 1e-12
 
@@ -89,3 +90,24 @@ def test_bond_plus_boundaries_assemble_h():
 
 def test_phys_dim():
     assert phys_dim(3) == 64
+
+
+def _site_operator_kron_chain(n, j, species, s):
+    """Reference: one kron factor per qubit, sigma before tau on each site."""
+    eye2 = sp.identity(2, format="csr", dtype=complex)
+    factors = [sp.csr_matrix(PAULI[s]) if (i, q) == (j, species) else eye2
+               for i in range(1, n + 1) for q in (0, 1)]
+    out = factors[0]
+    for f in factors[1:]:
+        out = sp.kron(out, f, format="csr")
+    return out
+
+
+def test_site_operator_matches_kron_chain():
+    for n in range(1, 6):
+        for j, species, s in itertools.product(range(1, n + 1), (0, 1), SPIN_LABELS):
+            got = site_operator(n, j, species, s)
+            want = _site_operator_kron_chain(n, j, species, s)
+            assert got.format == "csr"
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (got != want).nnz == 0

@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import canonical_configs
-from hubbard_lax.hubbard_model import spin_flip_G, total_magnetization
+from conftest import canonical_configs, spin_flip_G, total_magnetization
 from hubbard_lax.ness_engine import (
     DrivingConfig,
     TruncationError,

@@ -1,12 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import CANONICAL_DRIVINGS
+from conftest import CANONICAL_DRIVINGS, spin_flip_G
 from hubbard_lax.hubbard_model import (
     HamiltonianSpec,
     build_hamiltonian,
     site_operator,
-    spin_flip_G,
 )
 from hubbard_lax.ness_engine import DrivingConfig, build_ness, mpo_expectation
 from hubbard_lax.observables import (
@@ -86,6 +87,31 @@ def test_antisymmetric_profile():
     obs = profile_and_currents(build_ness(cfg, compute_spectrum=False))
     d = np.array(obs.densities_sigma)
     assert np.max(np.abs(d + d[::-1])) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
+def test_dense_reader_matches_cross_check(driving, n):
+    """Every density and current read off the reduced density matrices
+    against tr(rho O) with the full 4^n x 4^n operator."""
+    ness = build_ness(DrivingConfig(*driving, n), compute_spectrum=False)
+    obs = profile_and_currents(ness)
+    for sp, dens, curr in ((0, obs.densities_sigma, obs.currents_sigma),
+                           (1, obs.densities_tau, obs.currents_tau)):
+        want = [expectation(ness.rho, site_operator(n, j, sp, "z")).real
+                for j in range(1, n + 1)]
+        assert _rel_dev(dens, want) <= TOL
+        want = [expectation(ness.rho, current_operator(n, j, sp)).real
+                for j in range(1, n)]
+        assert _rel_dev(curr, want) <= TOL
+
+
+def test_dense_reader_checks_imaginary_parts():
+    n = 3
+    ness = build_ness(DrivingConfig(*CANONICAL_DRIVINGS[0], n), compute_spectrum=False)
+    rho = ness.rho + 1e-6j * site_operator(n, 1, 0, "z").toarray()
+    with pytest.raises(ValueError, match="imaginary part"):
+        profile_and_currents(dataclasses.replace(ness, rho=rho))
 
 
 def test_engine_matches_dense():
