@@ -3,13 +3,15 @@ auxiliary graph, with exact steady states of the boundary-driven chain.
 
 Subpackages are plain modules:
 
-- linalg: the single-qubit operator basis and the 4x4 site operators
+- linalg: the single-qubit operator basis, the 4x4 site operators, and the
+  one contraction core (lift components into site tensors, chain them
+  behind a peak-memory guard) that every module contracts through
 - aux_space: the auxiliary vertex graph, index map, and its reflection
 - lax_builder: the S/T/X/Y operator tables and assembled Lax components
 - algebra_verifier: residual checks for all defining operator identities
 - hubbard_model: the physical ladder Hamiltonian and site operators
-- ness_engine: transfer-operator contraction, steady-state construction,
-  doubled-operator telescoping and boundary checks
+- ness_engine: the transfer tensor and Omega, steady-state construction,
+  doubled-operator telescoping and boundary checks, environment engine
 - lindblad_oracle: brute-force Lindblad fixed point for tiny chains
 - observables: densities, currents, scaling fits
 - transfer_commutativity: commuting-family probe

@@ -1,10 +1,13 @@
 """Residual checks for the defining operator identities.
 
-Every check builds nothing itself: it takes an assembled LaxFamily (built at
-cutoff K + EDGE_MARGIN) and measures the Frobenius residual of one identity
-after projecting both sides onto auxiliary levels <= K. Truncation corrupts
-the last couple of levels only, since every factor in any checked expression
-shifts the level by at most one.
+Every check takes an assembled LaxFamily (built at cutoff K + EDGE_MARGIN)
+and measures the Frobenius residual of one identity with its auxiliary
+indices restricted to the level <= K prefix of the basis. Products of
+operators are sliced to that prefix; the identities on one or two sites are
+contracted from site tensors (linalg.lift) by linalg.chain between the
+boundary rows of the prefix, the same core that contracts Omega. Truncation
+corrupts the last couple of levels only, since every factor in any checked
+expression shifts the level by at most one.
 
 Identity names used in reports:
 
@@ -22,18 +25,22 @@ Identity names used in reports:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
-from .lax_builder import LaxFamily, LaxParams, assemble_family
-from .linalg import PAULI, SPIN_LABELS, local4
 from .hubbard_model import h_bond
+from .lax_builder import LaxFamily, LaxParams, assemble_family, xk_entries
+from .linalg import PAULI, SPIN_LABELS, chain, lift, local4
+from .ness_engine import phys_transfer_tensor
 
 DEFAULT_TOL = 1e-10
 EDGE_MARGIN = 2
 
-_HOP2 = 2.0 * (np.kron(PAULI["+"], PAULI["-"]) + np.kron(PAULI["-"], PAULI["+"]))
+_HOP2 = 2.0 * (local4("+", "-") + local4("-", "+"))
 
 
 @dataclass
@@ -62,12 +69,14 @@ class ResidualReport:
         }
 
 
-def _target_K(fam: LaxFamily, target_K) -> int:
+def _cut(fam: LaxFamily, target_K):
+    """The checked cutoff K and the length m of the level <= K prefix of the
+    family's auxiliary basis."""
     if target_K is None:
         target_K = fam.space.cutoff_K - EDGE_MARGIN
     if target_K < 1:
-        raise ValueError("family cutoff too small for edge-projected check")
-    return target_K
+        raise ValueError("family cutoff too small for edge-restricted check")
+    return target_K, fam.space.level_prefix(target_K)
 
 
 def _finish(name, fam, K, diff, scale, tol) -> ResidualReport:
@@ -94,69 +103,63 @@ def check_id2(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
 
 
 def _divergence(fam, ops, acuteX, Xgrave, name, target_K, tol):
-    K = _target_K(fam, target_K)
-    da = fam.dim
-    kr = np.kron
-    A12 = np.zeros((da * 4, da * 4), dtype=complex)
-    rhs = np.zeros_like(A12)
-    for s, s2 in itertools.product(SPIN_LABELS, SPIN_LABELS):
-        phys = kr(PAULI[s], PAULI[s2])
-        A12 += kr(ops[s] @ fam.X @ ops[s2], phys)
-        rhs += kr(acuteX[s] @ ops[s2] - ops[s] @ Xgrave[s2], phys)
-    hf = kr(np.eye(da), _HOP2)
-    lhs = hf @ A12 - A12 @ hf
-    Pf = kr(fam.space.level_projector(K), np.eye(4))
-    diff = Pf @ (lhs - rhs) @ Pf
-    scale = max(np.linalg.norm(Pf @ (hf @ A12) @ Pf), np.linalg.norm(Pf @ rhs @ Pf))
-    return _finish(name, fam, K, diff, scale, tol)
+    """[h, sum A^s X A^s' sigma^s sigma^s'] = sum (acute-A^s X A^s'
+    - A^s X grave-A^s') sigma^s sigma^s' on two sites of one species, with its
+    free hopping h."""
+    K, m = _cut(fam, target_K)
+    E = np.eye(fam.dim)[:m]
+    A = lift(PAULI, ops)
+    A12 = chain([A @ fam.X, A], E, E)
+    hA12 = _HOP2 @ A12
+    rhs = chain([lift(PAULI, acuteX), A], E, E) - chain([A, lift(PAULI, Xgrave)], E, E)
+    diff = hA12 - A12 @ _HOP2 - rhs
+    return _finish(name, fam, K, diff, max(np.linalg.norm(hA12), np.linalg.norm(rhs)), tol)
 
 
 def check_id3(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
     """Mixed divergence: sum_st (S T' + T S' - `S T - `T S) sigma^s tau^t
     equals [Y - u sz tz, sum_st S T sigma^s tau^t] on one ladder site."""
-    K = _target_K(fam, target_K)
-    da = fam.dim
-    kr = np.kron
-    groups = [np.zeros((da * 4, da * 4), dtype=complex) for _ in range(4)]
-    ST = np.zeros_like(groups[0])
-    for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS):
-        phys = local4(s, t)
-        groups[0] += kr(fam.S[s] @ fam.Tacute[t], phys)
-        groups[1] += kr(fam.T[t] @ fam.Sacute[s], phys)
-        groups[2] += kr(fam.Sgrave[s] @ fam.T[t], phys)
-        groups[3] += kr(fam.Tgrave[t] @ fam.S[s], phys)
-        ST += kr(fam.S[s] @ fam.T[t], phys)
-    lhs = groups[0] + groups[1] - groups[2] - groups[3]
-    W = kr(fam.Y, np.eye(4)) - fam.params.u * kr(np.eye(da), local4("z", "z"))
-    rhs = W @ ST - ST @ W
-    Pf = kr(fam.space.level_projector(K), np.eye(4))
-    diff = Pf @ (lhs - rhs) @ Pf
+    K, m = _cut(fam, target_K)
+    E = np.eye(fam.dim)[:m]
+    S, T = lift(PAULI, fam.S), lift(PAULI, fam.T)
+
+    def site(first, second, tau_first=False):
+        # one ladder site as a chain over its two qubits, taken in the order
+        # of the auxiliary product and swapped back to sigma first if needed
+        R = chain([first, second], E, E)
+        if tau_first:
+            R = R.reshape(m, m, 2, 2, 2, 2).transpose(0, 1, 3, 2, 5, 4).reshape(R.shape)
+        return R
+
+    groups = [site(S, lift(PAULI, fam.Tacute)),
+              site(T, lift(PAULI, fam.Sacute), tau_first=True),
+              site(lift(PAULI, fam.Sgrave), T),
+              site(lift(PAULI, fam.Tgrave), S, tau_first=True)]
+    ST = site(S, T)
+    uZZ = fam.params.u * local4("z", "z")
+    WST = site(fam.Y @ S, T) - uZZ @ ST
+    STW = site(S, T @ fam.Y) - ST @ uZZ
+    diff = groups[0] + groups[1] - groups[2] - groups[3] - (WST - STW)
     # Scale from the un-cancelled product groups: the combined sides may
     # vanish identically (both do at u = 0).
-    scale = max(np.linalg.norm(Pf @ g @ Pf) for g in groups)
-    scale = max(scale, np.linalg.norm(Pf @ (W @ ST) @ Pf))
+    scale = max(max(np.linalg.norm(g) for g in groups), np.linalg.norm(WST))
     return _finish("mixed_divergence", fam, K, diff, scale, tol)
 
 
 def check_id4(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
-    """[S^s, T^t] = 0 for all sixteen pairs (edge-projected)."""
-    K = _target_K(fam, target_K)
-    P = fam.space.level_projector(K)
-    worst = np.zeros_like(fam.S["+"])
-    scale = 0.0
-    for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS):
-        c = P @ (fam.S[s] @ fam.T[t] - fam.T[t] @ fam.S[s]) @ P
-        scale = max(scale, float(np.linalg.norm(P @ (fam.S[s] @ fam.T[t]) @ P)))
-        if np.linalg.norm(c) > np.linalg.norm(worst):
-            worst = c
+    """[S^s, T^t] = 0 for all sixteen pairs (edge-restricted)."""
+    K, m = _cut(fam, target_K)
+    pairs = [((fam.S[s] @ fam.T[t])[:m, :m], (fam.T[t] @ fam.S[s])[:m, :m])
+             for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS)]
+    worst = max((ST - TS for ST, TS in pairs), key=np.linalg.norm)
+    scale = max(np.linalg.norm(ST) for ST, _ in pairs)
     return _finish("species_commutation", fam, K, worst, scale, tol)
 
 
 def check_id5(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
     """[X, Y] = 0 (both are level-local)."""
-    K = _target_K(fam, target_K)
-    P = fam.space.level_projector(K)
-    diff = P @ (fam.X @ fam.Y - fam.Y @ fam.X) @ P
+    K, m = _cut(fam, target_K)
+    diff = (fam.X @ fam.Y - fam.Y @ fam.X)[:m, :m]
     scale = max(np.linalg.norm(fam.X), np.linalg.norm(fam.Y))
     return _finish("interaction_spectral_commutation", fam, K, diff, scale, tol)
 
@@ -164,83 +167,92 @@ def check_id5(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
 def check_gLOD(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
     """Two-site divergence of the transfer components against the bond
     Hamiltonian: [h_12, L1 L2] = (Lt1 + Y L1) L2 - L1 (Lt2 + L2 Y)."""
-    K = _target_K(fam, target_K)
-    da = fam.dim
-    kr = np.kron
-    I4 = np.eye(4)
-    L1 = np.zeros((da * 16, da * 16), dtype=complex)
-    L2 = np.zeros_like(L1)
-    Lt1 = np.zeros_like(L1)
-    Lt2 = np.zeros_like(L1)
-    for st, Lm in fam.L.items():
-        p4 = local4(*st)
-        L1 += kr(Lm, kr(p4, I4))
-        L2 += kr(Lm, kr(I4, p4))
-        Lt1 += kr(fam.Ltilde[st], kr(p4, I4))
-        Lt2 += kr(fam.Ltilde[st], kr(I4, p4))
-    Yf = kr(fam.Y, np.eye(16))
-    hf = kr(np.eye(da), h_bond(fam.params.u))
-    L1L2 = L1 @ L2
-    lhs = hf @ L1L2 - L1L2 @ hf
-    rhs = (Lt1 + Yf @ L1) @ L2 - L1 @ (Lt2 + L2 @ Yf)
-    Pf = kr(fam.space.level_projector(K), np.eye(16))
-    diff = Pf @ (lhs - rhs) @ Pf
-    scale = max(np.linalg.norm(Pf @ (hf @ L1L2) @ Pf), np.linalg.norm(Pf @ rhs @ Pf))
-    return _finish("bond_divergence", fam, K, diff, scale, tol)
+    K, m = _cut(fam, target_K)
+    E = np.eye(fam.dim)[:m]
+    A, At = phys_transfer_tensor(fam.L), phys_transfer_tensor(fam.Ltilde)
+    h = h_bond(fam.params.u)
+    L12 = chain([A, A], E, E)
+    hL12 = h @ L12
+    rhs = chain([At + fam.Y @ A, A], E, E) - chain([A, At + A @ fam.Y], E, E)
+    diff = hL12 - L12 @ h - rhs
+    return _finish("bond_divergence", fam, K, diff,
+                   max(np.linalg.norm(hL12), np.linalg.norm(rhs)), tol)
 
 
 def check_center(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
-    """{S+, S-} commutes with every S^s and T^t (projected one level in)."""
-    K = _target_K(fam, target_K)
-    P = fam.space.level_projector(K)
+    """{S+, S-} commutes with every S^s and T^t (restricted one level in)."""
+    K, m = _cut(fam, target_K)
     C = fam.S["+"] @ fam.S["-"] + fam.S["-"] @ fam.S["+"]
-    worst = 0.0
-    worst_mat = np.zeros_like(C)
-    for ops in (fam.S, fam.T):
-        for s in SPIN_LABELS:
-            d = P @ (C @ ops[s] - ops[s] @ C) @ P
-            r = np.linalg.norm(d)
-            if r > worst:
-                worst, worst_mat = r, d
-    scale = max(np.linalg.norm(P @ C @ P), 1.0)
-    return _finish("center_condition", fam, K, worst_mat, scale, tol)
+    worst = max(((C @ op - op @ C)[:m, :m] for ops in (fam.S, fam.T) for op in ops.values()),
+                key=np.linalg.norm)
+    scale = max(np.linalg.norm(C[:m, :m]), 1.0)
+    return _finish("center_condition", fam, K, worst, scale, tol)
 
 
-ALL_CHECKS = (
-    check_id1,
-    check_id2,
-    check_id3,
-    check_id4,
-    check_id5,
-    check_gLOD,
-    check_center,
-)
+ALL_CHECKS = (check_id1, check_id2, check_id3, check_id4, check_id5, check_gLOD, check_center)
+
+
+@dataclass(frozen=True)
+class _Exact:
+    """Gaussian rational re + i im with Fraction parts: just enough field
+    arithmetic to evaluate the X_k formula exactly."""
+
+    re: Fraction
+    im: Fraction
+
+    @staticmethod
+    def of(z):
+        if isinstance(z, _Exact):
+            return z
+        z = z if isinstance(z, Rational) else complex(z)
+        return _Exact(Fraction(z.real), Fraction(z.imag))
+
+    def __add__(self, o):
+        o = _Exact.of(o)
+        return _Exact(self.re + o.re, self.im + o.im)
+
+    def __mul__(self, o):
+        o = _Exact.of(o)
+        return _Exact(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, o):
+        return self + -_Exact.of(o)
+
+    def __rsub__(self, o):
+        return _Exact.of(o) - self
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __abs__(self) -> float:
+        return math.hypot(self.re, self.im)
 
 
 def check_xk_structure(params: LaxParams, k_max: int = 20, tol: float = 1e-12) -> dict:
     """Determinant -omega^2, both nearest-neighbour recurrences, and the
-    exact k=0 initial conditions of the 2x2 interaction blocks."""
-    from .lax_builder import xk_matrix
+    exact k=0 initial conditions of the 2x2 interaction blocks.
 
-    om, lam, u = params.omega, params.lam, params.u
+    The entry formula of xk_matrix is evaluated in exact rational arithmetic
+    on the float parameters, so each residual is 0 for the right formula and
+    no float cancellation (entries near 10^3 at k = 20 against |omega^2| ~ 1)
+    enters it.
+    """
+    lam, om, u = _Exact.of(params.lam), _Exact.of(params.omega), Fraction(params.u)
     det_target = -(om * om)
     step_mm = -u * om
-    step_pp = -u * om * (1.0 - lam * lam)
-    det_worst = 0.0
-    rec_mm_worst = 0.0
-    rec_pp_worst = 0.0
-    prev = None
-    for k in range(k_max + 1):
-        Xk = xk_matrix(k, params)
-        det = Xk[0, 0] * Xk[1, 1] - Xk[0, 1] * Xk[1, 0]
-        det_worst = max(det_worst, abs(det - det_target) / abs(det_target))
-        if prev is not None:
-            sc = max(1.0, abs(prev[0, 0]), abs(prev[1, 1]))
-            rec_mm_worst = max(rec_mm_worst, abs((Xk[0, 0] - prev[0, 0]) - step_mm) / sc)
-            rec_pp_worst = max(rec_pp_worst, abs((Xk[1, 1] - prev[1, 1]) - step_pp) / sc)
-        prev = Xk
-    X0 = xk_matrix(0, params)
-    init_exact = bool(X0[1, 1] == 1.0 and X0[0, 0] == det_target)
+    step_pp = -u * om * (1 - lam * lam)
+    blocks = [xk_entries(k, lam, om, u) for k in range(k_max + 1)]
+    det_worst = max(abs(x00 * x11 - x01 * x10 - det_target) / abs(det_target)
+                    for (x00, x01), (x10, x11) in blocks)
+    rec_mm_worst = rec_pp_worst = 0.0
+    for ((p00, _), (_, p11)), ((x00, _), (_, x11)) in zip(blocks, blocks[1:]):
+        sc = max(1.0, abs(p00), abs(p11))
+        rec_mm_worst = max(rec_mm_worst, abs(x00 - p00 - step_mm) / sc)
+        rec_pp_worst = max(rec_pp_worst, abs(x11 - p11 - step_pp) / sc)
+    (x00, _), (_, x11) = blocks[0]
+    init_exact = bool(x11 == _Exact.of(1) and x00 == det_target)
     passed = bool(
         det_worst <= tol and rec_mm_worst <= tol and rec_pp_worst <= tol and init_exact
     )
@@ -273,7 +285,7 @@ def sample_params(num: int, seed: int = 42) -> list:
 
 
 def verify_family(params: LaxParams, cutoff_K: int, tol: float = DEFAULT_TOL) -> list:
-    """Assemble at cutoff_K + EDGE_MARGIN and run every check projected
+    """Assemble at cutoff_K + EDGE_MARGIN and run every check restricted
     to levels <= cutoff_K."""
     fam = assemble_family(cutoff_K + EDGE_MARGIN, params)
     return [chk(fam, target_K=cutoff_K, tol=tol) for chk in ALL_CHECKS]

@@ -74,10 +74,13 @@ class AuxSpace:
         """Vertex levels as a float array in basis order."""
         return np.array([v.level for v in self.vertices])
 
-    def level_projector(self, max_level: float) -> np.ndarray:
-        """Diagonal 0/1 projector onto vertices with level <= max_level."""
+    def level_prefix(self, max_level: float) -> int:
+        """Number m of vertices with level <= max_level. They are the first m
+        of the basis, which is asserted, so [:m] restricts an operator to them."""
         keep = self.levels() <= max_level + 1e-9
-        return np.diag(keep.astype(float))
+        m = int(keep.sum())
+        assert keep[:m].all(), "auxiliary basis is not ordered by level"
+        return m
 
 
 def build_aux_space(cutoff_K: int) -> AuxSpace:

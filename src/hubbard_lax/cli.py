@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .algebra_verifier import check_xk_structure, sample_params, verify_family, verify_suite
-from .lindblad_oracle import fixed_point_oracle, fixed_point_residual
+from .lindblad_oracle import ORACLE_MAX_SITES, fixed_point_oracle, fixed_point_residual
 from .ness_engine import (
     DrivingConfig,
     build_double_lax,
@@ -98,7 +98,7 @@ def _merged(args, key, default=None):
     return DEFAULTS.get(key, default)
 
 
-def _driving_from_args(args, n_required=True) -> DrivingConfig:
+def _driving_from_args(args) -> DrivingConfig:
     def need(key, default=None):
         v = _merged(args, key, default)
         if v is None:
@@ -126,18 +126,12 @@ def cmd_verify(args) -> int:
         cutoffs = (int(args.K),)
     else:
         cutoffs = tuple(_merged(args, "cutoffs", (3, 4, 5)))
-    if args.u is not None:
-        from .lax_builder import LaxParams
-
-        pts = [LaxParams(p.lam, p.omega, float(args.u))
-               for p in sample_params(samples, seed=seed)]
-        reports = []
-        for K in cutoffs:
-            for p in pts:
-                reports.extend(verify_family(p, K, tol=tol))
-    else:
-        pts = sample_params(samples, seed=seed)
+    pts = sample_params(samples, seed=seed)
+    if args.u is None:
         reports = verify_suite(num_samples=samples, cutoffs=cutoffs, tol=tol, seed=seed)
+    else:
+        pts = [dataclasses.replace(p, u=float(args.u)) for p in pts]
+        reports = [r for K in cutoffs for p in pts for r in verify_family(p, K, tol=tol)]
     xk = [check_xk_structure(p) for p in pts]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -197,8 +191,9 @@ def cmd_ness(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _driving_from_args(args)
-    if cfg.n_sites > 3:
-        print("error: the dense oracle is limited to n <= 3", file=sys.stderr)
+    if cfg.n_sites > ORACLE_MAX_SITES:
+        print(f"error: the dense oracle is limited to n <= {ORACLE_MAX_SITES}",
+              file=sys.stderr)
         return 2
     tol = float(_merged(args, "tol", 1e-9))
     rho_oracle = fixed_point_oracle(cfg)
@@ -352,15 +347,13 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_driving_flags(p, need_n=True):
+def _add_driving_flags(p):
     p.add_argument("--n", type=int, default=None, help="chain length")
     p.add_argument("--gammaL", type=float, default=None)
     p.add_argument("--gammaR", type=float, default=None)
     p.add_argument("--muL", type=float, default=None)
     p.add_argument("--muR", type=float, default=None)
     p.add_argument("--u", type=float, default=None)
-    p.add_argument("--K", type=int, default=None, help="auxiliary cutoff")
-    p.add_argument("--tol", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = dict(out="output directory for JSON/CSV artifacts")
-
     p = sub.add_parser("verify", help="run the operator-identity residual suite")
     p.add_argument("--u", type=float, default=None, help="fix the interaction")
     p.add_argument("--K", type=int, default=None, help="single cutoff instead of 3,4,5")
@@ -384,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ness", help="build the steady state and its diagnostics")
     _add_driving_flags(p)
+    p.add_argument("--K", type=int, default=None, help="auxiliary cutoff")
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--dump-rho", default=None, help="binary dump path for rho")
     p.add_argument("--lindblad-residual", action="store_true",
                    help="also evaluate the Lindblad fixed-point residual")
@@ -391,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="cross-check against the dense fixed point (n <= 3)")
     _add_driving_flags(p)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("observe", help="densities, currents, scaling")
@@ -418,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     for sp in sub.choices.values():
-        sp.add_argument("--out", default="hlx_out", help=common["out"])
+        sp.add_argument("--out", default="hlx_out",
+                        help="output directory for JSON/CSV artifacts")
         sp.add_argument("--config", default=None,
                         help="JSON config file; flags take precedence")
     return ap

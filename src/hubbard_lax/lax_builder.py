@@ -57,6 +57,16 @@ class RepresentationSingular(ValueError):
 # ---------------------------------------------------------------------------
 # X_k blocks
 
+def xk_entries(k: int, lam, om, u):
+    """Rows ((X^{--}_k, X^{-+}_k), (X^{+-}_k, X^{++}_k)) of the block at
+    integer level k, in whatever number type lam, om and u share: xk_matrix
+    evaluates it in floats, algebra_verifier.check_xk_structure exactly."""
+    return (
+        (-(om + k * u) * om, 1 - (om + k * u) * om * (1 - lam * lam)),
+        (-k * u * om, 1 - k * u * om * (1 - lam * lam)),
+    )
+
+
 def xk_matrix(k: int, params: LaxParams) -> np.ndarray:
     """2x2 block of X at integer level k, row/column order (-, +).
 
@@ -68,14 +78,7 @@ def xk_matrix(k: int, params: LaxParams) -> np.ndarray:
     det = -omega^2 identically; both diagonals obey first-order recurrences
     in k with steps -u*omega and -u*omega*(1-lambda^2).
     """
-    lam, om, u = params.lam, params.omega, params.u
-    return np.array(
-        [
-            [-(om + k * u) * om, 1.0 - (om + k * u) * om * (1.0 - lam**2)],
-            [-k * u * om, 1.0 - k * u * om * (1.0 - lam**2)],
-        ],
-        dtype=complex,
-    )
+    return np.array(xk_entries(k, params.lam, params.omega, params.u), dtype=complex)
 
 
 def xk_blocks(max_k: int, params: LaxParams) -> list:
@@ -165,12 +168,8 @@ def build_X(space: AuxSpace, params: LaxParams):
             m = (v.twice_level - 1) // 2
             X[i, i] = om * (-1) ** m
     for k in range(1, space.cutoff_K + 1):
-        vm, vp = AuxVertex(2 * k, -1), AuxVertex(2 * k, +1)
-        mat = (-1) ** k * blocks[k]
-        _put(space, X, vm, vm, mat[0, 0])
-        _put(space, X, vm, vp, mat[0, 1])
-        _put(space, X, vp, vm, mat[1, 0])
-        _put(space, X, vp, vp, mat[1, 1])
+        i = [space.index[AuxVertex(2 * k, sign)] for sign in (-1, +1)]
+        X[np.ix_(i, i)] = (-1) ** k * blocks[k]
     return X, blocks
 
 
@@ -189,14 +188,10 @@ def x_inverse(space: AuxSpace, params: LaxParams, blocks=None) -> np.ndarray:
             m = (v.twice_level - 1) // 2
             Xi[i, i] = 1.0 / (om * (-1) ** m)
     for k in range(1, space.cutoff_K + 1):
-        vm, vp = AuxVertex(2 * k, -1), AuxVertex(2 * k, +1)
         b = blocks[k]
         inv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]]) / (-om**2)
-        inv = inv * (-1) ** k  # inverse of (-1)^k X_k
-        _put(space, Xi, vm, vm, inv[0, 0])
-        _put(space, Xi, vm, vp, inv[0, 1])
-        _put(space, Xi, vp, vm, inv[1, 0])
-        _put(space, Xi, vp, vp, inv[1, 1])
+        i = [space.index[AuxVertex(2 * k, sign)] for sign in (-1, +1)]
+        Xi[np.ix_(i, i)] = inv * (-1) ** k  # inverse of (-1)^k X_k
     return Xi
 
 
@@ -225,19 +220,7 @@ def build_hatted(space: AuxSpace, params: LaxParams) -> tuple[dict, dict]:
     diagonals; lambda multiplies the even/odd partner slots.
     """
     lam, om = params.lam, params.omega
-
-    def xpp(k):
-        return 1.0 - k * params.u * om * (1.0 - lam**2)
-
-    def xmm(k):
-        return -(om + k * params.u) * om
-
-    def xmp(k):
-        return 1.0 - (om + k * params.u) * om * (1.0 - lam**2)
-
-    def xpm(k):
-        return -k * params.u * om
-
+    blocks = xk_blocks(space.cutoff_K, params)  # rows and columns (-, +)
     SacX = {s: _zeros(space) for s in SPIN_LABELS}
     XSgr = {s: _zeros(space) for s in SPIN_LABELS}
 
@@ -247,10 +230,11 @@ def build_hatted(space: AuxSpace, params: LaxParams) -> tuple[dict, dict]:
         khp = AuxVertex(2 * k + 1, +1)   # k + 1/2, +
         klm = AuxVertex(2 * k - 1, -1)   # k - 1/2, -
         sgn = (-1) ** k
-        _put(space, SacX["+"], km, khp, -2.0 * SQRT2 * sgn * xmp(k))
-        _put(space, SacX["-"], kp, klm, -2.0 * SQRT2 * xpm(k))
-        _put(space, XSgr["+"], klm, kp, +2.0 * SQRT2 * sgn * xmp(k))
-        _put(space, XSgr["-"], khp, km, -2.0 * SQRT2 * xpm(k))
+        xmp, xpm = blocks[k][0, 1], blocks[k][1, 0]
+        _put(space, SacX["+"], km, khp, -2.0 * SQRT2 * sgn * xmp)
+        _put(space, SacX["-"], kp, klm, -2.0 * SQRT2 * xpm)
+        _put(space, XSgr["+"], klm, kp, +2.0 * SQRT2 * sgn * xmp)
+        _put(space, XSgr["-"], khp, km, -2.0 * SQRT2 * xpm)
 
     for v in space.vertices:
         i = space.index[v]
@@ -264,12 +248,13 @@ def build_hatted(space: AuxSpace, params: LaxParams) -> tuple[dict, dict]:
                 dz = 2.0 * om if m % 2 == 1 else 0.0
         else:
             m = (v.twice_level - 1) // 2
+            xpp, xmm = blocks[m][1, 1], blocks[m + 1][0, 0]
             if v.sign > 0:
-                d0 = -2.0 * xpp(m) if m % 2 == 1 else 0.0
-                dz = 2.0 * xpp(m) if m % 2 == 0 else 0.0
+                d0 = -2.0 * xpp if m % 2 == 1 else 0.0
+                dz = 2.0 * xpp if m % 2 == 0 else 0.0
             else:
-                d0 = -2.0 * xmm(m + 1) if m % 2 == 1 else 2.0 * lam * xmm(m + 1)
-                dz = 2.0 * xmm(m + 1) if m % 2 == 0 else -2.0 * lam * xmm(m + 1)
+                d0 = -2.0 * xmm if m % 2 == 1 else 2.0 * lam * xmm
+                dz = 2.0 * xmm if m % 2 == 0 else -2.0 * lam * xmm
         SacX["0"][i, i] = d0
         SacX["z"][i, i] = dz
         XSgr["0"][i, i] = d0
@@ -350,45 +335,3 @@ def assemble_family(space_or_K, params: LaxParams) -> LaxFamily:
             - ST @ Y
         ) @ X
     return fam
-
-
-def gauge_matrix(space: AuxSpace, xi: complex) -> np.ndarray:
-    """Diagonal similarity |k+-> -> xi^{+-1} |k+-> on integer vertices
-    (identity on half-integer ones)."""
-    if xi == 0:
-        raise ValueError("gauge parameter must be nonzero")
-    d = np.ones(space.dim, dtype=complex)
-    for v in space.vertices:
-        if v.is_integer:
-            d[space.index[v]] = xi ** v.sign
-    return np.diag(d)
-
-
-def apply_gauge(fam: LaxFamily, xi: complex) -> LaxFamily:
-    """Return the gauge-transformed family: every operator O -> D^-1 O D.
-
-    All identity residuals must be unchanged; X^{-+}/X^{+-} pick up xi^{-+2}.
-    """
-    D = gauge_matrix(fam.space, xi)
-    Di = gauge_matrix(fam.space, 1.0 / xi)
-
-    def conj(M):
-        return Di @ M @ D
-
-    def conj_dict(d):
-        return {k: conj(v) for k, v in d.items()}
-
-    out = LaxFamily(
-        params=fam.params, space=fam.space, G=fam.G.copy(),
-        S=conj_dict(fam.S), T=conj_dict(fam.T), X=conj(fam.X),
-        X_blocks=fam.X_blocks, X_inv=conj(fam.X_inv), Y=conj(fam.Y),
-        SacuteX=conj_dict(fam.SacuteX), XSgrave=conj_dict(fam.XSgrave),
-        TacuteX=conj_dict(fam.TacuteX), XTgrave=conj_dict(fam.XTgrave),
-    )
-    out.Sacute = conj_dict(fam.Sacute)
-    out.Sgrave = conj_dict(fam.Sgrave)
-    out.Tacute = conj_dict(fam.Tacute)
-    out.Tgrave = conj_dict(fam.Tgrave)
-    out.L = conj_dict(fam.L)
-    out.Ltilde = conj_dict(fam.Ltilde)
-    return out

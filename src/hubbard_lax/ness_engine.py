@@ -23,19 +23,19 @@ each end (check_telescoping, contracted at the doubled root for every n, and
 open between all interior doubled levels at n = 2); at the ends, one
 dissipative equation each, read off the root row and the root column of the
 single-site tensors (check_boundary_conditions). Omega, the doubled chains
-and the pair-transfer cross-check chains are all contracted by one helper,
-_chain, which refuses any contraction whose peak memory estimate exceeds
-MAX_CHAIN_BYTES.
+and the pair-transfer cross-check chains are all contracted by the one
+contraction core in linalg: site tensors built by linalg.lift, contracted
+by linalg.chain, which refuses any contraction whose peak memory estimate
+exceeds linalg.MAX_CHAIN_BYTES.
 
 Local expectation values in the steady state come from an environment
 engine (local_expectations) that never materializes rho: one sweep from each
 end of the chain over the doubled auxiliary space, with the pair transfer
 applied matrix-free through sparse blocks of the transfer tensor and each
 environment rescaled. Time and memory grow as n da^2 (da = 4K + 1, about
-2n + 5), and its store is guarded like _chain, which admits chains up to
-n = 211. mpo_expectation,
-with dense pair transfer matrices, is kept as its cross-check for short
-chains.
+2n + 5), and its store is guarded like linalg.chain, which admits chains up to
+n = 211. mpo_expectation, with dense pair transfer matrices, is kept as its
+cross-check for short chains.
 """
 
 from __future__ import annotations
@@ -52,12 +52,9 @@ from scipy import sparse
 from .aux_space import AuxSpace, AuxVertex, build_aux_space
 from .hubbard_model import h_left, h_right
 from .lax_builder import LaxFamily, LaxParams, assemble_family
-from .linalg import local4
+from .linalg import PAULI, chain, guard, lift, local4
 
 TRUNCATION_RTOL = 1e-13
-# Largest peak allocation, in bytes, that a contraction may make; a larger one
-# is refused with MemoryError before anything is allocated.
-MAX_CHAIN_BYTES = 1 << 30
 RHO_MAGIC = b"NESSRHO1"
 
 
@@ -133,10 +130,7 @@ def ness_family(cfg: DrivingConfig, cutoff_K=None) -> LaxFamily:
 def phys_transfer_tensor(components: dict) -> np.ndarray:
     """A[p, q, a, b] = sum_st (sigma^s tau^t)[p, q] * C^{st}[a, b] for the
     components C of a family (fam.L, or fam.Ltilde)."""
-    A = np.zeros((4, 4) + next(iter(components.values())).shape, dtype=complex)
-    for st, Cm in components.items():
-        A += local4(*st)[:, :, None, None] * Cm[None, None, :, :]
-    return A
+    return lift({st: local4(*st) for st in components}, components)
 
 
 def _root_index(space: AuxSpace) -> int:
@@ -149,85 +143,25 @@ def _basis(dim: int, i: int) -> np.ndarray:
     return e
 
 
-def _guard(nbytes: int, what: str) -> None:
-    """Refuse a contraction whose peak allocation would exceed MAX_CHAIN_BYTES."""
-    if nbytes > MAX_CHAIN_BYTES:
-        raise MemoryError(
-            f"{what} needs about {nbytes / 2**30:.1f} GiB, over the "
-            f"{MAX_CHAIN_BYTES / 2**30:g} GiB limit"
-        )
-
-
-def _chain(tensors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """<left| A_1 ... A_n |right> for site tensors A[p, q, a, b], as a
-    (P^n, Q^n) matrix over the physical row (p_1..p_n) and column (q_1..q_n)
-    indices.
-
-    `left` and `right` are each a boundary vector or a (B, D) block of
-    boundary rows; with blocks the result is (B_left, B_right, P^n, Q^n), one
-    matrix per pair of boundary rows.
-
-    `right` is folded into the last tensor before that site is contracted,
-    so the chain ends on the boundary rows and never holds a copy of the
-    output per auxiliary index. Each site is one tensordot over the
-    auxiliary index; the physical indices stay interleaved (p_1 q_1 ... p_j
-    q_j) in the rows of the intermediate, which makes every reshape free,
-    until one transpose at the end.
-    """
-    n = len(tensors)
-    P, Q = tensors[0].shape[:2]
-    lrows, rrows = np.atleast_2d(left), np.atleast_2d(right)
-    B, C = len(lrows), len(rrows)
-    # Element counts of the intermediates: the boundary rows, the
-    # B (PQ)^j x D_j partial products, and the result before and after the
-    # final transpose.
-    sizes = [lrows.size]
-    sizes += [B * (P * Q) ** j * A.shape[3] for j, A in enumerate(tensors[:-1], 1)]
-    sizes.append(2 * B * C * (P * Q) ** n)
-    _guard(16 * max(a + b for a, b in zip(sizes, sizes[1:])), f"{n}-site contraction")
-    cur = lrows
-    for A in tensors[:-1]:
-        cur = np.tensordot(cur, A, axes=(1, 2)).reshape(-1, A.shape[3])
-    cur = np.tensordot(cur, np.tensordot(tensors[-1], rrows, axes=(3, 1)), axes=(1, 2))
-    if P * Q == 1:
-        # nothing to reorder, and the 2n axes below would pass numpy's limit
-        # of 64 dimensions on long pair-transfer chains
-        out = cur.reshape(B, C, 1, 1)
-    else:
-        # axes (b, p_1, q_1, ..., p_n, q_n, c) -> (b, c, p_1..p_n, q_1..q_n)
-        order = [0, 2 * n + 1] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
-        out = cur.reshape((B,) + (P, Q) * n + (C,)).transpose(order)
-        out = out.reshape(B, C, P ** n, Q ** n)
-    return out[0, 0] if np.ndim(left) == np.ndim(right) == 1 else out
-
-
 def contract_omega(fam: LaxFamily, n_sites: int) -> np.ndarray:
     """<0+| L_1 ... L_n |0+> by direct 16-component contraction."""
     e0 = _basis(fam.dim, _root_index(fam.space))
-    return _chain([phys_transfer_tensor(fam.L)] * n_sites, e0, e0)
+    return chain([phys_transfer_tensor(fam.L)] * n_sites, e0, e0)
 
 
 def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:
     """Cross-check route for contract_omega: the same contraction applying
     the three factors of each transfer component separately (S, then T, then
     the interaction operator), with its own einsum chain."""
-    from .linalg import PAULI, SPIN_LABELS
-
     da = fam.dim
-    _guard(32 * da * 16 ** n_sites, f"{n_sites}-site factored contraction")
-    AS = np.zeros((2, 2, da, da), dtype=complex)
-    AT = np.zeros((2, 2, da, da), dtype=complex)
-    for s in SPIN_LABELS:
-        AS += PAULI[s][:, :, None, None] * fam.S[s][None, None, :, :]
-        AT += PAULI[s][:, :, None, None] * fam.T[s][None, None, :, :]
+    guard(32 * da * 16 ** n_sites, f"{n_sites}-site factored contraction")
+    AS, AT = lift(PAULI, fam.S), lift(PAULI, fam.T)
     i0 = _root_index(fam.space)
-    cur = np.zeros((da, 1, 1), dtype=complex)
-    cur[i0, 0, 0] = 1.0
+    cur = _basis(da, i0)[:, None, None]
     for _ in range(n_sites):
-        d = cur.shape[1]
-        cur = np.einsum("aij,pqab->bipjq", cur, AS).reshape(da, d * 2, d * 2)
-        d = cur.shape[1]
-        cur = np.einsum("aij,pqab->bipjq", cur, AT).reshape(da, d * 2, d * 2)
+        for F in (AS, AT):
+            d = cur.shape[1]
+            cur = np.einsum("aij,pqab->bipjq", cur, F).reshape(da, d * 2, d * 2)
         cur = np.einsum("aij,ab->bij", cur, fam.X)
     return cur[i0]
 
@@ -235,15 +169,12 @@ def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:
 def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
     """Matrix-free Omega @ vec; memory O(dim_aux * 4^n)."""
     da = fam.dim
-    _guard(32 * da * 4 ** n_sites, f"{n_sites}-site matrix-free product")
+    guard(32 * da * 4 ** n_sites, f"{n_sites}-site matrix-free product")
     A = phys_transfer_tensor(fam.L)
     i0 = _root_index(fam.space)
-    v = np.asarray(vec, dtype=complex).reshape(4 ** n_sites)
     # cur[a, P, R]: partial rows P over processed sites, remaining input R
-    cur = v.reshape(1, 1, 4 ** n_sites)
-    start = np.zeros((da,), dtype=complex)
-    start[i0] = 1.0
-    cur = start[:, None, None] * cur
+    v = np.asarray(vec, dtype=complex).reshape(1, 1, 4 ** n_sites)
+    cur = _basis(da, i0)[:, None, None] * v
     for j in range(n_sites):
         rest = 4 ** (n_sites - j - 1)
         c = cur.reshape(da, -1, 4, rest)
@@ -340,7 +271,7 @@ class DoubleLax:
 
 def build_double_lax(cfg: DrivingConfig, cutoff_K=None, lax_params=None) -> DoubleLax:
     """Site tensors of the doubled operators, in the [p, q, a, b] layout of
-    _chain with the ket and bra auxiliary indices paired, (ac) and (bd):
+    linalg.chain with the ket and bra auxiliary indices paired, (ac) and (bd):
 
         LL[p, q, (ac), (bd)] = sum_r A[p, r, a, b] conj(A[q, r, c, d]) m[q],
 
@@ -374,7 +305,7 @@ def double_contract(dlax: DoubleLax, n_sites: int) -> np.ndarray:
     """Cross-check route for R = Omega Omega^dag M: <00| LL_1 ... LL_n |00>
     through the doubled site tensors."""
     e0 = _basis(dlax.daux2, dlax.root)
-    return _chain([dlax.LL] * n_sites, e0, e0)
+    return chain([dlax.LL] * n_sites, e0, e0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +332,7 @@ def _telescoping_terms(dlax: DoubleLax, n_sites: int, rows: np.ndarray):
 
     LL = dlax.LL
     # the first chain carries the size guard, before anything else is built
-    R = _chain([LL] * n_sites, rows, rows)
+    R = chain([LL] * n_sites, rows, rows)
     # the literal bond sum sum_j h_{j,j+1} (u/2 on the two boundary sites,
     # unlike the full Hamiltonian), each bond term applied to its two sites
     # of the physical row and column indices of R
@@ -416,8 +347,8 @@ def _telescoping_terms(dlax: DoubleLax, n_sites: int, rows: np.ndarray):
         lhs -= np.moveaxis(np.tensordot(Rs, h, axes=(cols_j, [0, 1])), [-2, -1], cols_j)
     lhs = lhs.reshape(R.shape)
     E = dlax.LLt + dlax.YY_aux @ LL + LL @ dlax.YY_aux
-    rhs = (_chain([E] + [LL] * (n_sites - 1), rows, rows)
-           - _chain([LL] * (n_sites - 1) + [E], rows, rows))
+    rhs = (chain([E] + [LL] * (n_sites - 1), rows, rows)
+           - chain([LL] * (n_sites - 1) + [E], rows, rows))
     return lhs, rhs
 
 
@@ -547,7 +478,7 @@ def local_expectations(cfg: DrivingConfig, site_ops: dict, bond_ops: dict):
     space = build_aux_space(k_exact(n))
     da = space.dim
     # the environment store plus the family, A and one site's intermediates
-    _guard(16 * da * da * (n + 160), f"{n}-site environment store")
+    guard(16 * da * da * (n + 160), f"{n}-site environment store")
     A = phys_transfer_tensor(assemble_family(space, ness_lax_params(cfg)).L)
     right, left = _PairSide(A), _PairSide(A.swapaxes(2, 3))
     _, _, eta = map_driving_to_params(cfg)
@@ -612,14 +543,14 @@ def mpo_expectation(cfg: DrivingConfig, site_ops: dict, cutoff_K=None) -> comple
     i0 = _root_index(fam.space)
     e0 = _basis(fam.dim ** 2, i0 * fam.dim + i0)
 
-    def chain(ops):
+    def contract(ops):
         # [1, 1, a, b] views of the transfer matrices; never copied
-        return _chain([ops.get(j, F_id)[None, None] for j in range(1, n + 1)], e0, e0)[0, 0]
+        return chain([ops.get(j, F_id)[None, None] for j in range(1, n + 1)], e0, e0)[0, 0]
 
     special = {j: pair_transfer(fam, M_loc @ np.asarray(op, dtype=complex))
                for j, op in site_ops.items()}
-    num = chain(special)
-    den = chain({})
+    num = contract(special)
+    den = contract({})
     return num / den
 
 

@@ -1,5 +1,6 @@
-"""Shared driving configurations for the oracle cross-checks, and the
-species-swap and total-magnetization operators the symmetry tests use.
+"""Shared driving configurations for the oracle cross-checks, the
+species-swap and total-magnetization operators the symmetry tests use, and
+the auxiliary-space gauge the gauge-invariance tests apply.
 
 The n=3 oracle costs a 4096^2 dense SVD (about two minutes each), and
 fixed_point_oracle caches per configuration, so every module that needs an
@@ -9,7 +10,9 @@ oracle state should pick from this list to avoid paying twice.
 import numpy as np
 import scipy.sparse as sp
 
+from hubbard_lax.aux_space import AuxSpace
 from hubbard_lax.hubbard_model import phys_dim, site_operator
+from hubbard_lax.lax_builder import LaxFamily
 from hubbard_lax.ness_engine import DrivingConfig
 
 # asymmetric rates, asymmetric potentials, and a symmetric-rate control
@@ -44,6 +47,48 @@ def total_magnetization(n: int, species: int) -> sp.csr_matrix:
     for j in range(1, n + 1):
         out = out + site_operator(n, j, species, "z")
     return out.tocsr()
+
+
+def gauge_matrix(space: AuxSpace, xi: complex) -> np.ndarray:
+    """Diagonal similarity |k+-> -> xi^{+-1} |k+-> on integer vertices
+    (identity on half-integer ones)."""
+    if xi == 0:
+        raise ValueError("gauge parameter must be nonzero")
+    d = np.ones(space.dim, dtype=complex)
+    for v in space.vertices:
+        if v.is_integer:
+            d[space.index[v]] = xi ** v.sign
+    return np.diag(d)
+
+
+def apply_gauge(fam: LaxFamily, xi: complex) -> LaxFamily:
+    """Return the gauge-transformed family: every operator O -> D^-1 O D.
+
+    All identity residuals must be unchanged; X^{-+}/X^{+-} pick up xi^{-+2}.
+    """
+    D = gauge_matrix(fam.space, xi)
+    Di = gauge_matrix(fam.space, 1.0 / xi)
+
+    def conj(M):
+        return Di @ M @ D
+
+    def conj_dict(d):
+        return {k: conj(v) for k, v in d.items()}
+
+    out = LaxFamily(
+        params=fam.params, space=fam.space, G=fam.G.copy(),
+        S=conj_dict(fam.S), T=conj_dict(fam.T), X=conj(fam.X),
+        X_blocks=fam.X_blocks, X_inv=conj(fam.X_inv), Y=conj(fam.Y),
+        SacuteX=conj_dict(fam.SacuteX), XSgrave=conj_dict(fam.XSgrave),
+        TacuteX=conj_dict(fam.TacuteX), XTgrave=conj_dict(fam.XTgrave),
+    )
+    out.Sacute = conj_dict(fam.Sacute)
+    out.Sgrave = conj_dict(fam.Sgrave)
+    out.Tacute = conj_dict(fam.Tacute)
+    out.Tgrave = conj_dict(fam.Tgrave)
+    out.L = conj_dict(fam.L)
+    out.Ltilde = conj_dict(fam.Ltilde)
+    return out
 
 
 # one line per acceptance criterion, emitted after the test run so the

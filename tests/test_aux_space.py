@@ -49,9 +49,15 @@ def test_spin_flip_fixes_integer_swaps_half_integer():
     assert G[i1m, i1m] == 1.0
 
 
-def test_level_projector():
-    sp = build_aux_space(3)
-    P = sp.level_projector(1)
-    kept = [v for v in sp.vertices if v.twice_level <= 2]
-    assert np.trace(P).real == len(kept)
-    assert np.allclose(P @ P, P)
+def test_level_prefix():
+    sp = build_aux_space(7)
+    for K in range(7):
+        m = sp.level_prefix(K)
+        assert m == 4 * K + 1
+        assert sp.vertices[:m] == [v for v in sp.vertices if v.level <= K]
+    perm = np.random.default_rng(1).permutation(sp.dim)
+    assert perm[0] != 0  # the root is not first
+    verts = [sp.vertices[i] for i in perm]
+    shuffled = AuxSpace(cutoff_K=7, vertices=verts, index={v: i for i, v in enumerate(verts)})
+    with pytest.raises(AssertionError):
+        shuffled.level_prefix(0)

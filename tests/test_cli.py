@@ -134,6 +134,22 @@ def test_verify_small(tmp_path):
     assert all(x["passed"] for x in doc["interaction_blocks"])
 
 
+def test_verify_seed_five(tmp_path):
+    # at this seed the k = 20 X-block determinant cancels to ~1e-12 in floats
+    r = run("verify", "--seed", "5", "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["all_passed"] is True
+    assert all(x["det_max_rel"] == 0.0 for x in doc["interaction_blocks"])
+
+
+def test_observe_refuses_flags_it_does_not_read(tmp_path):
+    for flag in (("--K", "1"), ("--tol", "1e-300")):
+        r = run("observe", "--n", "3", "--u", "1", *flag, "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "unrecognized arguments" in r.stderr
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "gammaL": 1.0, "gammaR": 0.5, "u": 1.0}))

@@ -1,19 +1,21 @@
 """Entry-level checks of the operator tables against hand-derived values."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from conftest import apply_gauge, gauge_matrix
 from hubbard_lax.aux_space import build_aux_space, parse_label
 from hubbard_lax.algebra_verifier import check_xk_structure
 from hubbard_lax.lax_builder import (
     LaxParams,
     RepresentationSingular,
     SQRT2,
-    apply_gauge,
     assemble_family,
-    gauge_matrix,
     build_X,
     x_inverse,
+    xk_entries,
     xk_matrix,
 )
 
@@ -85,6 +87,21 @@ def test_xk_initial_conditions():
 def test_xk_structure_k_to_20():
     rep = check_xk_structure(PARAMS, k_max=20, tol=1e-12)
     assert rep["passed"], rep
+
+
+def test_xk_structure_catches_wrong_entry(monkeypatch):
+    """The exact check sees a relative error in one entry far below the
+    float cancellation of the determinant at k = 20."""
+    import hubbard_lax.algebra_verifier as av
+
+    def wrong(k, lam, om, u):
+        (x00, x01), (x10, x11) = xk_entries(k, lam, om, u)
+        return (x00, x01), (x10 * (1 + Fraction(1, 10**9)), x11)
+
+    monkeypatch.setattr(av, "xk_entries", wrong)
+    rep = check_xk_structure(PARAMS, k_max=20, tol=1e-12)
+    assert not rep["passed"]
+    assert rep["det_max_rel"] > 1e-10
 
 
 def test_x_inverse(fam):

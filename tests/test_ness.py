@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import canonical_configs, spin_flip_G, total_magnetization
+from hubbard_lax.linalg import chain
 from hubbard_lax.ness_engine import (
     DrivingConfig,
     TruncationError,
@@ -12,7 +13,6 @@ from hubbard_lax.ness_engine import (
     build_ness,
     check_boundary_conditions,
     check_telescoping,
-    _chain,
     _telescoping_terms,
     contract_omega,
     contract_omega_factored,
@@ -85,7 +85,7 @@ def test_chain_of_scalar_sites_past_64_axes():
     rng = np.random.default_rng(3)
     F = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     left, right = rng.normal(size=5), rng.normal(size=5)
-    got = _chain([F[None, None]] * 40, left, right)
+    got = chain([F[None, None]] * 40, left, right)
     want = left @ np.linalg.matrix_power(F, 40) @ right
     assert got.shape == (1, 1)
     assert abs(got[0, 0] - want) <= REL_TOL * abs(want)
@@ -246,7 +246,7 @@ def test_bond_commutator_matches_kron_reference(n):
             blocks.append(np.eye(dl.daux2)[:5])
         for rows in blocks:
             lhs, _ = _telescoping_terms(dl, n, rows)
-            R = _chain([dl.LL] * n, rows, rows)
+            R = chain([dl.LL] * n, rows, rows)
             want = Hbulk @ R - R @ Hbulk
             assert np.linalg.norm(lhs - want) <= 1e-13 * np.linalg.norm(want)
         res, scale = check_telescoping(dl, n)
