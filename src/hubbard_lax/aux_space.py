@@ -30,13 +30,6 @@ class AuxVertex:
     def is_integer(self) -> bool:
         return self.twice_level % 2 == 0
 
-    @property
-    def label(self) -> str:
-        s = "+" if self.sign > 0 else "-"
-        if self.is_integer:
-            return f"{self.twice_level // 2}{s}"
-        return f"{self.twice_level}/2{s}"
-
     def __post_init__(self):
         if self.twice_level < 0:
             raise ValueError("negative level")
@@ -44,18 +37,6 @@ class AuxVertex:
             raise ValueError("sign must be +1 or -1")
         if self.twice_level == 0 and self.sign != +1:
             raise ValueError("level 0 exists only with sign +")
-
-
-def parse_label(label: str) -> AuxVertex:
-    """Inverse of AuxVertex.label, e.g. '3/2-' -> AuxVertex(3, -1)."""
-    sign = +1 if label.endswith("+") else -1
-    body = label[:-1]
-    if "/" in body:
-        num, den = body.split("/")
-        if den != "2":
-            raise ValueError(f"bad vertex label {label!r}")
-        return AuxVertex(int(num), sign)
-    return AuxVertex(2 * int(body), sign)
 
 
 @dataclass

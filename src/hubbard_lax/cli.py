@@ -7,8 +7,8 @@ parameter set, seed, cutoff, tolerance, and a schema_version field; identical
 inputs produce bit-identical outputs.
 
 Config precedence: command-line flags override entries of a JSON config file
-(--config); built-in defaults fill the rest (tol 1e-10, seed 42, cutoff
-auto-selected from the chain length).
+(--config); built-in defaults fill the rest (tol 1e-10, seed 42). The
+steady-state cutoff is not an input: the chain length fixes it.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .ness_engine import (
     check_boundary_conditions,
     check_telescoping,
     dump_rho,
-    k_exact,
     map_driving_to_params,
+    ness_family,
 )
 from .observables import (
     cosine_profile_fit,
@@ -151,13 +151,13 @@ def cmd_verify(args) -> int:
 def cmd_ness(args) -> int:
     cfg = _driving_from_args(args)
     tol = float(_merged(args, "tol"))
-    K = int(args.K) if args.K is not None else k_exact(cfg.n_sites)
+    fam = ness_family(cfg)
     # the doubled checks come first: their size guard refuses a chain too
     # long for the dense route before the dense state is built
-    dlax = build_double_lax(cfg, cutoff_K=max(K, 2))
+    dlax = build_double_lax(cfg, fam)
     bc = check_boundary_conditions(dlax, tol=tol)
     tele_res, tele_scale = check_telescoping(dlax, cfg.n_sites)
-    res = build_ness(cfg, cutoff_K=K)
+    res = build_ness(cfg, fam)
     lam, om, eta = map_driving_to_params(cfg)
     diag = dict(res.diagnostics)
     diag["boundary_left_residual"] = bc["left_residual"] / bc["scale"]
@@ -169,7 +169,7 @@ def cmd_ness(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "ness",
         "driving": _jsonable(dataclasses.asdict(cfg)),
-        "cutoff_K": K,
+        "cutoff_K": fam.space.cutoff_K,
         "tolerance": tol,
         "map": {"lambda": lam, "omega": om, "eta": eta},
         "diagnostics": diag,
@@ -195,7 +195,7 @@ def cmd_oracle(args) -> int:
         print(f"error: the dense oracle is limited to n <= {ORACLE_MAX_SITES}",
               file=sys.stderr)
         return 2
-    tol = float(_merged(args, "tol", 1e-9))
+    tol = float(_merged(args, "tol"))
     rho_oracle = fixed_point_oracle(cfg)
     res = build_ness(cfg)
     dist = float(np.linalg.norm(res.rho - rho_oracle))
@@ -375,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ness", help="build the steady state and its diagnostics")
     _add_driving_flags(p)
-    p.add_argument("--K", type=int, default=None, help="auxiliary cutoff")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--dump-rho", default=None, help="binary dump path for rho")
     p.add_argument("--lindblad-residual", action="store_true",

@@ -85,8 +85,8 @@ def h_right(u: float, mu_R: float) -> np.ndarray:
     return 0.5 * u * local4("z", "z") + 0.5 * mu_R * (local4("z", "0") + local4("0", "z"))
 
 
-def build_hamiltonian(spec: HamiltonianSpec, dense: bool = False):
-    """Assemble H as a sparse CSR matrix (or dense on request)."""
+def build_hamiltonian(spec: HamiltonianSpec) -> sp.csr_matrix:
+    """Assemble H as a sparse CSR matrix."""
     n, u = spec.n_sites, spec.u
     H = sp.csr_matrix((phys_dim(n), phys_dim(n)), dtype=complex)
     for j in range(1, n):
@@ -103,4 +103,4 @@ def build_hamiltonian(spec: HamiltonianSpec, dense: bool = False):
     H = H + 0.5 * spec.mu_R * (
         site_operator(n, n, SIGMA, "z") + site_operator(n, n, TAU, "z")
     )
-    return H.toarray() if dense else H.tocsr()
+    return H.tocsr()

@@ -293,15 +293,9 @@ class LaxFamily:
         return self.space.dim
 
 
-def assemble_family(space_or_K, params: LaxParams) -> LaxFamily:
-    """Build every operator of the family at the given cutoff.
-
-    Accepts either an AuxSpace or an integer cutoff.
-    """
-    if isinstance(space_or_K, AuxSpace):
-        space = space_or_K
-    else:
-        space = build_aux_space(int(space_or_K))
+def assemble_family(cutoff_K: int, params: LaxParams) -> LaxFamily:
+    """Build every operator of the family at the given cutoff."""
+    space = build_aux_space(int(cutoff_K))
     params.require_invertible()
     G = spin_flip_aux(space)
     S = build_S(space, params)

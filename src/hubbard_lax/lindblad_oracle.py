@@ -5,8 +5,9 @@ apply_lindbladian evaluates
 
     Ldot(rho) = -i[H, rho] + sum_k ( 2 L_k rho L_k^dag - {L_k^dag L_k, rho} )
 
-by direct matrix algebra for any n, while fixed_point_oracle materializes the
-full superoperator (dimension 16^n, so n <= 3) and extracts its null space.
+with H and the jump operators held sparse (CSR), by sparse-times-dense
+products for any n, while fixed_point_oracle materializes the full dense
+superoperator (dimension 16^n, so n <= 3) and extracts its null space.
 
 Superoperator convention: density matrices are vectorized row-major
 (numpy reshape order), giving
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
 
 from .hubbard_model import HamiltonianSpec, build_hamiltonian, phys_dim, site_operator
 from .ness_engine import DrivingConfig
@@ -37,7 +39,7 @@ class UniquenessViolation(RuntimeError):
 @dataclass
 class LindbladSpec:
     cfg: DrivingConfig
-    H: np.ndarray = field(default=None, repr=False)
+    H: sparse.csr_matrix = field(default=None, repr=False)
     jump_ops: list = field(default_factory=list, repr=False)
 
 
@@ -46,15 +48,13 @@ def make_spec(cfg: DrivingConfig) -> LindbladSpec:
     sqrt(G_L) s+_1, sqrt(G_L) t+_1, sqrt(G_R) s-_n, sqrt(G_R) t-_n."""
     n = cfg.n_sites
     H = build_hamiltonian(
-        HamiltonianSpec(n_sites=n, u=cfg.u, mu_L=cfg.mu_L, mu_R=cfg.mu_R),
-        dense=True,
-    )
+        HamiltonianSpec(n_sites=n, u=cfg.u, mu_L=cfg.mu_L, mu_R=cfg.mu_R))
     gl, gr = np.sqrt(cfg.gamma_L), np.sqrt(cfg.gamma_R)
     jumps = [
-        gl * site_operator(n, 1, 0, "+").toarray(),
-        gl * site_operator(n, 1, 1, "+").toarray(),
-        gr * site_operator(n, n, 0, "-").toarray(),
-        gr * site_operator(n, n, 1, "-").toarray(),
+        gl * site_operator(n, 1, 0, "+"),
+        gl * site_operator(n, 1, 1, "+"),
+        gr * site_operator(n, n, 0, "-"),
+        gr * site_operator(n, n, 1, "-"),
     ]
     return LindbladSpec(cfg=cfg, H=H, jump_ops=jumps)
 
@@ -81,10 +81,10 @@ def superoperator(spec: LindbladSpec) -> np.ndarray:
             f"dense superoperator refused for n={n} (16^n too large); "
             "use apply_lindbladian"
         )
-    d = phys_dim(n)
-    eye = np.eye(d)
-    S = -1j * (np.kron(spec.H, eye) - np.kron(eye, spec.H.T))
-    for L in spec.jump_ops:
+    eye = np.eye(phys_dim(n))
+    H = spec.H.toarray()
+    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for L in [J.toarray() for J in spec.jump_ops]:
         LdL = L.conj().T @ L
         S += 2.0 * np.kron(L, np.conj(L)) - np.kron(LdL, eye) - np.kron(eye, LdL.T)
     return S

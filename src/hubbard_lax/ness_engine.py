@@ -1,8 +1,11 @@
 """Steady state of the boundary-driven ladder from the transfer operator.
 
-Pipeline: a driving configuration (rates and boundary potentials) maps to the
-family parameters; the transfer components are contracted site by site from
-the highest-weight auxiliary vector to give Omega; the steady state is
+Pipeline: a driving configuration (rates and boundary potentials) maps to its
+Lax family in one place, ness_family: the family parameters of
+ness_lax_params at the cutoff k_exact(n), which the chain length truncates
+exactly, so n alone fixes the cutoff. The transfer components are
+contracted site by site from the highest-weight auxiliary vector to give
+Omega; the steady state is
 
     rho = R / tr R,  R = Omega Omega^dagger M,
 
@@ -21,12 +24,12 @@ tensor. Stationarity rests on local identities of these tensors: in the
 bulk, the bond commutator of LL_1 ... LL_n telescopes to one leftover term at
 each end (check_telescoping, contracted at the doubled root for every n, and
 open between all interior doubled levels at n = 2); at the ends, one
-dissipative equation each, read off the root row and the root column of the
-single-site tensors (check_boundary_conditions). Omega, the doubled chains
-and the pair-transfer cross-check chains are all contracted by the one
-contraction core in linalg: site tensors built by linalg.lift, contracted
-by linalg.chain, which refuses any contraction whose peak memory estimate
-exceeds linalg.MAX_CHAIN_BYTES.
+dissipative equation each, read off the whole root row and root column
+slabs of the single-site tensors (check_boundary_conditions). Omega, the
+doubled chains and the pair-transfer cross-check chains are all contracted
+by the one contraction core in linalg: site tensors built by linalg.lift,
+contracted by linalg.chain, which refuses any contraction whose peak memory
+estimate exceeds linalg.MAX_CHAIN_BYTES.
 
 Local expectation values in the steady state come from an environment
 engine (local_expectations) that never materializes rho: one sweep from each
@@ -43,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -54,12 +56,7 @@ from .hubbard_model import h_left, h_right
 from .lax_builder import LaxFamily, LaxParams, assemble_family
 from .linalg import PAULI, chain, guard, lift, local4
 
-TRUNCATION_RTOL = 1e-13
 RHO_MAGIC = b"NESSRHO1"
-
-
-class TruncationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -119,9 +116,11 @@ def ness_lax_params(cfg: DrivingConfig) -> LaxParams:
     return LaxParams(-lam, om, cfg.u)
 
 
-def ness_family(cfg: DrivingConfig, cutoff_K=None) -> LaxFamily:
-    K = k_exact(cfg.n_sites) if cutoff_K is None else int(cutoff_K)
-    return assemble_family(K, ness_lax_params(cfg))
+def ness_family(cfg: DrivingConfig) -> LaxFamily:
+    """The one map from a driving to its Lax family: the steady-state
+    parameters at the cutoff k_exact(n), which the chain length truncates
+    exactly."""
+    return assemble_family(k_exact(cfg.n_sites), ness_lax_params(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +166,9 @@ def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:
 
 
 def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
-    """Matrix-free Omega @ vec; memory O(dim_aux * 4^n)."""
+    """Cross-check route for contract_omega: matrix-free Omega @ vec, memory
+    O(dim_aux * 4^n). It probes the cutoff exactness (K vs K+1) at n = 7, 8,
+    where the dense Omega is not formed."""
     da = fam.dim
     guard(32 * da * 4 ** n_sites, f"{n_sites}-site matrix-free product")
     A = phys_transfer_tensor(fam.L)
@@ -180,27 +181,6 @@ def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
         c = cur.reshape(da, -1, 4, rest)
         cur = np.einsum("aiqr,pqab->bipr", c, A).reshape(da, -1, rest)
     return cur[i0, :, 0]
-
-
-def omega_dense(cfg: DrivingConfig, cutoff_K=None):
-    """Omega for the driving configuration, with the cutoff-exactness guard:
-    a cutoff below the exact bound triggers a K vs K+1 comparison and an
-    error on mismatch."""
-    n = cfg.n_sites
-    K = k_exact(n) if cutoff_K is None else int(cutoff_K)
-    fam = assemble_family(K, ness_lax_params(cfg))
-    om = contract_omega(fam, n)
-    if K < k_exact(n):
-        warnings.warn(
-            f"cutoff K={K} below exactness bound {k_exact(n)} for n={n}; "
-            "comparing against K+1"
-        )
-        om2 = contract_omega(assemble_family(K + 1, ness_lax_params(cfg)), n)
-        if np.linalg.norm(om - om2) > TRUNCATION_RTOL * max(np.linalg.norm(om2), 1.0):
-            raise TruncationError(
-                f"transfer operator not converged at cutoff K={K} for n={n}"
-            )
-    return om
 
 
 def m_diag(n_sites: int, eta: float) -> np.ndarray:
@@ -221,16 +201,15 @@ class NessResult:
     omega_op: np.ndarray
     rho: np.ndarray
     eta: float
-    lax_params: LaxParams
-    cutoff_K: int
     diagnostics: dict = field(default_factory=dict)
 
 
-def build_ness(cfg: DrivingConfig, cutoff_K=None, compute_spectrum: bool = True) -> NessResult:
-    """Assemble rho = Omega Omega^dag M / tr(...) and its sanity diagnostics."""
+def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None,
+               compute_spectrum: bool = True) -> NessResult:
+    """Assemble rho = Omega Omega^dag M / tr(...) and its sanity diagnostics.
+    fam is the driving's ness_family, built here when not given."""
     n = cfg.n_sites
-    K = k_exact(n) if cutoff_K is None else int(cutoff_K)
-    om = omega_dense(cfg, cutoff_K=K)
+    om = contract_omega(ness_family(cfg) if fam is None else fam, n)
     _, _, eta = map_driving_to_params(cfg)
     d = m_diag(n, eta)
     R = (om @ om.conj().T) * d[None, :]
@@ -247,8 +226,7 @@ def build_ness(cfg: DrivingConfig, cutoff_K=None, compute_spectrum: bool = True)
         w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
         diag["positivity_min_eig"] = float(w.min())
     return NessResult(
-        cfg=cfg, omega_op=om, rho=rho, eta=float(eta),
-        lax_params=ness_lax_params(cfg), cutoff_K=K, diagnostics=diag,
+        cfg=cfg, omega_op=om, rho=rho, eta=float(eta), diagnostics=diag,
     )
 
 
@@ -269,7 +247,7 @@ class DoubleLax:
         return self.fam.dim ** 2
 
 
-def build_double_lax(cfg: DrivingConfig, cutoff_K=None, lax_params=None) -> DoubleLax:
+def build_double_lax(cfg: DrivingConfig, fam: LaxFamily | None = None) -> DoubleLax:
     """Site tensors of the doubled operators, in the [p, q, a, b] layout of
     linalg.chain with the ket and bra auxiliary indices paired, (ac) and (bd):
 
@@ -280,11 +258,10 @@ def build_double_lax(cfg: DrivingConfig, cutoff_K=None, lax_params=None) -> Doub
     pairing with the tensor of Ltilde in place of A in one factor, then the
     other. YY_aux = Y (x) 1 - 1 (x) conj(Y).
 
-    lax_params overrides the family parameters derived from the driving (used
-    by the necessity probes, which perturb the spectral parameter on purpose).
+    fam is the driving's ness_family, built here when not given; the
+    necessity probes pass a family at perturbed parameters instead.
     """
-    K = k_exact(cfg.n_sites) if cutoff_K is None else int(cutoff_K)
-    fam = assemble_family(K, ness_lax_params(cfg) if lax_params is None else lax_params)
+    fam = ness_family(cfg) if fam is None else fam
     da = fam.dim
     _, _, eta = map_driving_to_params(cfg)
     m = m_diag(1, eta)
@@ -389,9 +366,10 @@ def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
            slab at the doubled root vanishes.
 
     The dissipators and h_L, h_R act on the physical indices of the tensors,
-    YY on the doubled auxiliary index left free by the slab. Slabs are
-    restricted to interior doubled levels (pair level <= K - 1).
-    Returns dict with residuals and the common scale.
+    YY on the doubled auxiliary index left free by the slab. Each slab is
+    checked whole: a single-site tensor reaches from the root only pair
+    levels <= 2, at every cutoff. Returns dict with residuals and the common
+    scale.
     """
     cfg, r = dlax.cfg, dlax.root
     # slabs [x, p, q]: the free doubled auxiliary index first
@@ -407,10 +385,9 @@ def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
     OR = (local(cfg.gamma_R, (local4("-", "0"), local4("0", "-")),
                 h_right(cfg.u, cfg.mu_R), col)
           - col_t - np.tensordot(dlax.YY_aux, col, axes=(1, 0)))
-    mask = _pair_interior_mask(dlax.fam)
-    left = float(np.linalg.norm(OL[mask]))
-    right = float(np.linalg.norm(OR[mask]))
-    scale = float(max(np.linalg.norm(row_t[mask]), np.linalg.norm(col_t[mask]), 1.0))
+    left = float(np.linalg.norm(OL))
+    right = float(np.linalg.norm(OR))
+    scale = float(max(np.linalg.norm(row_t), np.linalg.norm(col_t), 1.0))
     return {
         "left_residual": left,
         "right_residual": right,
@@ -479,7 +456,7 @@ def local_expectations(cfg: DrivingConfig, site_ops: dict, bond_ops: dict):
     da = space.dim
     # the environment store plus the family, A and one site's intermediates
     guard(16 * da * da * (n + 160), f"{n}-site environment store")
-    A = phys_transfer_tensor(assemble_family(space, ness_lax_params(cfg)).L)
+    A = phys_transfer_tensor(ness_family(cfg).L)
     right, left = _PairSide(A), _PairSide(A.swapaxes(2, 3))
     _, _, eta = map_driving_to_params(cfg)
     m = m_diag(1, eta)
@@ -526,7 +503,7 @@ def pair_transfer(fam: LaxFamily, w: np.ndarray) -> np.ndarray:
     return F.reshape(da * da, da * da)
 
 
-def mpo_expectation(cfg: DrivingConfig, site_ops: dict, cutoff_K=None) -> complex:
+def mpo_expectation(cfg: DrivingConfig, site_ops: dict) -> complex:
     """Cross-check route for local_expectations: <prod_j O_j> in the steady
     state through dense pair transfer matrices, rebuilt on every call.
 
@@ -536,7 +513,7 @@ def mpo_expectation(cfg: DrivingConfig, site_ops: dict, cutoff_K=None) -> comple
     use it on the short chains the tests compare against.
     """
     n = cfg.n_sites
-    fam = ness_family(cfg, cutoff_K)
+    fam = ness_family(cfg)
     _, _, eta = map_driving_to_params(cfg)
     M_loc = np.diag(m_diag(1, eta)).astype(complex)
     F_id = pair_transfer(fam, M_loc)

@@ -32,10 +32,10 @@ def sample_pairs(num: int, seed: int = 42) -> list:
     return pairs
 
 
-def check_commutativity(n_sites: int, u: float, pairs, cutoff_K=None,
-                        tol: float = CONJECTURE_TOL) -> list:
-    """Normalized commutator residuals ||[O, O']|| / (||O|| ||O'||) per pair."""
-    K = k_exact(n_sites) if cutoff_K is None else int(cutoff_K)
+def check_commutativity(n_sites: int, u: float, pairs) -> list:
+    """Normalized commutator residuals ||[O, O']|| / (||O|| ||O'||) per pair,
+    at the exact cutoff k_exact(n_sites)."""
+    K = k_exact(n_sites)
     reports = []
     for (l1, o1), (l2, o2) in pairs:
         p1 = LaxParams(l1, o1, u)
@@ -51,7 +51,7 @@ def check_commutativity(n_sites: int, u: float, pairs, cutoff_K=None,
             residual_fro=res,
             residual_max=float(np.max(np.abs(comm))),
             operand_scale=max(scale, 1e-300),
-            passed=bool(res <= tol * max(scale, 1e-300)),
-            tol=tol,
+            passed=bool(res <= CONJECTURE_TOL * max(scale, 1e-300)),
+            tol=CONJECTURE_TOL,
         ))
     return reports

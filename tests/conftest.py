@@ -1,6 +1,7 @@
 """Shared driving configurations for the oracle cross-checks, the
-species-swap and total-magnetization operators the symmetry tests use, and
-the auxiliary-space gauge the gauge-invariance tests apply.
+species-swap and total-magnetization operators the symmetry tests use, the
+auxiliary-space gauge the gauge-invariance tests apply, and the text labels
+of auxiliary vertices the operator-table tests read.
 
 The n=3 oracle costs a 4096^2 dense SVD (about two minutes each), and
 fixed_point_oracle caches per configuration, so every module that needs an
@@ -10,7 +11,7 @@ oracle state should pick from this list to avoid paying twice.
 import numpy as np
 import scipy.sparse as sp
 
-from hubbard_lax.aux_space import AuxSpace
+from hubbard_lax.aux_space import AuxSpace, AuxVertex
 from hubbard_lax.hubbard_model import phys_dim, site_operator
 from hubbard_lax.lax_builder import LaxFamily
 from hubbard_lax.ness_engine import DrivingConfig
@@ -47,6 +48,26 @@ def total_magnetization(n: int, species: int) -> sp.csr_matrix:
     for j in range(1, n + 1):
         out = out + site_operator(n, j, species, "z")
     return out.tocsr()
+
+
+def label(v: AuxVertex) -> str:
+    """Text label of a vertex, e.g. AuxVertex(3, -1) -> '3/2-'."""
+    s = "+" if v.sign > 0 else "-"
+    if v.is_integer:
+        return f"{v.twice_level // 2}{s}"
+    return f"{v.twice_level}/2{s}"
+
+
+def parse_label(text: str) -> AuxVertex:
+    """Inverse of label, e.g. '3/2-' -> AuxVertex(3, -1)."""
+    sign = +1 if text.endswith("+") else -1
+    body = text[:-1]
+    if "/" in body:
+        num, den = body.split("/")
+        if den != "2":
+            raise ValueError(f"bad vertex label {text!r}")
+        return AuxVertex(int(num), sign)
+    return AuxVertex(2 * int(body), sign)
 
 
 def gauge_matrix(space: AuxSpace, xi: complex) -> np.ndarray:

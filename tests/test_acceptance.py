@@ -158,14 +158,14 @@ def test_criterion_06_boundary_conditions():
     configs = [DrivingConfig(*ASYM, 3), DrivingConfig(2.0, 2.0, 0.0, 0.0, 1.0, 3)]
     clean_ok, worst_clean = True, 0.0
     for cfg in configs:
-        bc = check_boundary_conditions(build_double_lax(cfg, cutoff_K=3),
-                                       tol=BOUNDARY_TOL)
+        fam = assemble_family(3, ness_lax_params(cfg))
+        bc = check_boundary_conditions(build_double_lax(cfg, fam), tol=BOUNDARY_TOL)
         clean_ok &= bc["left_passed"] and bc["right_passed"]
         worst_clean = max(worst_clean,
                           max(bc["left_residual"], bc["right_residual"]) / bc["scale"])
     cfg = configs[0]
     bad = dataclasses.replace(ness_lax_params(cfg), lam=ness_lax_params(cfg).lam * 1.05)
-    bc_bad = check_boundary_conditions(build_double_lax(cfg, cutoff_K=3, lax_params=bad))
+    bc_bad = check_boundary_conditions(build_double_lax(cfg, assemble_family(3, bad)))
     perturbed = max(bc_bad["left_residual"], bc_bad["right_residual"]) / bc_bad["scale"]
     ok = clean_ok and perturbed > DETECTION_FLOOR
     _verdict(6, ok, f"dissipative boundary equations: worst rel {worst_clean:.2e} "
@@ -235,15 +235,15 @@ def test_criterion_10_truncation_exactness():
     for n in range(2, 7):
         cfg = DrivingConfig(*ASYM, n)
         K = k_exact(n)
-        O1 = contract_omega(ness_family(cfg, K), n)
-        O2 = contract_omega(ness_family(cfg, K + 1), n)
+        O1 = contract_omega(ness_family(cfg), n)
+        O2 = contract_omega(assemble_family(K + 1, ness_lax_params(cfg)), n)
         worst = max(worst, float(np.linalg.norm(O1 - O2) / np.linalg.norm(O2)))
         del O1, O2
     rng = np.random.default_rng(42)
     for n in (7, 8):
         cfg = DrivingConfig(*ASYM, n)
-        fam_k = ness_family(cfg, k_exact(n))
-        fam_k1 = ness_family(cfg, k_exact(n) + 1)
+        fam_k = ness_family(cfg)
+        fam_k1 = assemble_family(k_exact(n) + 1, ness_lax_params(cfg))
         for _ in range(3):
             v = rng.normal(size=4 ** n) + 1j * rng.normal(size=4 ** n)
             w1 = omega_apply(fam_k, n, v)
@@ -295,7 +295,7 @@ def test_criterion_11_mutation_battery():
 
     lp = ness_lax_params(cfg)
     bc = check_boundary_conditions(build_double_lax(
-        cfg, cutoff_K=3, lax_params=dataclasses.replace(lp, lam=lp.lam * 1.05)))
+        cfg, assemble_family(3, dataclasses.replace(lp, lam=lp.lam * 1.05))))
     margins["spectral parameter"] = max(bc["left_residual"],
                                         bc["right_residual"]) / bc["scale"]
 

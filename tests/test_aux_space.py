@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from hubbard_lax.aux_space import AuxVertex, AuxSpace, build_aux_space, parse_label, spin_flip_aux
+from conftest import label, parse_label
+from hubbard_lax.aux_space import AuxVertex, AuxSpace, build_aux_space, spin_flip_aux
 
 
 def test_cutoff_one_vertices():
     sp = build_aux_space(1)
-    labels = [v.label for v in sp.vertices]
+    labels = [label(v) for v in sp.vertices]
     assert labels == ["0+", "1/2+", "1/2-", "1-", "1+"]
     assert sp.dim == 5
 
@@ -18,7 +19,7 @@ def test_dimension_formula():
 
 def test_vertex_levels_and_labels():
     v = AuxVertex(3, +1)
-    assert v.label == "3/2+"
+    assert label(v) == "3/2+"
     assert parse_label("3/2+") == v
     assert parse_label("2-") == AuxVertex(4, -1)
 
@@ -30,7 +31,7 @@ def test_level_zero_sign_restriction():
 
 def test_ordering_per_plaquette():
     sp = build_aux_space(3)
-    labels = [v.label for v in sp.vertices]
+    labels = [label(v) for v in sp.vertices]
     assert labels[1:5] == ["1/2+", "1/2-", "1-", "1+"]
     assert labels[5:9] == ["3/2+", "3/2-", "2-", "2+"]
 

@@ -120,6 +120,7 @@ def test_oracle_two_sites(tmp_path):
     assert doc["frobenius_distance"] < 1e-10
     assert doc["lindblad_residual"] < 1e-9
     assert "mpo_fixed_point_residual" not in doc
+    assert doc["tolerance"] == 1e-10
     assert doc["passed"] is True
 
 
@@ -144,10 +145,30 @@ def test_verify_seed_five(tmp_path):
 
 
 def test_observe_refuses_flags_it_does_not_read(tmp_path):
-    for flag in (("--K", "1"), ("--tol", "1e-300")):
-        r = run("observe", "--n", "3", "--u", "1", *flag, "--out", str(tmp_path))
+    # ness takes no cutoff either: the chain length fixes it
+    for cmd, flag in (("observe", ("--K", "1")), ("observe", ("--tol", "1e-300")),
+                      ("ness", ("--K", "3"))):
+        r = run(cmd, "--n", "3", "--u", "1", *flag, "--out", str(tmp_path))
         assert r.returncode == 2
         assert "unrecognized arguments" in r.stderr
+
+
+def test_ness_assembles_one_family(tmp_path, monkeypatch):
+    # the doubled checks and the dense state share one family
+    from hubbard_lax import cli, ness_engine
+
+    calls = []
+    assemble = ness_engine.assemble_family
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(ness_engine, "assemble_family", counted)
+    rc = cli.main(["ness", "--n", "3", "--gammaL", "1.5", "--gammaR", "0.7",
+                   "--u", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_config_file_precedence(tmp_path):
@@ -195,6 +216,15 @@ def test_sweep_deterministic_ordering(tmp_path):
     keys = [c["key"] for c in doc["configurations"]]
     assert keys == sorted(keys)
     r2 = run(*args, "--out", str(tmp_path / "b"))
+    assert (tmp_path / "a" / "sweep.json").read_bytes() == \
+           (tmp_path / "b" / "sweep.json").read_bytes()
+
+
+def test_sweep_parallel_matches_serial(tmp_path):
+    args = ("sweep", "--n", "2,3,6", "--u", "1,2")
+    r1 = run(*args, "--workers", "1", "--out", str(tmp_path / "a"))
+    r2 = run(*args, "--workers", "2", "--out", str(tmp_path / "b"))
+    assert r1.returncode == r2.returncode == 0, r1.stderr + r2.stderr
     assert (tmp_path / "a" / "sweep.json").read_bytes() == \
            (tmp_path / "b" / "sweep.json").read_bytes()
 

@@ -19,7 +19,7 @@ TOL = 1e-12
 
 
 def dense(n, **kw):
-    return build_hamiltonian(HamiltonianSpec(n_sites=n, **kw), dense=True)
+    return build_hamiltonian(HamiltonianSpec(n_sites=n, **kw)).toarray()
 
 
 def test_species_swap_symmetry():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import apply_gauge, gauge_matrix
-from hubbard_lax.aux_space import build_aux_space, parse_label
+from conftest import apply_gauge, gauge_matrix, parse_label
+from hubbard_lax.aux_space import build_aux_space
 from hubbard_lax.algebra_verifier import check_xk_structure
 from hubbard_lax.lax_builder import (
     LaxParams,

@@ -96,8 +96,8 @@ def test_mutation_filter_exponent():
 def test_mutation_spectral_parameter():
     lp = ness_lax_params(CFG)
     bad = dataclasses.replace(lp, lam=lp.lam * 1.05)
-    bc_clean = check_boundary_conditions(build_double_lax(CFG, cutoff_K=3))
-    bc_bad = check_boundary_conditions(build_double_lax(CFG, cutoff_K=3, lax_params=bad))
+    bc_clean = check_boundary_conditions(build_double_lax(CFG, assemble_family(3, lp)))
+    bc_bad = check_boundary_conditions(build_double_lax(CFG, assemble_family(3, bad)))
     assert bc_clean["left_passed"] and bc_clean["right_passed"]
     worst = max(bc_bad["left_residual"], bc_bad["right_residual"])
     assert worst > DETECT * bc_bad["scale"]

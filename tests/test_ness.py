@@ -1,14 +1,14 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 from conftest import canonical_configs, spin_flip_G, total_magnetization
+from hubbard_lax.lax_builder import assemble_family
 from hubbard_lax.linalg import chain
 from hubbard_lax.ness_engine import (
     DrivingConfig,
-    TruncationError,
+    _pair_interior_mask,
     build_double_lax,
     build_ness,
     check_boundary_conditions,
@@ -23,8 +23,8 @@ from hubbard_lax.ness_engine import (
     m_diag,
     map_driving_to_params,
     ness_family,
+    ness_lax_params,
     omega_apply,
-    omega_dense,
 )
 
 REL_TOL = 1e-12
@@ -93,7 +93,7 @@ def test_chain_of_scalar_sites_past_64_axes():
 
 def test_omega_commutes_with_magnetizations():
     cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3)
-    om = omega_dense(cfg)
+    om = contract_omega(ness_family(cfg), 3)
     for species in (0, 1):
         Mz = total_magnetization(3, species).toarray()
         assert np.linalg.norm(om @ Mz - Mz @ om) < 1e-10 * np.linalg.norm(om)
@@ -103,8 +103,8 @@ def test_truncation_exactness_small_n():
     cfg0 = DrivingConfig(1.1, 0.6, 0.2, -0.5, 1.5, 2)
     for n in (2, 3, 4):
         cfg = DrivingConfig(1.1, 0.6, 0.2, -0.5, 1.5, n)
-        a = contract_omega(ness_family(cfg, k_exact(n)), n)
-        b = contract_omega(ness_family(cfg, k_exact(n) + 1), n)
+        a = contract_omega(ness_family(cfg), n)
+        b = contract_omega(assemble_family(k_exact(n) + 1, ness_lax_params(cfg)), n)
         assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
 
 
@@ -115,20 +115,6 @@ def test_omega_apply_matches_dense():
     rng = np.random.default_rng(1)
     v = rng.normal(size=64) + 1j * rng.normal(size=64)
     assert np.linalg.norm(omega_apply(fam, 3, v) - om @ v) < 1e-12 * np.linalg.norm(om @ v)
-
-
-def test_under_truncated_cutoff_warns_then_errors():
-    cfg = DrivingConfig(1.0, 0.5, 0.0, 0.0, 1.0, 4)
-    # K=2 is below the conservative bound but still reproduces K=3 exactly
-    with warnings.catch_warnings(record=True) as w:
-        warnings.simplefilter("always")
-        omega_dense(cfg, cutoff_K=2)
-    assert any("cutoff" in str(x.message) for x in w)
-    # K=1 genuinely truncates four-site paths
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(TruncationError):
-            omega_dense(cfg, cutoff_K=1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +131,7 @@ def test_filter_trivial_at_symmetric_rates():
 
 def test_r_commutes_with_filter():
     cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3)
-    om = omega_dense(cfg)
+    om = contract_omega(ness_family(cfg), 3)
     _, _, eta = map_driving_to_params(cfg)
     M = np.diag(m_diag(3, eta))
     OO = om @ om.conj().T
@@ -179,7 +165,7 @@ def test_species_symmetric_state():
 def test_double_route_reproduces_r():
     for n in (2, 3):
         cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
-        om = omega_dense(cfg)
+        om = contract_omega(ness_family(cfg), n)
         _, _, eta = map_driving_to_params(cfg)
         R = (om @ om.conj().T) * m_diag(n, eta)[None, :]
         R2 = double_contract(build_double_lax(cfg), n)
@@ -219,13 +205,13 @@ def test_doubled_spectral_operator_root_entry():
 
 def test_telescoping_two_and_three_sites():
     cfg2 = DrivingConfig(1.4, 0.6, 0.2, -0.3, 1.2, 2)
-    dl2 = build_double_lax(cfg2, cutoff_K=2)
+    dl2 = build_double_lax(cfg2)
     # at n = 2 this includes the open check between all interior levels
     res, scale = check_telescoping(dl2, 2)
     assert res <= 1e-10 * scale
 
     cfg3 = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3)
-    dl3 = build_double_lax(cfg3, cutoff_K=3)
+    dl3 = build_double_lax(cfg3, assemble_family(3, ness_lax_params(cfg3)))
     res3, scale3 = check_telescoping(dl3, 3)
     assert res3 <= 1e-10 * scale3
 
@@ -237,7 +223,7 @@ def test_bond_commutator_matches_kron_reference(n):
     from hubbard_lax.hubbard_model import h_bond
 
     for cfg in canonical_configs(n):
-        dl = build_double_lax(cfg, cutoff_K=max(k_exact(n), 2))
+        dl = build_double_lax(cfg)
         hb = h_bond(cfg.u)
         Hbulk = sum(np.kron(np.kron(np.eye(4 ** (j - 1)), hb), np.eye(4 ** (n - j - 1)))
                     for j in range(1, n))
@@ -256,7 +242,7 @@ def test_bond_commutator_matches_kron_reference(n):
 def test_open_telescoping_detects_off_root_defect():
     # a defect in LLt away from the doubled root never enters the chain
     # contracted at the root, only the open n = 2 check
-    dl = build_double_lax(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 2), cutoff_K=2)
+    dl = build_double_lax(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 2))
     assert dl.root != 1
     dl.LLt[:, :, 1, 1] *= 1.01
     res, scale = check_telescoping(dl, 2)
@@ -268,8 +254,29 @@ def test_open_telescoping_detects_off_root_defect():
 def test_boundary_conditions_hold_at_map():
     for tup in [(1.5, 0.7, 0.3, -0.4, 2.0), (1.0, 1.0, 0.0, 0.0, 1.0)]:
         cfg = DrivingConfig(*tup, 3)
-        bc = check_boundary_conditions(build_double_lax(cfg, cutoff_K=3))
+        fam = assemble_family(3, ness_lax_params(cfg))
+        bc = check_boundary_conditions(build_double_lax(cfg, fam))
         assert bc["left_passed"] and bc["right_passed"], bc
+
+
+def test_boundary_check_reads_whole_root_slabs():
+    # at the n = 2, 3 cutoff K = 2 the root slabs reach pair level 2, above
+    # the interior levels (pair level <= K - 1) of the open telescoping check
+    dl = build_double_lax(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3))
+    assert dl.fam.space.cutoff_K == 2
+    lv = dl.fam.space.levels()
+    pair = (lv[:, None] + lv[None, :]).ravel()
+    assert not _pair_interior_mask(dl.fam)[pair == 2].any()
+    clean = check_boundary_conditions(dl)
+    assert clean["left_passed"] and clean["right_passed"], clean
+    for side, slab in (("left", lambda T, x: T[:, :, dl.root, x]),
+                       ("right", lambda T, x: T[:, :, x, dl.root])):
+        x = max(np.flatnonzero(pair == 2),
+                key=lambda x: np.linalg.norm(slab(dl.LLt, x)))
+        bad = build_double_lax(dl.cfg, dl.fam)
+        slab(bad.LLt, x)[...] *= 1.01
+        bc = check_boundary_conditions(bad)
+        assert bc[f"{side}_residual"] > 1e-4 * bc["scale"], (side, bc)
 
 
 # ---------------------------------------------------------------------------

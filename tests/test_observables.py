@@ -44,7 +44,7 @@ def test_continuity_identity():
     """i[H, sz_j] == J_{j-1,j} - J_{j,j+1} for a bulk site, with boundary
     fields off so only hopping moves magnetization."""
     n = 4
-    H = build_hamiltonian(HamiltonianSpec(n_sites=n, u=1.3), dense=True)
+    H = build_hamiltonian(HamiltonianSpec(n_sites=n, u=1.3)).toarray()
     j = 2
     sz = site_operator(n, j, 0, "z").toarray()
     lhs = 1j * (H @ sz - sz @ H)
