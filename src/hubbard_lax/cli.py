@@ -7,8 +7,9 @@ parameter set, seed, cutoff, tolerance, and a schema_version field; identical
 inputs produce bit-identical outputs.
 
 Config precedence: command-line flags override entries of a JSON config file
-(--config); built-in defaults fill the rest (tol 1e-10, seed 42). The
-steady-state cutoff is not an input: the chain length fixes it.
+(--config), which may set only its subcommand's options (and verify's cutoffs);
+built-in defaults fill the rest (tol 1e-10, seed 42). The steady-state cutoff
+is not an input: the chain length fixes it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .algebra_verifier import check_xk_structure, sample_params, verify_family, verify_suite
-from .lindblad_oracle import ORACLE_MAX_SITES, fixed_point_oracle, fixed_point_residual
+from .lindblad_oracle import fixed_point_oracle, fixed_point_residual
 from .ness_engine import (
     DrivingConfig,
     build_double_lax,
@@ -80,22 +81,26 @@ def _outdir(args) -> str:
     return d
 
 
-def _load_config(path):
-    if not path:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _merged(args, key, default=None):
-    """flag > config file > default."""
+    """flag > config file (main merges it into args) > default."""
     val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config", {})
-    if key in cfg:
-        return cfg[key]
-    return DEFAULTS.get(key, default)
+    return DEFAULTS.get(key, default) if val is None else val
+
+
+def _values(args, key, default, parse=float):
+    """A comma-separated flag, or a config list or scalar, as parsed values."""
+    raw = _merged(args, key, default)
+    if isinstance(raw, str):
+        raw = raw.split(",")
+    return [parse(x) for x in (raw if isinstance(raw, (list, tuple)) else [raw])]
+
+
+def _chain_length(raw) -> int:
+    """A chain length exactly as given: 2.9 is refused, never rounded."""
+    try:
+        return int(str(raw))
+    except ValueError:
+        raise ValueError(f"chain length must be a whole number, got {raw!r}") from None
 
 
 def _driving_from_args(args) -> DrivingConfig:
@@ -111,7 +116,7 @@ def _driving_from_args(args) -> DrivingConfig:
         mu_L=float(_merged(args, "muL", 0.0)),
         mu_R=float(_merged(args, "muR", 0.0)),
         u=float(need("u")),
-        n_sites=int(need("n")),
+        n_sites=_chain_length(need("n")),
     )
 
 
@@ -191,10 +196,6 @@ def cmd_ness(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _driving_from_args(args)
-    if cfg.n_sites > ORACLE_MAX_SITES:
-        print(f"error: the dense oracle is limited to n <= {ORACLE_MAX_SITES}",
-              file=sys.stderr)
-        return 2
     tol = float(_merged(args, "tol"))
     rho_oracle = fixed_point_oracle(cfg)
     res = build_ness(cfg)
@@ -242,7 +243,7 @@ def cmd_observe(args) -> int:
         "cosine_fit": cosine_profile_fit(obs.densities_sigma),
     }
     if args.scaling:
-        ns = [int(x) for x in args.scaling.split(",")]
+        ns = _values(args, "scaling", None, _chain_length)
         series = current_series(cfg, ns)
         doc["scaling"] = {
             "series": [[n, J] for n, J in series],
@@ -268,7 +269,7 @@ def cmd_commute(args) -> int:
     seed = int(_merged(args, "seed"))
     u = float(_merged(args, "u", 1.0))
     npairs = int(_merged(args, "pairs", 20))
-    ns = [int(x) for x in (args.n or "2,3,4").split(",")]
+    ns = _values(args, "n", "2,3,4", _chain_length)
     pairs = sample_pairs(npairs, seed=seed)
     all_reports = {}
     for n in ns:
@@ -304,20 +305,12 @@ def _sweep_one(kwargs):
 
 
 def cmd_sweep(args) -> int:
-    def values(flag, default):
-        raw = _merged(args, flag, default)
-        if isinstance(raw, str):
-            return [float(x) for x in raw.split(",")]
-        if isinstance(raw, (list, tuple)):
-            return [float(x) for x in raw]
-        return [float(raw)]
-
-    ns = [int(x) for x in values("n", "2,3")]
-    gLs = values("gammaL", "1.0")
-    gRs = values("gammaR", "1.0")
-    muLs = values("muL", "0.0")
-    muRs = values("muR", "0.0")
-    us = values("u", "1.0")
+    ns = _values(args, "n", "2,3", _chain_length)
+    gLs = _values(args, "gammaL", "1.0")
+    gRs = _values(args, "gammaR", "1.0")
+    muLs = _values(args, "muL", "0.0")
+    muRs = _values(args, "muR", "0.0")
+    us = _values(args, "u", "1.0")
     jobs = [
         dict(gamma_L=gL, gamma_R=gR, mu_L=mL, mu_R=mR, u=u, n_sites=n)
         for n, gL, gR, mL, mR, u in itertools.product(ns, gLs, gRs, muLs, muRs, us)
@@ -377,11 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_driving_flags(p)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--dump-rho", default=None, help="binary dump path for rho")
-    p.add_argument("--lindblad-residual", action="store_true",
+    p.add_argument("--lindblad-residual", action="store_true", default=None,
                    help="also evaluate the Lindblad fixed-point residual")
     p.set_defaults(func=cmd_ness)
 
-    p = sub.add_parser("oracle", help="cross-check against the dense fixed point (n <= 3)")
+    p = sub.add_parser("oracle", help="cross-check against the Lindblad fixed point (n <= 3)")
     _add_driving_flags(p)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_oracle)
@@ -390,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_driving_flags(p)
     p.add_argument("--scaling", default=None,
                    help="comma-separated chain lengths for the current scaling fit")
-    p.add_argument("--gnuplot", action="store_true", help="emit plain .dat files")
+    p.add_argument("--gnuplot", action="store_true", default=None, help="emit plain .dat files")
     p.set_defaults(func=cmd_observe)
 
     p = sub.add_parser("commute", help="transfer-family commutation probe (conjecture tier)")
@@ -410,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
-    for sp in sub.choices.values():
+    for name, sp in sub.choices.items():
+        keys = {a.dest for a in sp._actions} - {"help"}
+        sp.set_defaults(config_keys=keys | {"cutoffs"} if name == "verify" else keys)
         sp.add_argument("--out", default="hlx_out",
                         help="output directory for JSON/CSV artifacts")
         sp.add_argument("--config", default=None,
@@ -421,11 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    config = {}
     try:
-        args._config = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as e:
+        if args.config:
+            with open(args.config) as fh:
+                config = dict(json.load(fh))
+        if unknown := sorted(set(config) - args.config_keys):
+            raise ValueError(f"keys that {args.command} does not read: {', '.join(unknown)}")
+    except (OSError, ValueError, TypeError) as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 2
+    vars(args).update({k: v for k, v in config.items() if getattr(args, k, None) is None})
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as e:

@@ -6,8 +6,8 @@ apply_lindbladian evaluates
     Ldot(rho) = -i[H, rho] + sum_k ( 2 L_k rho L_k^dag - {L_k^dag L_k, rho} )
 
 with H and the jump operators held sparse (CSR), by sparse-times-dense
-products for any n, while fixed_point_oracle materializes the full dense
-superoperator (dimension 16^n, so n <= 3) and extracts its null space.
+products for any n. fixed_point_oracle solves S vec(rho) = 0 by sparse LU
+(n <= 3), where superoperator assembles S as a sparse 16^n x 16^n matrix.
 
 Superoperator convention: density matrices are vectorized row-major
 (numpy reshape order), giving
@@ -18,11 +18,9 @@ Superoperator convention: density matrices are vectorized row-major
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy import sparse
 
 from .hubbard_model import HamiltonianSpec, build_hamiltonian, phys_dim, site_operator
@@ -73,50 +71,50 @@ def apply_lindbladian(spec: LindbladSpec, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def superoperator(spec: LindbladSpec) -> np.ndarray:
-    """Dense 16^n x 16^n matrix of the generator (row-major vectorization)."""
-    n = spec.cfg.n_sites
+def _refuse_large(n: int):
     if n > ORACLE_MAX_SITES:
-        raise ValueError(
-            f"dense superoperator refused for n={n} (16^n too large); "
-            "use apply_lindbladian"
-        )
-    eye = np.eye(phys_dim(n))
-    H = spec.H.toarray()
-    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    for L in [J.toarray() for J in spec.jump_ops]:
+        raise ValueError(f"the Lindblad oracle is limited to n <= {ORACLE_MAX_SITES}, got n={n}")
+
+
+def superoperator(spec: LindbladSpec) -> sparse.csr_matrix:
+    """Sparse 16^n x 16^n matrix of the generator (row-major vectorization)."""
+    _refuse_large(spec.cfg.n_sites)
+    eye = sparse.identity(spec.H.shape[0], format="csr")
+    S = -1j * (sparse.kron(spec.H, eye) - sparse.kron(eye, spec.H.T))
+    for L in spec.jump_ops:
         LdL = L.conj().T @ L
-        S += 2.0 * np.kron(L, np.conj(L)) - np.kron(LdL, eye) - np.kron(eye, LdL.T)
-    return S
+        S = S + 2.0 * sparse.kron(L, L.conj()) - sparse.kron(LdL, eye) - sparse.kron(eye, LdL.T)
+    return S.tocsr()
 
 
-@functools.lru_cache(maxsize=32)
-def _oracle_cached(cfg: DrivingConfig):
-    spec = make_spec(cfg)
-    S = superoperator(spec)
-    # n=3 means a 4096^2 SVD -- minutes of work, so cache per config.
-    _, sv, Vh = scipy.linalg.svd(S, full_matrices=False, lapack_driver="gesdd")
-    null_dim = int(np.sum(sv < NULL_SPACE_RTOL * sv[0]))
-    if null_dim != 1:
-        raise UniquenessViolation(
-            f"steady-state null space has dimension {null_dim}, expected 1"
-        )
+def fixed_point_oracle(cfg: DrivingConfig) -> np.ndarray:
+    """The steady state, Hermitized, from one sparse LU solve.
+
+    The rho_00 equation of S vec(rho) = 0 gives way to tr(rho) = 1 in the
+    bordered matrix B; it follows from the others, as the trace is a left
+    null vector of S. So Bx = 0 means Sx = 0 and tr x = 0, and B is singular
+    exactly when the null space of S holds more than the one state: a
+    singular factor, or a 1-norm condition estimate of B above
+    1 / NULL_SPACE_RTOL, raises UniquenessViolation.
+    """
+    _refuse_large(cfg.n_sites)
+    from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
+
     d = phys_dim(cfg.n_sites)
-    rho = Vh[-1].conj().reshape(d, d)
-    rho = rho / np.trace(rho)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho.setflags(write=False)
-    return rho, null_dim
-
-
-def fixed_point_oracle(cfg: DrivingConfig, return_null_dim: bool = False):
-    """The steady state by SVD null-space extraction, Hermitized and
-    normalized. Errors out if the null space is not one-dimensional.
-    Results are cached per driving configuration."""
-    rho, null_dim = _oracle_cached(cfg)
-    if return_null_dim:
-        return rho, null_dim
-    return rho
+    S = superoperator(make_spec(cfg))
+    # row 0 becomes the trace functional, vec(identity)
+    B = sparse.vstack([np.eye(d).reshape(1, -1), S[1:]], format="csc")
+    try:
+        lu = splu(B)
+    except RuntimeError as e:
+        raise UniquenessViolation(f"steady state is not unique: {e}") from e
+    inv = LinearOperator(B.shape, lu.solve, rmatvec=lambda x: lu.solve(x, "H"), dtype=complex)
+    cond = onenormest(inv) * norm(B, 1)
+    if not cond <= 1.0 / NULL_SPACE_RTOL:
+        raise UniquenessViolation(f"steady state is not unique: condition estimate "
+                                  f"{cond:.3g} of the bordered generator > 1/NULL_SPACE_RTOL")
+    rho = lu.solve(np.eye(1, d * d, dtype=complex)[0]).reshape(d, d)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def fixed_point_residual(cfg: DrivingConfig, rho: np.ndarray) -> float:

@@ -2,10 +2,6 @@
 species-swap and total-magnetization operators the symmetry tests use, the
 auxiliary-space gauge the gauge-invariance tests apply, and the text labels
 of auxiliary vertices the operator-table tests read.
-
-The n=3 oracle costs a 4096^2 dense SVD (about two minutes each), and
-fixed_point_oracle caches per configuration, so every module that needs an
-oracle state should pick from this list to avoid paying twice.
 """
 
 import numpy as np

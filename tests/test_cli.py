@@ -106,10 +106,11 @@ def test_observe_refusal_names_the_environment_store(tmp_path, capsys):
 
 
 def test_oracle_size_refusal(tmp_path):
-    r = run("oracle", "--n", "4", "--gammaL", "1", "--gammaR", "1", "--u", "1",
-            "--out", str(tmp_path))
-    assert r.returncode == 2
-    assert "n <= 3" in r.stderr
+    for n in ("4", "40"):
+        r = run("oracle", "--n", n, "--gammaL", "1", "--gammaR", "1", "--u", "1",
+                "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "n <= 3" in r.stderr
 
 
 def test_oracle_two_sites(tmp_path):
@@ -183,6 +184,19 @@ def test_config_file_precedence(tmp_path):
     assert json.loads(r2.stdout)["driving"]["gamma_R"] == 2.0
 
 
+def test_config_refuses_keys_no_option_reads(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "u": 1, "K": 1, "bogus": 3}))
+    r = run("ness", "--config", str(cfg), "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "K, bogus" in r.stderr
+    # verify alone reads a cutoff list from a config file
+    cfg.write_text(json.dumps({"cutoffs": [3], "samples": 1, "seed": 7}))
+    r = run("verify", "--config", str(cfg), "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["cutoffs"] == [3]
+
+
 def test_observe_csv(tmp_path):
     r = run("observe", "--n", "3", "--gammaL", "1", "--gammaR", "0.5", "--u", "1",
             "--gnuplot", "--out", str(tmp_path))
@@ -227,6 +241,12 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert r1.returncode == r2.returncode == 0, r1.stderr + r2.stderr
     assert (tmp_path / "a" / "sweep.json").read_bytes() == \
            (tmp_path / "b" / "sweep.json").read_bytes()
+
+
+def test_sweep_refuses_fractional_chain_length(tmp_path):
+    r = run("sweep", "--n", "2.9", "--u", "1", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "whole number, got '2.9'" in r.stderr
 
 
 def test_sweep_matrix_free_rows(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import canonical_configs
+from hubbard_lax import lindblad_oracle
 from hubbard_lax.hubbard_model import site_operator
 from hubbard_lax.lindblad_oracle import (
     UniquenessViolation,
@@ -62,16 +63,50 @@ def test_spectrum_in_left_half_plane():
     """All generator eigenvalues have non-positive real part (n=2)."""
     cfg = DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 2)
     S = superoperator(make_spec(cfg))
-    ev = np.linalg.eigvals(S)
+    ev = np.linalg.eigvals(S.toarray())
     assert ev.real.max() <= 1e-12
 
 
 def test_null_space_unique():
+    """Cross-check of the oracle's uniqueness certificate: the full-space SVD
+    finds exactly one null vector, and it is the oracle's state."""
     cfg = DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 2)
-    rho, null_dim = fixed_point_oracle(cfg, return_null_dim=True)
-    assert null_dim == 1
+    _, sv, Vh = np.linalg.svd(superoperator(make_spec(cfg)).toarray())
+    assert np.sum(sv < 1e-10 * sv[0]) == 1
+    rho_svd = Vh[-1].conj().reshape(16, 16)
+    rho_svd = rho_svd / np.trace(rho_svd)
+    rho = fixed_point_oracle(cfg)
     assert abs(np.trace(rho) - 1.0) < TOL
     assert np.linalg.norm(rho - rho.conj().T) < TOL
+    assert np.linalg.norm(rho - rho_svd) <= 1e-12
+
+
+@pytest.mark.parametrize("n, kept, unique", [
+    (2, (), False),          # no dissipation: whatever commutes with H is stationary
+    (2, (0,), False),        # sigma injection only
+    (2, (0, 2), False),      # sigma in and out: tau is not driven
+    (2, (0, 1), True),       # both species pumped up: all spins up is the one steady state
+    (3, (0, 2), False),      # factors without error; only the condition estimate sees it
+])
+def test_degenerate_generator_raises(monkeypatch, n, kept, unique):
+    """Keeping only some of the jumps s+_1, t+_1, s-_n, t-_n (in that order)
+    leaves a null space of dimension > 1 unless both species are driven.
+    SuperLU may print BLAS "illegal value" lines on an exactly singular
+    factor; they are harmless."""
+    full_spec = lindblad_oracle.make_spec
+
+    def some_jumps(cfg):
+        spec = full_spec(cfg)
+        spec.jump_ops = [spec.jump_ops[k] for k in kept]
+        return spec
+
+    monkeypatch.setattr(lindblad_oracle, "make_spec", some_jumps)
+    cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
+    if unique:
+        assert abs(np.trace(fixed_point_oracle(cfg)) - 1.0) < TOL
+    else:
+        with pytest.raises(UniquenessViolation):
+            fixed_point_oracle(cfg)
 
 
 def test_oracle_state_is_stationary():
