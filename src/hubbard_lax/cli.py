@@ -21,7 +21,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -95,12 +94,13 @@ def _values(args, key, default, parse=float):
     return [parse(x) for x in (raw if isinstance(raw, (list, tuple)) else [raw])]
 
 
-def _chain_length(raw) -> int:
-    """A chain length exactly as given: 2.9 is refused, never rounded."""
+def _whole(raw, what: str = "chain length") -> int:
+    """A chain length, or the integer option `what`, exactly as given: 2.9 is
+    refused, never rounded."""
     try:
         return int(str(raw))
     except ValueError:
-        raise ValueError(f"chain length must be a whole number, got {raw!r}") from None
+        raise ValueError(f"{what} must be a whole number, got {raw!r}") from None
 
 
 def _driving_from_args(args) -> DrivingConfig:
@@ -116,7 +116,7 @@ def _driving_from_args(args) -> DrivingConfig:
         mu_L=float(_merged(args, "muL", 0.0)),
         mu_R=float(_merged(args, "muR", 0.0)),
         u=float(need("u")),
-        n_sites=_chain_length(need("n")),
+        n_sites=_whole(need("n")),
     )
 
 
@@ -125,12 +125,12 @@ def _driving_from_args(args) -> DrivingConfig:
 
 def cmd_verify(args) -> int:
     tol = float(_merged(args, "tol"))
-    seed = int(_merged(args, "seed"))
-    samples = int(_merged(args, "samples", 5))
+    seed = _whole(_merged(args, "seed"), "seed")
+    samples = _whole(_merged(args, "samples", 5), "samples")
     if args.K is not None:
-        cutoffs = (int(args.K),)
+        cutoffs = (_whole(args.K, "K"),)
     else:
-        cutoffs = tuple(_merged(args, "cutoffs", (3, 4, 5)))
+        cutoffs = tuple(_values(args, "cutoffs", (3, 4, 5), lambda K: _whole(K, "cutoffs")))
     pts = sample_params(samples, seed=seed)
     if args.u is None:
         reports = verify_suite(num_samples=samples, cutoffs=cutoffs, tol=tol, seed=seed)
@@ -243,7 +243,7 @@ def cmd_observe(args) -> int:
         "cosine_fit": cosine_profile_fit(obs.densities_sigma),
     }
     if args.scaling:
-        ns = _values(args, "scaling", None, _chain_length)
+        ns = _values(args, "scaling", None, _whole)
         series = current_series(cfg, ns)
         doc["scaling"] = {
             "series": [[n, J] for n, J in series],
@@ -266,10 +266,10 @@ def cmd_observe(args) -> int:
 
 
 def cmd_commute(args) -> int:
-    seed = int(_merged(args, "seed"))
+    seed = _whole(_merged(args, "seed"), "seed")
     u = float(_merged(args, "u", 1.0))
-    npairs = int(_merged(args, "pairs", 20))
-    ns = _values(args, "n", "2,3,4", _chain_length)
+    npairs = _whole(_merged(args, "pairs", 20), "pairs")
+    ns = _values(args, "n", "2,3,4", _whole)
     pairs = sample_pairs(npairs, seed=seed)
     all_reports = {}
     for n in ns:
@@ -305,7 +305,7 @@ def _sweep_one(kwargs):
 
 
 def cmd_sweep(args) -> int:
-    ns = _values(args, "n", "2,3", _chain_length)
+    ns = _values(args, "n", "2,3", _whole)
     gLs = _values(args, "gammaL", "1.0")
     gRs = _values(args, "gammaR", "1.0")
     muLs = _values(args, "muL", "0.0")
@@ -315,8 +315,14 @@ def cmd_sweep(args) -> int:
         dict(gamma_L=gL, gamma_R=gR, mu_L=mL, mu_R=mR, u=u, n_sites=n)
         for n, gL, gR, mL, mR, u in itertools.product(ns, gLs, gRs, muLs, muRs, us)
     ]
-    workers = int(_merged(args, "workers", 1))
+    workers = _whole(_merged(args, "workers", 1), "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    # a fork pool starts all its processes at once: no more than it can use
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_sweep_one, jobs))
     else:

@@ -3,8 +3,9 @@ species swap.
 
 Each site carries two qubits (sigma first, tau second), local basis ordered
 (up-up, up-down, down-up, down-down); site j occupies tensor factor j, so the
-full dimension is 4^n. Site operators are returned as scipy CSR matrices;
-most consumers densify at small n.
+full dimension is 4^n. site_operator and build_hamiltonian return scipy CSR
+matrices, for the Lindblad oracle and the sparse cross-checks; scipy loads on
+their first call, so the dense 4x4 and 16x16 pieces below cost no scipy import.
 
 Hamiltonian (n >= 2):
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import PAULI, local4
 
@@ -44,9 +44,11 @@ def phys_dim(n: int) -> int:
     return 4**n
 
 
-def site_operator(n: int, j: int, species: int, s: str) -> sp.csr_matrix:
+def site_operator(n: int, j: int, species: int, s: str) -> scipy.sparse.csr_matrix:
     """Operator s (one of +,-,0,z) acting on the sigma (species=0) or tau
     (species=1) qubit of site j (1-based), identity elsewhere."""
+    import scipy.sparse as sp
+
     if not 1 <= j <= n:
         raise ValueError(f"site index {j} out of range 1..{n}")
     before = 2 * (j - 1) + species  # qubits left of the one acted on
@@ -85,8 +87,10 @@ def h_right(u: float, mu_R: float) -> np.ndarray:
     return 0.5 * u * local4("z", "z") + 0.5 * mu_R * (local4("z", "0") + local4("0", "z"))
 
 
-def build_hamiltonian(spec: HamiltonianSpec) -> sp.csr_matrix:
+def build_hamiltonian(spec: HamiltonianSpec) -> scipy.sparse.csr_matrix:
     """Assemble H as a sparse CSR matrix."""
+    import scipy.sparse as sp
+
     n, u = spec.n_sites, spec.u
     H = sp.csr_matrix((phys_dim(n), phys_dim(n)), dtype=complex)
     for j in range(1, n):

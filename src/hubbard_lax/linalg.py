@@ -23,9 +23,16 @@ SPIN_LABELS = ("+", "-", "0", "z")
 MAX_CHAIN_BYTES = 1 << 30
 
 
+# The 16 ladder-site operators sigma^s tau^t, built once and read-only.
+_LOCAL4 = {(s, t): np.kron(PAULI[s], PAULI[t]) for s in SPIN_LABELS for t in SPIN_LABELS}
+for _op in _LOCAL4.values():
+    _op.flags.writeable = False
+
+
 def local4(s: str, t: str) -> np.ndarray:
-    """Dense 4x4 operator sigma^s tau^t on one ladder site (sigma qubit first)."""
-    return np.kron(PAULI[s], PAULI[t])
+    """Dense 4x4 operator sigma^s tau^t on one ladder site (sigma qubit
+    first): a shared read-only array, so copy it before writing."""
+    return _LOCAL4[s, t]
 
 
 def lift(phys: dict, comps: dict) -> np.ndarray:

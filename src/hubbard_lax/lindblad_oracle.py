@@ -8,6 +8,8 @@ apply_lindbladian evaluates
 with H and the jump operators held sparse (CSR), by sparse-times-dense
 products for any n. fixed_point_oracle solves S vec(rho) = 0 by sparse LU
 (n <= 3), where superoperator assembles S as a sparse 16^n x 16^n matrix.
+scipy loads on first use, inside the functions that build these sparse
+matrices, so importing this module costs none of it.
 
 Superoperator convention: density matrices are vectorized row-major
 (numpy reshape order), giving
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .hubbard_model import HamiltonianSpec, build_hamiltonian, phys_dim, site_operator
 from .ness_engine import DrivingConfig
@@ -37,7 +38,7 @@ class UniquenessViolation(RuntimeError):
 @dataclass
 class LindbladSpec:
     cfg: DrivingConfig
-    H: sparse.csr_matrix = field(default=None, repr=False)
+    H: scipy.sparse.csr_matrix = field(default=None, repr=False)
     jump_ops: list = field(default_factory=list, repr=False)
 
 
@@ -76,9 +77,11 @@ def _refuse_large(n: int):
         raise ValueError(f"the Lindblad oracle is limited to n <= {ORACLE_MAX_SITES}, got n={n}")
 
 
-def superoperator(spec: LindbladSpec) -> sparse.csr_matrix:
+def superoperator(spec: LindbladSpec) -> scipy.sparse.csr_matrix:
     """Sparse 16^n x 16^n matrix of the generator (row-major vectorization)."""
     _refuse_large(spec.cfg.n_sites)
+    from scipy import sparse
+
     eye = sparse.identity(spec.H.shape[0], format="csr")
     S = -1j * (sparse.kron(spec.H, eye) - sparse.kron(eye, spec.H.T))
     for L in spec.jump_ops:
@@ -98,6 +101,7 @@ def fixed_point_oracle(cfg: DrivingConfig) -> np.ndarray:
     1 / NULL_SPACE_RTOL, raises UniquenessViolation.
     """
     _refuse_large(cfg.n_sites)
+    from scipy import sparse
     from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
 
     d = phys_dim(cfg.n_sites)

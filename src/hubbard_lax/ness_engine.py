@@ -49,7 +49,6 @@ import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import sparse
 
 from .aux_space import AuxSpace, AuxVertex, build_aux_space
 from .hubbard_model import h_left, h_right
@@ -418,6 +417,8 @@ class _PairSide:
     """
 
     def __init__(self, A: np.ndarray):
+        from scipy import sparse
+
         da = A.shape[2]
         self.da = da
         At = A.transpose(0, 2, 1, 3)  # [p, a, q, b]

@@ -1,8 +1,12 @@
+import concurrent.futures
 import csv
 import json
+import os
 import resource
 import subprocess
 import sys
+
+import pytest
 
 BASE = [sys.executable, "-m", "hubbard_lax.cli"]
 
@@ -190,11 +194,68 @@ def test_config_refuses_keys_no_option_reads(tmp_path):
     r = run("ness", "--config", str(cfg), "--out", str(tmp_path))
     assert r.returncode == 2
     assert "K, bogus" in r.stderr
-    # verify alone reads a cutoff list from a config file
-    cfg.write_text(json.dumps({"cutoffs": [3], "samples": 1, "seed": 7}))
-    r = run("verify", "--config", str(cfg), "--out", str(tmp_path))
-    assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout)["cutoffs"] == [3]
+    # verify alone reads a cutoff list, or a single cutoff, from a config file
+    for cutoffs in ([3], 3):
+        cfg.write_text(json.dumps({"cutoffs": cutoffs, "samples": 1, "seed": 7}))
+        r = run("verify", "--config", str(cfg), "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["cutoffs"] == [3]
+
+
+@pytest.mark.parametrize("cmd, key, value", [
+    ("verify", "K", 3.9),
+    ("verify", "cutoffs", [3.5]),
+    ("verify", "samples", 1.7),
+    ("verify", "seed", 7.5),
+    ("commute", "pairs", 2.5),
+    ("commute", "seed", 5.5),
+    ("sweep", "workers", 1.5),
+])
+def test_config_integers_are_whole_numbers(tmp_path, capsys, cmd, key, value):
+    # int() would truncate these and run something else than was asked
+    from hubbard_lax import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"{key} must be a whole number" in capsys.readouterr().err
+
+
+def test_sweep_pool_is_bounded(tmp_path, monkeypatch, capsys):
+    # a fork pool starts every worker at once, so its size must be bounded by
+    # the rows and the cores; the fake pool records it and starts nothing
+    from hubbard_lax import cli
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    args = ["sweep", "--n", "2", "--u", "1,2,3", "--out", str(tmp_path)]
+    assert cli.main(args + ["--workers", "2"]) == 0
+    # checked before any large value, so that no real pool of that size starts
+    assert sizes == [2]
+    assert cli.main(args + ["--workers", "100000"]) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.main(args + ["--workers", "100000"]) == 0
+    assert sizes == [2, 3, 2]
+    capsys.readouterr()
+    for bad in ("0", "-3"):
+        assert cli.main(args + ["--workers", bad]) == 2
+        assert f"workers must be at least 1, got {bad}" in capsys.readouterr().err
+    assert sizes == [2, 3, 2]
 
 
 def test_observe_csv(tmp_path):

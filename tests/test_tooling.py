@@ -1,9 +1,14 @@
 """The benchmark's tracer looks up each traced function by name at run time,
-so a renamed function would silently break traced runs; this pins the names."""
+so a renamed function would silently break traced runs; this pins the names.
+The cold-start checks pin which commands pay for importing scipy and the
+process pool: only the ones that use them."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "benchmarks" / "trace_child.py"
 
@@ -21,3 +26,31 @@ def test_trace_spans_resolve():
             name = "cmd_" + name
         fn = getattr(sys.modules["hubbard_lax." + module], name, None)
         assert callable(fn), span
+
+
+def _heavy_modules_loaded(code: str, *argv: str) -> str:
+    """The sorted list, as printed, of the packages among scipy and
+    multiprocessing that a fresh interpreter holds after running code."""
+    probe = (code + "\nprint(sorted({m.partition('.')[0] for m in sys.modules}"
+             " & {'scipy', 'multiprocessing'}))")
+    r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy_or_process_pool():
+    assert _heavy_modules_loaded("import sys, hubbard_lax.cli") == "[]"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["verify", "--K", "3"], "[]"),
+    (["commute"], "[]"),
+    (["ness", "--n", "3", "--u", "1"], "[]"),
+    (["observe", "--n", "5", "--u", "1"], "[]"),
+    (["sweep", "--n", "2,3"], "[]"),
+    # the probe sees scipy where a command does load it
+    (["oracle", "--n", "2", "--u", "1"], "['scipy']"),
+])
+def test_commands_load_scipy_only_where_used(tmp_path, argv, loaded):
+    run = "import sys\nfrom hubbard_lax.cli import main\nassert main(sys.argv[1:]) == 0"
+    assert _heavy_modules_loaded(run, *argv, "--out", str(tmp_path)) == loaded
