@@ -9,10 +9,12 @@ Subpackages are plain modules:
 - aux_space: the auxiliary vertex graph, index map, and its reflection
 - lax_builder: the S/T/X/Y operator tables and assembled Lax components
 - algebra_verifier: residual checks for all defining operator identities
-- hubbard_model: the physical ladder Hamiltonian and site operators
+- hubbard_model: the physical ladder Hamiltonian as local terms, and their
+  dense embedding in the chain
 - ness_engine: the transfer tensor and Omega, steady-state construction,
   doubled-operator telescoping and boundary checks, environment engine
-- lindblad_oracle: brute-force Lindblad fixed point for tiny chains
+- lindblad_oracle: the Lindblad generator from local terms, and its fixed
+  point per coherence sector for tiny chains
 - observables: densities, currents, scaling fits
 - transfer_commutativity: commuting-family probe
 - cli: command-line front end

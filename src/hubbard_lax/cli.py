@@ -131,6 +131,9 @@ def cmd_verify(args) -> int:
         cutoffs = (_whole(args.K, "K"),)
     else:
         cutoffs = tuple(_values(args, "cutoffs", (3, 4, 5), lambda K: _whole(K, "cutoffs")))
+    if not cutoffs or samples < 1:
+        raise ValueError(f"verify needs at least one cutoff and one sample, got "
+                         f"cutoffs {list(cutoffs)} and {samples} samples")
     pts = sample_params(samples, seed=seed)
     if args.u is None:
         reports = verify_suite(num_samples=samples, cutoffs=cutoffs, tol=tol, seed=seed)
@@ -198,7 +201,7 @@ def cmd_oracle(args) -> int:
     cfg = _driving_from_args(args)
     tol = float(_merged(args, "tol"))
     rho_oracle = fixed_point_oracle(cfg)
-    res = build_ness(cfg)
+    res = build_ness(cfg, compute_spectrum=False)
     dist = float(np.linalg.norm(res.rho - rho_oracle))
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -1,30 +1,40 @@
-"""Brute-force Lindblad dynamics for tiny chains.
-
-Serves as the independent oracle for the transfer-operator steady state:
-apply_lindbladian evaluates
+"""Brute-force Lindblad dynamics for tiny chains, on numpy alone: the
+independent oracle for the transfer-operator steady state. The generator
 
     Ldot(rho) = -i[H, rho] + sum_k ( 2 L_k rho L_k^dag - {L_k^dag L_k, rho} )
+              = K rho + rho K^dag + 2 sum_k L_k rho L_k^dag,  K = -iH - sum_k L_k^dag L_k,
 
-with H and the jump operators held sparse (CSR), by sparse-times-dense
-products for any n. fixed_point_oracle solves S vec(rho) = 0 by sparse LU
-(n <= 3), where superoperator assembles S as a sparse 16^n x 16^n matrix.
-scipy loads on first use, inside the functions that build these sparse
-matrices, so importing this module costs none of it.
+keeps H as its local terms and the jumps as (4x4 operator, site) pairs;
+apply_lindbladian folds K into one 16x16 term per bond and applies every term
+as a batched matmul on a reshape of rho.
 
-Superoperator convention: density matrices are vectorized row-major
-(numpy reshape order), giving
+H conserves the charges (S, T) = (sum_j sz_j, sum_j tz_j) and each jump
+shifts them by a fixed amount on bra and ket alike, so the generator keeps
+|a><b| in its coherence sector (S, T)(a) - (S, T)(b): with row-major
+vectorization, vec(A rho B) = (A (x) B^T) vec(rho), the superoperator
 
-    S = -i (H (x) 1 - 1 (x) H^T)
-        + sum_k [ 2 L_k (x) conj(L_k) - (L_k^dag L_k) (x) 1 - 1 (x) (L_k^dag L_k)^T ]
+    S = K (x) 1 + 1 (x) conj(K) + 2 sum_k L_k (x) conj(L_k)
+
+is block diagonal, in 49 blocks of at most 400 rows at n = 3. superoperator
+asserts this selection rule before it builds the blocks densely. Only the
+zero sector holds the steady state: the charge rotations commute with the
+generator, so a unique steady state commutes with S and T; and the null
+space of a Lindblad generator is spanned by density matrices, so when the
+steady state is unique (Evans' irreducibility criterion, Commun. Math. Phys.
+54, 293 (1977), gives it in general) every other block is invertible.
+fixed_point_oracle certifies exactly that, block by block; the tests'
+full-space SVD confirms it at n = 2.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hubbard_model import HamiltonianSpec, build_hamiltonian, phys_dim, site_operator
+from .hubbard_model import build_hamiltonian, phys_dim, site_operator
+from .linalg import local4
 from .ness_engine import DrivingConfig
 
 NULL_SPACE_RTOL = 1e-10
@@ -38,92 +48,126 @@ class UniquenessViolation(RuntimeError):
 @dataclass
 class LindbladSpec:
     cfg: DrivingConfig
-    H: scipy.sparse.csr_matrix = field(default=None, repr=False)
-    jump_ops: list = field(default_factory=list, repr=False)
+    H: list = field(default_factory=list, repr=False)
+    jumps: list = field(default_factory=list, repr=False)
 
 
 def make_spec(cfg: DrivingConfig) -> LindbladSpec:
-    """Hamiltonian plus the four boundary jump operators
-    sqrt(G_L) s+_1, sqrt(G_L) t+_1, sqrt(G_R) s-_n, sqrt(G_R) t-_n."""
+    """H as its local terms plus the four boundary jumps sqrt(G_L) s+_1,
+    sqrt(G_L) t+_1, sqrt(G_R) s-_n, sqrt(G_R) t-_n as (4x4 operator, site)."""
     n = cfg.n_sites
-    H = build_hamiltonian(
-        HamiltonianSpec(n_sites=n, u=cfg.u, mu_L=cfg.mu_L, mu_R=cfg.mu_R))
+    H = build_hamiltonian(n, cfg.u, cfg.mu_L, cfg.mu_R)
     gl, gr = np.sqrt(cfg.gamma_L), np.sqrt(cfg.gamma_R)
-    jumps = [
-        gl * site_operator(n, 1, 0, "+"),
-        gl * site_operator(n, 1, 1, "+"),
-        gr * site_operator(n, n, 0, "-"),
-        gr * site_operator(n, n, 1, "-"),
-    ]
-    return LindbladSpec(cfg=cfg, H=H, jump_ops=jumps)
+    jumps = [(gl * local4("+", "0"), 1), (gl * local4("0", "+"), 1),
+             (gr * local4("-", "0"), n), (gr * local4("0", "-"), n)]
+    return LindbladSpec(cfg=cfg, H=H, jumps=jumps)
+
+
+def _bond_terms(spec: LindbladSpec):
+    """K as one 16x16 term per bond j, j+1, as (j, term): a one-site piece
+    joins the bond to its right, or on site n the bond to its left."""
+    n = spec.cfg.n_sites
+    K = dict.fromkeys(range(1, n), 0.0)
+    for op, j in [(-1j * h, j) for h, j in spec.H] + [(-(L.conj().T @ L), j) for L, j in spec.jumps]:
+        b = min(j, n - 1)
+        K[b] = K[b] + site_operator(2, j - b + 1, op)
+    return K.items()
+
+
+def _on_sites(op: np.ndarray, j: int, x: np.ndarray, bra: bool = False) -> np.ndarray:
+    """op x (or x op, with bra) for op on the sites j, j+1, ... of the ket (bra)
+    index of the d x d matrix x: one batched matmul on a reshape of x."""
+    d, m = len(x), len(op)
+    left = 4 ** (j - 1) * (d if bra else 1)
+    right = x.size // (left * m)
+    if bra:
+        if right == 1:
+            # the last sites: one plain matmul, not d^2/m tiny batched ones
+            return (x.reshape(left, m) @ op).reshape(d, d)
+        op = op.T
+    return np.matmul(op, x.reshape(left, m, right)).reshape(d, d)
 
 
 def apply_lindbladian(spec: LindbladSpec, rho: np.ndarray) -> np.ndarray:
-    """Ldot(rho) without ever forming the superoperator."""
+    """Ldot(rho) from the local terms, without any 4^n-dimensional operator."""
     rho = np.asarray(rho)
-    d = spec.H.shape[0]
+    d = phys_dim(spec.cfg.n_sites)
     if rho.shape != (d, d):
         raise ValueError(f"state shape {rho.shape} does not match dimension {d}")
-    out = -1j * (spec.H @ rho - rho @ spec.H)
-    for L in spec.jump_ops:
-        Ld = L.conj().T
-        LdL = Ld @ L
-        out += 2.0 * L @ rho @ Ld - LdL @ rho - rho @ LdL
+    out = np.zeros((d, d), dtype=complex)
+    for j, k in _bond_terms(spec):
+        out += _on_sites(k, j, rho)
+        out += _on_sites(k.conj().T, j, rho, bra=True)
+    for L, j in spec.jumps:
+        out += 2.0 * _on_sites(L.conj().T, j, _on_sites(L, j, rho), bra=True)
     return out
 
 
-def _refuse_large(n: int):
+def superoperator(spec: LindbladSpec) -> list:
+    """The generator S as dense blocks on its coherence sectors, the zero
+    sector first: (kets, bras, block), where row i of the block is the entry
+    (kets[i], bras[i]) of rho. Raises ValueError if H or a jump breaks the
+    charge selection rule."""
+    n = spec.cfg.n_sites
     if n > ORACLE_MAX_SITES:
         raise ValueError(f"the Lindblad oracle is limited to n <= {ORACLE_MAX_SITES}, got n={n}")
-
-
-def superoperator(spec: LindbladSpec) -> scipy.sparse.csr_matrix:
-    """Sparse 16^n x 16^n matrix of the generator (row-major vectorization)."""
-    _refuse_large(spec.cfg.n_sites)
-    from scipy import sparse
-
-    eye = sparse.identity(spec.H.shape[0], format="csr")
-    S = -1j * (sparse.kron(spec.H, eye) - sparse.kron(eye, spec.H.T))
-    for L in spec.jump_ops:
-        LdL = L.conj().T @ L
-        S = S + 2.0 * sparse.kron(L, L.conj()) - sparse.kron(LdL, eye) - sparse.kron(eye, LdL.T)
-    return S.tocsr()
+    # (up sigma spins) * (2n + 1) + (up tau spins) of each basis state (site
+    # states uu, ud, du, dd): a difference of codes fixes both charge differences
+    code = functools.reduce(np.add.outer, [np.array([2 * n + 2, 2 * n + 1, 1, 0])] * n).ravel()
+    H = sum(site_operator(n, j, h) for h, j in spec.H)
+    Ls = [site_operator(n, j, L) for L, j in spec.jumps]
+    for what, op in [("H", H)] + [(f"jump {k}", L) for k, L in enumerate(Ls)]:
+        rows, cols = np.nonzero(op)
+        if np.unique(code[rows] - code[cols]).size > 1:
+            raise ValueError(f"{what} breaks the charge selection rule: it shifts "
+                             "(S, T) by more than one amount")
+    K = -1j * H - sum(L.conj().T @ L for L in Ls)
+    terms = [(K, np.eye(len(K))), (np.eye(len(K)), K.conj())] + [(2.0 * L, L.conj()) for L in Ls]
+    groups = {c: np.flatnonzero(code == c) for c in np.unique(code)}
+    blocks = []
+    for delta in sorted({a - b for a in groups for b in groups}, key=abs):
+        pairs = [(groups[c], groups[c - delta]) for c in groups if c - delta in groups]
+        kets = np.concatenate([np.repeat(a, len(b)) for a, b in pairs])
+        bras = np.concatenate([np.tile(b, len(a)) for a, b in pairs])
+        ket, bra = np.ix_(kets, kets), np.ix_(bras, bras)
+        blocks.append((kets, bras, sum(A[ket] * B[bra] for A, B in terms)))
+    return blocks
 
 
 def fixed_point_oracle(cfg: DrivingConfig) -> np.ndarray:
-    """The steady state, Hermitized, from one sparse LU solve.
+    """The steady state, Hermitized, from the blocks of the generator.
 
-    The rho_00 equation of S vec(rho) = 0 gives way to tr(rho) = 1 in the
-    bordered matrix B; it follows from the others, as the trace is a left
-    null vector of S. So Bx = 0 means Sx = 0 and tr x = 0, and B is singular
-    exactly when the null space of S holds more than the one state: a
-    singular factor, or a 1-norm condition estimate of B above
-    1 / NULL_SPACE_RTOL, raises UniquenessViolation.
+    The rho_00 equation of the zero-sector block gives way to tr(rho) = 1 in
+    the bordered matrix B; it follows from the others, as the trace is a left
+    null vector of S. So Bx = 0 means Sx = 0 and tr x = 0, and B, block
+    diagonal like S, is singular exactly when the null space of S holds more
+    than the one state. A singular block, or the exact 1-norm condition
+    number cond(B) = max_k |B_k| max_k |B_k^-1| above 1 / NULL_SPACE_RTOL,
+    raises UniquenessViolation.
     """
-    _refuse_large(cfg.n_sites)
-    from scipy import sparse
-    from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
-
-    d = phys_dim(cfg.n_sites)
-    S = superoperator(make_spec(cfg))
-    # row 0 becomes the trace functional, vec(identity)
-    B = sparse.vstack([np.eye(d).reshape(1, -1), S[1:]], format="csc")
-    try:
-        lu = splu(B)
-    except RuntimeError as e:
-        raise UniquenessViolation(f"steady state is not unique: {e}") from e
-    inv = LinearOperator(B.shape, lu.solve, rmatvec=lambda x: lu.solve(x, "H"), dtype=complex)
-    cond = onenormest(inv) * norm(B, 1)
+    blocks = superoperator(make_spec(cfg))
+    kets, bras, B0 = blocks[0]
+    rho00 = np.flatnonzero((kets == 0) & (bras == 0))[0]
+    B0[rho00] = kets == bras  # the trace functional
+    norm = inv_norm = 0.0
+    for _, _, B in blocks:
+        try:
+            inv = np.linalg.inv(B)
+        except np.linalg.LinAlgError as e:
+            raise UniquenessViolation(f"steady state is not unique: {e}") from e
+        norm = max(norm, np.linalg.norm(B, 1))
+        inv_norm = max(inv_norm, np.linalg.norm(inv, 1))
+        if B is B0:
+            x = inv[:, rho00]
+    cond = norm * inv_norm
     if not cond <= 1.0 / NULL_SPACE_RTOL:
-        raise UniquenessViolation(f"steady state is not unique: condition estimate "
+        raise UniquenessViolation(f"steady state is not unique: condition number "
                                   f"{cond:.3g} of the bordered generator > 1/NULL_SPACE_RTOL")
-    rho = lu.solve(np.eye(1, d * d, dtype=complex)[0]).reshape(d, d)
+    rho = np.zeros((phys_dim(cfg.n_sites),) * 2, dtype=complex)
+    rho[kets, bras] = x
     return 0.5 * (rho + rho.conj().T)
 
 
 def fixed_point_residual(cfg: DrivingConfig, rho: np.ndarray) -> float:
     """|| Ldot(rho) ||_F / || rho ||_F — the cheap large-n validation."""
-    spec = make_spec(cfg)
-    return float(
-        np.linalg.norm(apply_lindbladian(spec, rho)) / np.linalg.norm(rho)
-    )
+    return float(np.linalg.norm(apply_lindbladian(make_spec(cfg), rho)) / np.linalg.norm(rho))

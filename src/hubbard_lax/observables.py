@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hubbard_model import SIGMA, TAU, site_operator
+from .hubbard_model import SIGMA, TAU
 from .linalg import local4
 from .ness_engine import DrivingConfig, NessResult, build_ness, local_expectations
 
@@ -49,17 +49,6 @@ def expectation(rho: np.ndarray, obs) -> complex:
     if rho.shape != obs.shape:
         raise ValueError(f"shape mismatch {rho.shape} vs {obs.shape}")
     return complex((obs.multiply(rho.T) if sparse else rho.T * obs).sum())
-
-
-def current_operator(n: int, j: int, species: int):
-    """Cross-check of the dense reader: the sparse 4^n x 4^n operator
-    J_{j,j+1} = 4i (x+_j x-_{j+1} - x-_j x+_{j+1}) for species x."""
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"bond index {j} out of range 1..{n - 1}")
-    return 4j * (
-        site_operator(n, j, species, "+") @ site_operator(n, j + 1, species, "-")
-        - site_operator(n, j, species, "-") @ site_operator(n, j + 1, species, "+")
-    )
 
 
 def _real(z: complex, what: str) -> float:

@@ -1,15 +1,19 @@
-"""Shared driving configurations for the oracle cross-checks, the
-species-swap and total-magnetization operators the symmetry tests use, the
-auxiliary-space gauge the gauge-invariance tests apply, and the text labels
-of auxiliary vertices the operator-table tests read.
+"""Shared driving configurations for the oracle cross-checks, the kron-built
+reference operators (site operators, the Hamiltonian from its global formula,
+the bond current and the Lindblad generator, all scipy CSR) that the
+local-term code of the package is checked against, the species-swap and
+total-magnetization operators the symmetry tests use, the auxiliary-space
+gauge the gauge-invariance tests apply, and the text labels of auxiliary
+vertices the operator-table tests read.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from hubbard_lax.aux_space import AuxSpace, AuxVertex
-from hubbard_lax.hubbard_model import phys_dim, site_operator
+from hubbard_lax.hubbard_model import SIGMA, TAU, phys_dim
 from hubbard_lax.lax_builder import LaxFamily
+from hubbard_lax.linalg import PAULI
 from hubbard_lax.ness_engine import DrivingConfig
 
 # asymmetric rates, asymmetric potentials, and a symmetric-rate control
@@ -22,6 +26,80 @@ CANONICAL_DRIVINGS = (
 
 def canonical_configs(n_sites):
     return [DrivingConfig(*d, n_sites) for d in CANONICAL_DRIVINGS]
+
+
+def kron_site_operator(n: int, j: int, species: int, s: str) -> sp.csr_matrix:
+    """Reference: the operator s (one of +,-,0,z) on the sigma (species=0) or
+    tau (species=1) qubit of site j (1-based), identity elsewhere, by kron."""
+    if not 1 <= j <= n:
+        raise ValueError(f"site index {j} out of range 1..{n}")
+    before = 2 * (j - 1) + species  # qubits left of the one acted on
+    left = sp.identity(2**before, format="csr", dtype=complex)
+    right = sp.identity(2 ** (2 * n - before - 1), format="csr", dtype=complex)
+    return sp.kron(sp.kron(left, PAULI[s], format="csr"), right, format="csr")
+
+
+def kron_hamiltonian(n: int, u: float, mu_L: float = 0.0, mu_R: float = 0.0) -> sp.csr_matrix:
+    """Reference: H from its global formula, term by term from kron-built
+    site operators, independent of the local terms h_bond, h_left, h_right."""
+    op = kron_site_operator
+    H = sp.csr_matrix((phys_dim(n), phys_dim(n)), dtype=complex)
+    for j in range(1, n):
+        for q in (SIGMA, TAU):
+            H = H + 2.0 * (op(n, j, q, "+") @ op(n, j + 1, q, "-")
+                           + op(n, j, q, "-") @ op(n, j + 1, q, "+"))
+    for j in range(1, n + 1):
+        H = H + u * (op(n, j, SIGMA, "z") @ op(n, j, TAU, "z"))
+    H = H + 0.5 * mu_L * (op(n, 1, SIGMA, "z") + op(n, 1, TAU, "z"))
+    H = H + 0.5 * mu_R * (op(n, n, SIGMA, "z") + op(n, n, TAU, "z"))
+    return H.tocsr()
+
+
+def current_operator(n: int, j: int, species: int) -> sp.csr_matrix:
+    """Reference: J_{j,j+1} = 4i (x+_j x-_{j+1} - x-_j x+_{j+1}) for species x."""
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"bond index {j} out of range 1..{n - 1}")
+    op = kron_site_operator
+    return 4j * (op(n, j, species, "+") @ op(n, j + 1, species, "-")
+                 - op(n, j, species, "-") @ op(n, j + 1, species, "+"))
+
+
+def _kron_generator_parts(cfg: DrivingConfig):
+    """The CSR H and jumps sqrt(G_L) s+_1, sqrt(G_L) t+_1, sqrt(G_R) s-_n,
+    sqrt(G_R) t-_n of the reference generator."""
+    n = cfg.n_sites
+    H = kron_hamiltonian(n, cfg.u, cfg.mu_L, cfg.mu_R)
+    gl, gr = np.sqrt(cfg.gamma_L), np.sqrt(cfg.gamma_R)
+    jumps = [gl * kron_site_operator(n, 1, SIGMA, "+"), gl * kron_site_operator(n, 1, TAU, "+"),
+             gr * kron_site_operator(n, n, SIGMA, "-"), gr * kron_site_operator(n, n, TAU, "-")]
+    return H, jumps
+
+
+def kron_lindbladian(cfg: DrivingConfig, rho: np.ndarray) -> np.ndarray:
+    """Reference: -i[H, rho] + sum_k (2 L_k rho L_k^dag - {L_k^dag L_k, rho})
+    with the CSR H and jumps, term by term as written."""
+    H, jumps = _kron_generator_parts(cfg)
+    out = -1j * (H @ rho - rho @ H)
+    for L in jumps:
+        Ld = L.conj().T
+        LdL = Ld @ L
+        out += 2.0 * L @ rho @ Ld - LdL @ rho - rho @ LdL
+    return out
+
+
+def kron_superoperator(cfg: DrivingConfig) -> sp.csr_matrix:
+    """Reference: the full 16^n x 16^n CSR generator (row-major vectorization),
+
+        S = -i (H (x) 1 - 1 (x) H^T)
+            + sum_k [ 2 L_k (x) conj(L_k) - (L_k^dag L_k) (x) 1 - 1 (x) (L_k^dag L_k)^T ].
+    """
+    H, jumps = _kron_generator_parts(cfg)
+    eye = sp.identity(H.shape[0], format="csr")
+    S = -1j * (sp.kron(H, eye) - sp.kron(eye, H.T))
+    for L in jumps:
+        LdL = L.conj().T @ L
+        S = S + 2.0 * sp.kron(L, L.conj()) - sp.kron(LdL, eye) - sp.kron(eye, LdL.T)
+    return S.tocsr()
 
 
 def spin_flip_G(n: int) -> sp.csr_matrix:
@@ -42,7 +120,7 @@ def spin_flip_G(n: int) -> sp.csr_matrix:
 def total_magnetization(n: int, species: int) -> sp.csr_matrix:
     out = sp.csr_matrix((phys_dim(n), phys_dim(n)), dtype=complex)
     for j in range(1, n + 1):
-        out = out + site_operator(n, j, species, "z")
+        out = out + kron_site_operator(n, j, species, "z")
     return out.tocsr()
 
 

@@ -136,7 +136,7 @@ def test_criterion_04_oracle_match():
             rho_oracle = fixed_point_oracle(cfg)
             dists.append(float(np.linalg.norm(rho - rho_oracle)))
     ok = max(dists) <= ORACLE_TOL
-    _verdict(4, ok, f"steady state vs sparse-LU Lindblad oracle, n=2,3 x 3 "
+    _verdict(4, ok, f"steady state vs per-sector Lindblad oracle, n=2,3 x 3 "
                     f"drivings: worst Frobenius {max(dists):.2e} "
                     f"(tol {ORACLE_TOL:.0e})")
     assert ok

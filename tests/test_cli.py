@@ -202,6 +202,20 @@ def test_config_refuses_keys_no_option_reads(tmp_path):
         assert json.loads(r.stdout)["cutoffs"] == [3]
 
 
+@pytest.mark.parametrize("config, flags", [
+    ({"cutoffs": []}, ["--samples", "1"]),
+    ({}, ["--K", "3", "--samples", "0"]),
+])
+def test_verify_refuses_to_check_nothing(tmp_path, config, flags):
+    # no cutoff or no sample runs no identity check, so all_passed would be vacuous
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    r = run("verify", "--config", str(cfg), *flags, "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "verify needs at least one cutoff and one sample" in r.stderr
+    assert not (tmp_path / "verify.json").exists()
+
+
 @pytest.mark.parametrize("cmd, key, value", [
     ("verify", "K", 3.9),
     ("verify", "cutoffs", [3.5]),

@@ -1,11 +1,11 @@
 import itertools
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
-from conftest import spin_flip_G, total_magnetization
+from conftest import kron_hamiltonian, kron_site_operator, spin_flip_G, total_magnetization
 from hubbard_lax.hubbard_model import (
-    HamiltonianSpec,
     build_hamiltonian,
     h_bond,
     h_left,
@@ -13,13 +13,14 @@ from hubbard_lax.hubbard_model import (
     phys_dim,
     site_operator,
 )
-from hubbard_lax.linalg import PAULI, SPIN_LABELS
+from hubbard_lax.linalg import PAULI, SPIN_LABELS, local4
 
 TOL = 1e-12
 
 
 def dense(n, **kw):
-    return build_hamiltonian(HamiltonianSpec(n_sites=n, **kw)).toarray()
+    """H summed from its local terms, each embedded densely."""
+    return sum(site_operator(n, j, h) for h, j in build_hamiltonian(n, **kw))
 
 
 def test_species_swap_symmetry():
@@ -30,8 +31,8 @@ def test_species_swap_symmetry():
 
 def test_species_swap_on_site_operators():
     G = spin_flip_G(2).toarray()
-    sp2 = site_operator(2, 2, 0, "+").toarray()
-    tp2 = site_operator(2, 2, 1, "+").toarray()
+    sp2 = site_operator(2, 2, local4("+", "0"))
+    tp2 = site_operator(2, 2, local4("0", "+"))
     assert np.allclose(G @ sp2 @ G, tp2, atol=TOL)
 
 
@@ -54,8 +55,8 @@ def test_interaction_coefficient_every_site():
     diff = H2 - H1
     zz_total = np.zeros_like(H1)
     for j in range(1, n + 1):
-        sz = site_operator(n, j, 0, "z").toarray()
-        tz = site_operator(n, j, 1, "z").toarray()
+        sz = kron_site_operator(n, j, 0, "z").toarray()
+        tz = kron_site_operator(n, j, 1, "z").toarray()
         zz_total += sz @ tz
     assert np.linalg.norm(diff - du * zz_total) < TOL
 
@@ -71,14 +72,14 @@ def test_boundary_fields():
     base = dense(2, u=1.0, mu_L=0.0, mu_R=0.0)
     shifted = dense(2, u=1.0, mu_L=0.8, mu_R=0.0)
     diff = shifted - base
-    sz1 = site_operator(2, 1, 0, "z").toarray()
-    tz1 = site_operator(2, 1, 1, "z").toarray()
+    sz1 = kron_site_operator(2, 1, 0, "z").toarray()
+    tz1 = kron_site_operator(2, 1, 1, "z").toarray()
     assert np.linalg.norm(diff - 0.4 * (sz1 + tz1)) < TOL
 
 
 def test_bond_plus_boundaries_assemble_h():
     n, u, muL, muR = 3, 1.1, 0.5, -0.3
-    H = dense(n, u=u, mu_L=muL, mu_R=muR)
+    H = kron_hamiltonian(n, u, muL, muR).toarray()
     acc = np.zeros_like(H)
     hb = h_bond(u)
     for j in range(1, n):
@@ -86,6 +87,7 @@ def test_bond_plus_boundaries_assemble_h():
     acc += np.kron(h_left(u, muL), np.eye(4 ** (n - 1)))
     acc += np.kron(np.eye(4 ** (n - 1)), h_right(u, muR))
     assert np.linalg.norm(H - acc) < TOL
+    assert np.linalg.norm(dense(n, u=u, mu_L=muL, mu_R=muR) - H) < TOL
 
 
 def test_phys_dim():
@@ -106,8 +108,15 @@ def _site_operator_kron_chain(n, j, species, s):
 def test_site_operator_matches_kron_chain():
     for n in range(1, 6):
         for j, species, s in itertools.product(range(1, n + 1), (0, 1), SPIN_LABELS):
-            got = site_operator(n, j, species, s)
+            op = local4(s, "0") if species == 0 else local4("0", s)
+            got = site_operator(n, j, op)
             want = _site_operator_kron_chain(n, j, species, s)
-            assert got.format == "csr"
             assert got.dtype == want.dtype and got.shape == want.shape
-            assert (got != want).nnz == 0
+            assert np.array_equal(got, want.toarray())
+            assert (kron_site_operator(n, j, species, s) != want).nnz == 0
+
+
+def test_site_operator_refuses_what_does_not_fit():
+    for j in (0, 3):
+        with pytest.raises(ValueError, match="does not fit"):
+            site_operator(3, j, h_bond(1.0))

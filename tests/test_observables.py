@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import CANONICAL_DRIVINGS, spin_flip_G
-from hubbard_lax.hubbard_model import (
-    HamiltonianSpec,
-    build_hamiltonian,
-    site_operator,
+from conftest import (
+    CANONICAL_DRIVINGS,
+    current_operator,
+    kron_hamiltonian,
+    kron_site_operator,
+    spin_flip_G,
 )
 from hubbard_lax.ness_engine import DrivingConfig, build_ness, mpo_expectation
 from hubbard_lax.observables import (
@@ -15,7 +16,6 @@ from hubbard_lax.observables import (
     _PLUS_LOC,
     _SZ_LOC,
     cosine_profile_fit,
-    current_operator,
     current_series,
     current_uniformity,
     expectation,
@@ -31,7 +31,7 @@ UNIFORMITY_TOL = 1e-9
 def test_expectation_basics():
     rho = np.eye(16) / 16.0
     assert abs(expectation(rho, np.eye(16)) - 1.0) < TOL
-    sz1 = site_operator(2, 1, 0, "z").toarray()
+    sz1 = kron_site_operator(2, 1, 0, "z").toarray()
     assert abs(expectation(rho, sz1)) < TOL
 
 
@@ -44,9 +44,9 @@ def test_continuity_identity():
     """i[H, sz_j] == J_{j-1,j} - J_{j,j+1} for a bulk site, with boundary
     fields off so only hopping moves magnetization."""
     n = 4
-    H = build_hamiltonian(HamiltonianSpec(n_sites=n, u=1.3)).toarray()
+    H = kron_hamiltonian(n, u=1.3).toarray()
     j = 2
-    sz = site_operator(n, j, 0, "z").toarray()
+    sz = kron_site_operator(n, j, 0, "z").toarray()
     lhs = 1j * (H @ sz - sz @ H)
     rhs = current_operator(n, j - 1, 0).toarray() - current_operator(n, j, 0).toarray()
     assert np.linalg.norm(lhs - rhs) < TOL
@@ -98,7 +98,7 @@ def test_dense_reader_matches_cross_check(driving, n):
     obs = profile_and_currents(ness)
     for sp, dens, curr in ((0, obs.densities_sigma, obs.currents_sigma),
                            (1, obs.densities_tau, obs.currents_tau)):
-        want = [expectation(ness.rho, site_operator(n, j, sp, "z")).real
+        want = [expectation(ness.rho, kron_site_operator(n, j, sp, "z")).real
                 for j in range(1, n + 1)]
         assert _rel_dev(dens, want) <= TOL
         want = [expectation(ness.rho, current_operator(n, j, sp)).real
@@ -109,7 +109,7 @@ def test_dense_reader_matches_cross_check(driving, n):
 def test_dense_reader_checks_imaginary_parts():
     n = 3
     ness = build_ness(DrivingConfig(*CANONICAL_DRIVINGS[0], n), compute_spectrum=False)
-    rho = ness.rho + 1e-6j * site_operator(n, 1, 0, "z").toarray()
+    rho = ness.rho + 1e-6j * kron_site_operator(n, 1, 0, "z").toarray()
     with pytest.raises(ValueError, match="imaginary part"):
         profile_and_currents(dataclasses.replace(ness, rho=rho))
 

@@ -1,7 +1,8 @@
 """The benchmark's tracer looks up each traced function by name at run time,
 so a renamed function would silently break traced runs; this pins the names.
 The cold-start checks pin which commands pay for importing scipy and the
-process pool: only the ones that use them."""
+process pool: only the ones that use them, which for scipy is the
+environment engine alone."""
 
 import importlib.util
 import subprocess
@@ -48,8 +49,10 @@ def test_cli_import_loads_no_scipy_or_process_pool():
     (["ness", "--n", "3", "--u", "1"], "[]"),
     (["observe", "--n", "5", "--u", "1"], "[]"),
     (["sweep", "--n", "2,3"], "[]"),
-    # the probe sees scipy where a command does load it
-    (["oracle", "--n", "2", "--u", "1"], "['scipy']"),
+    # the probe sees scipy where a command does load it: the CSR engine
+    (["observe", "--n", "6", "--u", "1"], "['scipy']"),
+    (["oracle", "--n", "2", "--u", "1"], "[]"),
+    (["ness", "--n", "3", "--u", "1", "--lindblad-residual"], "[]"),
 ])
 def test_commands_load_scipy_only_where_used(tmp_path, argv, loaded):
     run = "import sys\nfrom hubbard_lax.cli import main\nassert main(sys.argv[1:]) == 0"
