@@ -11,8 +11,8 @@ Subpackages are plain modules:
 - algebra_verifier: residual checks for all defining operator identities
 - hubbard_model: the physical ladder Hamiltonian as local terms, and their
   dense embedding in the chain
-- ness_engine: the transfer tensor and Omega, steady-state construction,
-  doubled-operator telescoping and boundary checks, environment engine
+- ness_engine: Omega, steady-state construction, its local stationarity
+  certificate (bulk divergence and boundary equations), environment engine
 - lindblad_oracle: the Lindblad generator from local terms, and its fixed
   point per coherence sector for tiny chains
 - observables: densities, currents, scaling fits

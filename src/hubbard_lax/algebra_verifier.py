@@ -34,8 +34,7 @@ import numpy as np
 
 from .hubbard_model import h_bond
 from .lax_builder import LaxFamily, LaxParams, assemble_family, xk_entries
-from .linalg import PAULI, SPIN_LABELS, chain, lift, local4
-from .ness_engine import phys_transfer_tensor
+from .linalg import PAULI, SPIN_LABELS, chain, lift, local4, phys_transfer_tensor
 
 DEFAULT_TOL = 1e-10
 EDGE_MARGIN = 2

@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -94,6 +95,14 @@ def _values(args, key, default, parse=float):
     return [parse(x) for x in (raw if isinstance(raw, (list, tuple)) else [raw])]
 
 
+def _tol(args) -> float:
+    """The gate tolerance; inf or nan would pass every gate, and 0 or less none."""
+    tol = float(_merged(args, "tol"))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    return tol
+
+
 def _whole(raw, what: str = "chain length") -> int:
     """A chain length, or the integer option `what`, exactly as given: 2.9 is
     refused, never rounded."""
@@ -124,7 +133,7 @@ def _driving_from_args(args) -> DrivingConfig:
 # subcommands
 
 def cmd_verify(args) -> int:
-    tol = float(_merged(args, "tol"))
+    tol = _tol(args)
     seed = _whole(_merged(args, "seed"), "seed")
     samples = _whole(_merged(args, "samples", 5), "samples")
     if args.K is not None:
@@ -158,13 +167,13 @@ def cmd_verify(args) -> int:
 
 def cmd_ness(args) -> int:
     cfg = _driving_from_args(args)
-    tol = float(_merged(args, "tol"))
+    tol = _tol(args)
     fam = ness_family(cfg)
-    # the doubled checks come first: their size guard refuses a chain too
-    # long for the dense route before the dense state is built
+    # the local certificate contracts no chain; a chain too long for the
+    # dense state is refused by build_ness's guard, before allocating
     dlax = build_double_lax(cfg, fam)
     bc = check_boundary_conditions(dlax, tol=tol)
-    tele_res, tele_scale = check_telescoping(dlax, cfg.n_sites)
+    tele_res, tele_scale = check_telescoping(dlax)
     res = build_ness(cfg, fam)
     lam, om, eta = map_driving_to_params(cfg)
     diag = dict(res.diagnostics)
@@ -187,6 +196,7 @@ def cmd_ness(args) -> int:
         and diag["trace_deviation"] <= 1e-12
         and diag.get("positivity_min_eig", 0.0) >= -1e-10
         and bc["left_passed"] and bc["right_passed"]
+        and diag["telescoping_residual"] <= tol
     )
     doc["passed"] = bool(ok)
     if args.dump_rho:
@@ -199,7 +209,7 @@ def cmd_ness(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _driving_from_args(args)
-    tol = float(_merged(args, "tol"))
+    tol = _tol(args)
     rho_oracle = fixed_point_oracle(cfg)
     res = build_ness(cfg, compute_spectrum=False)
     dist = float(np.linalg.norm(res.rho - rho_oracle))

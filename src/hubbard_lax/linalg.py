@@ -1,7 +1,8 @@
 """The single-qubit operator basis, the 4x4 ladder-site operators built from
 it, and the one contraction core shared by every module: lift turns operator
 components into a site tensor A[p, q, a, b] (physical row and column, then
-auxiliary row and column), and chain contracts a product of site tensors
+auxiliary row and column), phys_transfer_tensor does so for the 16 transfer
+components of a Lax family, and chain contracts a product of site tensors
 between auxiliary boundary rows, behind one peak-memory guard."""
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ def lift(phys: dict, comps: dict) -> np.ndarray:
     e.g. lift(PAULI, S) for sum_s sigma^s S^s."""
     return np.tensordot(np.array([phys[k] for k in comps]),
                         np.array(list(comps.values())), axes=(0, 0))
+
+
+def phys_transfer_tensor(components: dict) -> np.ndarray:
+    """A[p, q, a, b] = sum_st (sigma^s tau^t)[p, q] * C^{st}[a, b] for the
+    components C of a family (fam.L, or fam.Ltilde)."""
+    return lift({st: local4(*st) for st in components}, components)
 
 
 def guard(nbytes: int, what: str) -> None:

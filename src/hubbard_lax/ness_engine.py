@@ -18,18 +18,18 @@ The boundary-condition checks (check_boundary_conditions) pin this sign: with
 does the Lindblad fixed-point residual for n >= 3. n = 2 is insensitive to
 the choice, which is what makes the convention easy to get wrong.
 
-The module also builds the doubled (bra-ket) operators as site tensors
-LL, LLt over the paired auxiliary index, in the same layout as the transfer
-tensor. Stationarity rests on local identities of these tensors: in the
-bulk, the bond commutator of LL_1 ... LL_n telescopes to one leftover term at
-each end (check_telescoping, contracted at the doubled root for every n, and
-open between all interior doubled levels at n = 2); at the ends, one
-dissipative equation each, read off the whole root row and root column
-slabs of the single-site tensors (check_boundary_conditions). Omega, the
-doubled chains and the pair-transfer cross-check chains are all contracted
-by the one contraction core in linalg: site tensors built by linalg.lift,
-contracted by linalg.chain, which refuses any contraction whose peak memory
-estimate exceeds linalg.MAX_CHAIN_BYTES.
+Stationarity is certified from local identities, as in the paper, so no
+n-site chain is contracted for it and its cost grows with the cutoff alone,
+not as 16^n: in the bulk, the two-site divergence of the transfer components
+(algebra_verifier.check_gLOD) on the family the state is built from, between
+the auxiliary levels that the interior cuts of the chain reach, together with
+the charge conservation of the bond Hamiltonian (check_telescoping); at the
+ends, one dissipative equation each, read off the root row and root column
+slabs of the doubled (bra-ket) site tensors (build_double_lax,
+check_boundary_conditions). Omega and the cross-check chains are all
+contracted by the one contraction core in linalg: site tensors built by
+linalg.lift, contracted by linalg.chain, which refuses any contraction whose
+peak memory estimate exceeds linalg.MAX_CHAIN_BYTES.
 
 Local expectation values in the steady state come from an environment
 engine (local_expectations) that never materializes rho: one sweep from each
@@ -50,10 +50,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .algebra_verifier import check_gLOD
 from .aux_space import AuxSpace, AuxVertex, build_aux_space
-from .hubbard_model import h_left, h_right
+from .hubbard_model import h_bond, h_left, h_right
 from .lax_builder import LaxFamily, LaxParams, assemble_family
-from .linalg import PAULI, chain, guard, lift, local4
+from .linalg import PAULI, chain, guard, lift, local4, phys_transfer_tensor
 
 RHO_MAGIC = b"NESSRHO1"
 
@@ -125,12 +126,6 @@ def ness_family(cfg: DrivingConfig) -> LaxFamily:
 # ---------------------------------------------------------------------------
 # transfer contraction
 
-def phys_transfer_tensor(components: dict) -> np.ndarray:
-    """A[p, q, a, b] = sum_st (sigma^s tau^t)[p, q] * C^{st}[a, b] for the
-    components C of a family (fam.L, or fam.Ltilde)."""
-    return lift({st: local4(*st) for st in components}, components)
-
-
 def _root_index(space: AuxSpace) -> int:
     return space.index[AuxVertex(0, +1)]
 
@@ -169,17 +164,19 @@ def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
     O(dim_aux * 4^n). It probes the cutoff exactness (K vs K+1) at n = 7, 8,
     where the dense Omega is not formed."""
     da = fam.dim
-    guard(32 * da * 4 ** n_sites, f"{n_sites}-site matrix-free product")
+    # the partial product, tensordot's transposed copy of it, and the result
+    guard(48 * da * 4 ** n_sites, f"{n_sites}-site matrix-free product")
     A = phys_transfer_tensor(fam.L)
+    # cur[R, P, a]: remaining input R, whose leading digit is the next site's
+    # input q, then the rows P over the processed sites. Each site is one
+    # tensordot, and its result (r, P, p, b) is already that layout.
     i0 = _root_index(fam.space)
-    # cur[a, P, R]: partial rows P over processed sites, remaining input R
-    v = np.asarray(vec, dtype=complex).reshape(1, 1, 4 ** n_sites)
-    cur = _basis(da, i0)[:, None, None] * v
-    for j in range(n_sites):
-        rest = 4 ** (n_sites - j - 1)
-        c = cur.reshape(da, -1, 4, rest)
-        cur = np.einsum("aiqr,pqab->bipr", c, A).reshape(da, -1, rest)
-    return cur[i0, :, 0]
+    cur = np.zeros((4 ** n_sites, 1, da), dtype=complex)
+    cur[:, 0, i0] = vec
+    for _ in range(n_sites):
+        cur = np.tensordot(cur.reshape(4, -1, cur.shape[1], da), A, axes=([0, 3], [1, 2]))
+        cur = cur.reshape(cur.shape[0], -1, da)
+    return cur[0, :, i0]
 
 
 def m_diag(n_sites: int, eta: float) -> np.ndarray:
@@ -236,117 +233,96 @@ def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None,
 class DoubleLax:
     cfg: DrivingConfig
     fam: LaxFamily
-    LL: np.ndarray       # site tensor [p, q, (ac), (bd)] over the doubled aux space
-    LLt: np.ndarray      # its divergence partner, same layout
-    YY_aux: np.ndarray   # doubled spectral operator on the doubled aux space
-    root: int            # index of (0+, 0+) in the doubled auxiliary space
-
-    @property
-    def daux2(self) -> int:
-        return self.fam.dim ** 2
+    row: np.ndarray      # LL[p, q, (root, root), (x, y)], laid out [x, y, p, q]
+    row_t: np.ndarray    # the same slab of LLt
+    col: np.ndarray      # LL[p, q, (x, y), (root, root)], laid out [x, y, p, q]
+    col_t: np.ndarray    # the same slab of LLt
+    root: int            # index of 0+ in the single-layer auxiliary space
 
 
 def build_double_lax(cfg: DrivingConfig, fam: LaxFamily | None = None) -> DoubleLax:
-    """Site tensors of the doubled operators, in the [p, q, a, b] layout of
-    linalg.chain with the ket and bra auxiliary indices paired, (ac) and (bd):
+    """Root slabs of the doubled site tensors, which pair the ket and bra
+    auxiliary indices, (ac) and (bd):
 
         LL[p, q, (ac), (bd)] = sum_r A[p, r, a, b] conj(A[q, r, c, d]) m[q],
 
     i.e. L Lbar M, where A is the transfer tensor of the components L and m
     the single-site diagonal of M. LLt = (Lt Lbar - L Lbar_t) M is the same
     pairing with the tensor of Ltilde in place of A in one factor, then the
-    other. YY_aux = Y (x) 1 - 1 (x) conj(Y).
+    other. The boundary equations read only the slabs at the doubled root, so
+    they are built from A[:, :, root, :] and A[:, :, :, root], 16 da^2
+    entries each; the da^4-entry tensors are never formed.
 
     fam is the driving's ness_family, built here when not given; the
     necessity probes pass a family at perturbed parameters instead.
     """
     fam = ness_family(cfg) if fam is None else fam
-    da = fam.dim
     _, _, eta = map_driving_to_params(cfg)
     m = m_diag(1, eta)
     A, At = phys_transfer_tensor(fam.L), phys_transfer_tensor(fam.Ltilde)
+    i0 = _root_index(fam.space)
 
     def pair(X, Z):
-        T = np.einsum("prab,qrcd,q->pqacbd", X, np.conj(Z), m)
-        return T.reshape(4, 4, da * da, da * da)
+        # X, Z are root slabs [p, r, x] of two site tensors
+        return np.einsum("prx,qry,q->xypq", X, np.conj(Z), m)
 
-    Ia = np.eye(da)
-    YY_aux = np.kron(fam.Y, Ia) - np.kron(Ia, np.conj(fam.Y))
-    i0 = _root_index(fam.space)
-    return DoubleLax(cfg=cfg, fam=fam, LL=pair(A, A), LLt=pair(At, A) - pair(A, At),
-                     YY_aux=YY_aux, root=i0 * da + i0)
+    def slabs(X, Xt):
+        return pair(X, X), pair(Xt, X) - pair(X, Xt)
+
+    row, row_t = slabs(A[:, :, i0, :], At[:, :, i0, :])
+    col, col_t = slabs(A[:, :, :, i0], At[:, :, :, i0])
+    return DoubleLax(cfg=cfg, fam=fam, row=row, row_t=row_t, col=col, col_t=col_t, root=i0)
 
 
 def double_contract(dlax: DoubleLax, n_sites: int) -> np.ndarray:
     """Cross-check route for R = Omega Omega^dag M: <00| LL_1 ... LL_n |00>
-    through the doubled site tensors."""
-    e0 = _basis(dlax.daux2, dlax.root)
-    return chain([dlax.LL] * n_sites, e0, e0)
+    through the whole doubled site tensor LL of build_double_lax, built here."""
+    fam = dlax.fam
+    da = fam.dim
+    # the largest partial product, refused before the da^4-entry LL is built
+    guard(16 * 16 ** (n_sites - 1) * da * da, f"{n_sites}-site doubled contraction")
+    _, _, eta = map_driving_to_params(dlax.cfg)
+    A = phys_transfer_tensor(fam.L)
+    LL = np.einsum("prab,qrcd,q->pqacbd", A, np.conj(A), m_diag(1, eta))
+    e0 = _basis(da * da, dlax.root * da + dlax.root)
+    return chain([LL.reshape(4, 4, da * da, da * da)] * n_sites, e0, e0)
 
 
 # ---------------------------------------------------------------------------
-# telescoping and boundary residual checks
+# stationarity certificate: bulk and boundary identities
 
-def _pair_interior_mask(fam: LaxFamily) -> np.ndarray:
-    """Doubled auxiliary indices of pair level <= K - 1."""
-    lv = fam.space.levels()
-    pair = (lv[:, None] + lv[None, :]).ravel()
-    return pair <= fam.space.cutoff_K - 1 + 1e-9
+def check_telescoping(dlax: DoubleLax):
+    """Bulk certificate of stationarity from two local identities:
 
+    1. the bond divergence of check_gLOD, with L = sum_st sigma^s tau^t L^st,
+           [h_{j,j+1}, L_j L_{j+1}] = (Lt_j + Y L_j) L_{j+1} - L_j (Lt_{j+1} + L_{j+1} Y);
+    2. [h_bond, m (x) m] = 0: H_bulk conserves charge, so it commutes with M.
 
-def _telescoping_terms(dlax: DoubleLax, n_sites: int, rows: np.ndarray):
-    """The two sides of the telescoping identity between boundary rows `rows`
-    of the doubled auxiliary space (one vector, or a block of them taken at
-    both ends), as (lhs, rhs):
+    Summed over the bonds of L_1 ... L_n, identity 1 cancels each Lt_j at an
+    interior site and Y at every interior cut but the first and the last:
+    [H_bulk, L_1 ... L_n] = E_1 L_2 ... L_n - L_1 ... L_{n-1} E_n with
+    E = Lt + Y L + L Y. With identity 2 and [H_bulk, Omega^dag] =
+    -[H_bulk, Omega]^dag this is the doubled telescoping
+    [H_bulk, <00| LL_1 ... LL_n |00>] = <00| E_1 LL_2 ... |00> -
+    <00| ... LL_{n-1} E_n |00>, E = LLt + {YY, LL}, whose two ends
+    check_boundary_conditions cancels against the dissipators.
 
-        lhs = [H_bulk, <rows| LL_1 ... LL_n |rows>],
-        rhs = <rows| E_1 LL_2 ... LL_n |rows> - <rows| LL_1 ... LL_{n-1} E_n |rows>,
+    Bond j needs identity 1 only between the levels at cuts j - 1 and j + 1.
+    Every factor moves the level by at most one from the root at both ends,
+    so cut j carries levels <= min(j, n - j) <= K - 1 at K = k_exact(n), and
+    the summed middle index stays inside the family: one check of the family
+    itself between outer levels <= K - 1 covers every cut.
 
-    with the boundary leftover E = LLt + {YY, LL}.
+    Returns (residual_fro, scale): the larger relative residual of the two,
+    on the scale of the bond divergence.
     """
-    from .hubbard_model import h_bond
-
-    LL = dlax.LL
-    # the first chain carries the size guard, before anything else is built
-    R = chain([LL] * n_sites, rows, rows)
-    # the literal bond sum sum_j h_{j,j+1} (u/2 on the two boundary sites,
-    # unlike the full Hamiltonian), each bond term applied to its two sites
-    # of the physical row and column indices of R
-    h = h_bond(dlax.cfg.u).reshape(4, 4, 4, 4)
-    lead = R.ndim - 2
-    Rs = R.reshape(R.shape[:lead] + (4,) * (2 * n_sites))
-    lhs = np.zeros_like(Rs)
-    for j in range(n_sites - 1):
-        rows_j = [lead + j, lead + j + 1]
-        cols_j = [lead + n_sites + j, lead + n_sites + j + 1]
-        lhs += np.moveaxis(np.tensordot(h, Rs, axes=([2, 3], rows_j)), [0, 1], rows_j)
-        lhs -= np.moveaxis(np.tensordot(Rs, h, axes=(cols_j, [0, 1])), [-2, -1], cols_j)
-    lhs = lhs.reshape(R.shape)
-    E = dlax.LLt + dlax.YY_aux @ LL + LL @ dlax.YY_aux
-    rhs = (chain([E] + [LL] * (n_sites - 1), rows, rows)
-           - chain([LL] * (n_sites - 1) + [E], rows, rows))
-    return lhs, rhs
-
-
-def check_telescoping(dlax: DoubleLax, n_sites: int):
-    """Contracted telescoping residual: the commutator of the Hamiltonian bulk
-    with <00|LL_1...LL_n|00> must equal the two boundary leftovers
-    <00|E_1 LL_2 ... |00> - <00| ... LL_{n-1} E_n|00>, E = LLt + {YY, LL}.
-
-    Returns (residual_fro, scale). For n = 2 the identity is also checked
-    open, between every pair of interior doubled levels (pair level <= K - 1)
-    and not only at the root; that residual, relative to its own scale, is
-    put on the root scale and the larger of the two returned.
-    """
-    lhs, rhs = _telescoping_terms(dlax, n_sites, _basis(dlax.daux2, dlax.root))
-    res = float(np.linalg.norm(lhs - rhs))
-    scale = float(max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0))
-    if n_sites == 2:
-        mask = _pair_interior_mask(dlax.fam)
-        lhs, rhs = _telescoping_terms(dlax, 2, np.eye(dlax.daux2)[mask])
-        open_scale = max(np.linalg.norm(rhs), 1.0)
-        res = max(res, float(np.linalg.norm(lhs - rhs)) * scale / open_scale)
-    return res, scale
+    fam = dlax.fam
+    r = check_gLOD(fam, target_K=fam.space.cutoff_K - 1)
+    _, _, eta = map_driving_to_params(dlax.cfg)
+    h, mm = h_bond(fam.params.u), m_diag(2, eta)
+    commutator = np.linalg.norm(h * mm - mm[:, None] * h) / (
+        np.linalg.norm(h) * np.linalg.norm(mm))
+    return max(r.residual_fro, float(commutator) * r.operand_scale), r.operand_scale
 
 
 def _dissipator(a: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -354,6 +330,13 @@ def _dissipator(a: np.ndarray, X: np.ndarray) -> np.ndarray:
     two axes) of X."""
     ad = a.conj().T
     return 2.0 * a @ X @ ad - ad @ a @ X - X @ ad @ a
+
+
+def _yy(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Y X - X Y^dag on the doubled auxiliary index (x, y) of a slab
+    X[x, y, p, q]: Y (x) 1 - 1 (x) conj(Y) applied without forming that
+    da^2 x da^2 matrix. A row slab, acted on from the right, takes Y^T."""
+    return np.einsum("xz,zypq->xypq", Y, X) - np.einsum("xzpq,yz->xypq", X, np.conj(Y))
 
 
 def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
@@ -364,29 +347,26 @@ def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
     Right: i G_R (D_{s-} + D_{t-}) LL - LLt - YY LL + [h_R, LL]  -> column
            slab at the doubled root vanishes.
 
-    The dissipators and h_L, h_R act on the physical indices of the tensors,
-    YY on the doubled auxiliary index left free by the slab. Each slab is
+    The dissipators and h_L, h_R act on the physical indices of the slabs,
+    YY on the doubled auxiliary index the slab leaves free. Each slab is
     checked whole: a single-site tensor reaches from the root only pair
     levels <= 2, at every cutoff. Returns dict with residuals and the common
     scale.
     """
-    cfg, r = dlax.cfg, dlax.root
-    # slabs [x, p, q]: the free doubled auxiliary index first
-    row, row_t = (T[:, :, r, :].transpose(2, 0, 1) for T in (dlax.LL, dlax.LLt))
-    col, col_t = (T[:, :, :, r].transpose(2, 0, 1) for T in (dlax.LL, dlax.LLt))
+    cfg, Y = dlax.cfg, dlax.fam.Y
 
     def local(gamma, jumps, h, X):
         return 1j * gamma * sum(_dissipator(a, X) for a in jumps) + h @ X - X @ h
 
     OL = (local(cfg.gamma_L, (local4("+", "0"), local4("0", "+")),
-                h_left(cfg.u, cfg.mu_L), row)
-          + row_t + np.tensordot(dlax.YY_aux, row, axes=(0, 0)))
+                h_left(cfg.u, cfg.mu_L), dlax.row)
+          + dlax.row_t + _yy(Y.T, dlax.row))
     OR = (local(cfg.gamma_R, (local4("-", "0"), local4("0", "-")),
-                h_right(cfg.u, cfg.mu_R), col)
-          - col_t - np.tensordot(dlax.YY_aux, col, axes=(1, 0)))
+                h_right(cfg.u, cfg.mu_R), dlax.col)
+          - dlax.col_t - _yy(Y, dlax.col))
     left = float(np.linalg.norm(OL))
     right = float(np.linalg.norm(OR))
-    scale = float(max(np.linalg.norm(row_t), np.linalg.norm(col_t), 1.0))
+    scale = float(max(np.linalg.norm(dlax.row_t), np.linalg.norm(dlax.col_t), 1.0))
     return {
         "left_residual": left,
         "right_residual": right,

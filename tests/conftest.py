@@ -1,7 +1,9 @@
 """Shared driving configurations for the oracle cross-checks, the kron-built
 reference operators (site operators, the Hamiltonian from its global formula,
 the bond current and the Lindblad generator, all scipy CSR) that the
-local-term code of the package is checked against, the species-swap and
+local-term code of the package is checked against, the whole doubled site
+tensors and the global telescoping of the doubled chain that the local
+stationarity certificate is checked against, the species-swap and
 total-magnetization operators the symmetry tests use, the auxiliary-space
 gauge the gauge-invariance tests apply, and the text labels of auxiliary
 vertices the operator-table tests read.
@@ -11,10 +13,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from hubbard_lax.aux_space import AuxSpace, AuxVertex
-from hubbard_lax.hubbard_model import SIGMA, TAU, phys_dim
+from hubbard_lax.hubbard_model import SIGMA, TAU, h_bond, phys_dim
 from hubbard_lax.lax_builder import LaxFamily
-from hubbard_lax.linalg import PAULI
-from hubbard_lax.ness_engine import DrivingConfig
+from hubbard_lax.linalg import PAULI, chain, phys_transfer_tensor
+from hubbard_lax.ness_engine import DoubleLax, DrivingConfig, m_diag, map_driving_to_params
 
 # asymmetric rates, asymmetric potentials, and a symmetric-rate control
 CANONICAL_DRIVINGS = (
@@ -100,6 +102,96 @@ def kron_superoperator(cfg: DrivingConfig) -> sp.csr_matrix:
         LdL = L.conj().T @ L
         S = S + 2.0 * sp.kron(L, L.conj()) - sp.kron(LdL, eye) - sp.kron(eye, LdL.T)
     return S.tocsr()
+
+
+def doubled_tensors(dlax: DoubleLax):
+    """Reference: the whole doubled site tensors whose root slabs
+    build_double_lax keeps, as (LL, LLt, YY, root):
+
+        LL[p, q, (ac), (bd)] = sum_r A[p, r, a, b] conj(A[q, r, c, d]) m[q],
+
+    LLt the same pairing with the tensor of Ltilde in one factor, then the
+    other, YY = Y (x) 1 - 1 (x) conj(Y) as a da^2 x da^2 matrix, and root the
+    doubled index of (0+, 0+)."""
+    fam = dlax.fam
+    da = fam.dim
+    _, _, eta = map_driving_to_params(dlax.cfg)
+    m = m_diag(1, eta)
+    A, At = phys_transfer_tensor(fam.L), phys_transfer_tensor(fam.Ltilde)
+
+    def pair(X, Z):
+        T = np.einsum("prab,qrcd,q->pqacbd", X, np.conj(Z), m)
+        return T.reshape(4, 4, da * da, da * da)
+
+    eye = np.eye(da)
+    YY = np.kron(fam.Y, eye) - np.kron(eye, np.conj(fam.Y))
+    return pair(A, A), pair(At, A) - pair(A, At), YY, dlax.root * da + dlax.root
+
+
+def telescoping_terms(dlax: DoubleLax, n_sites: int, rows: np.ndarray):
+    """Reference: the two sides of the telescoping identity of the doubled
+    chain between boundary rows `rows` of the doubled auxiliary space (one
+    vector, or a block of them taken at both ends), as (lhs, rhs):
+
+        lhs = [H_bulk, <rows| LL_1 ... LL_n |rows>],
+        rhs = <rows| E_1 LL_2 ... LL_n |rows> - <rows| LL_1 ... LL_{n-1} E_n |rows>,
+
+    with the boundary leftover E = LLt + {YY, LL}.
+    """
+    LL, LLt, YY, _ = doubled_tensors(dlax)
+    R = chain([LL] * n_sites, rows, rows)
+    # the literal bond sum sum_j h_{j,j+1} (u/2 on the two boundary sites,
+    # unlike the full Hamiltonian), each bond term applied to its two sites
+    # of the physical row and column indices of R
+    h = h_bond(dlax.cfg.u).reshape(4, 4, 4, 4)
+    lead = R.ndim - 2
+    Rs = R.reshape(R.shape[:lead] + (4,) * (2 * n_sites))
+    lhs = np.zeros_like(Rs)
+    for j in range(n_sites - 1):
+        rows_j = [lead + j, lead + j + 1]
+        cols_j = [lead + n_sites + j, lead + n_sites + j + 1]
+        lhs += np.moveaxis(np.tensordot(h, Rs, axes=([2, 3], rows_j)), [0, 1], rows_j)
+        lhs -= np.moveaxis(np.tensordot(Rs, h, axes=(cols_j, [0, 1])), [-2, -1], cols_j)
+    lhs = lhs.reshape(R.shape)
+    E = LLt + YY @ LL + LL @ YY
+    rhs = (chain([E] + [LL] * (n_sites - 1), rows, rows)
+           - chain([LL] * (n_sites - 1) + [E], rows, rows))
+    return lhs, rhs
+
+
+def global_telescoping(dlax: DoubleLax, n_sites: int):
+    """Global witness for the local certificate (ness_engine.check_telescoping
+    with check_boundary_conditions): the telescoping of the whole doubled
+    n-site chain, contracted at the doubled root, and at n = 2 also open
+    between every pair of interior doubled levels (pair level <= K - 1), that
+    residual put on the root scale. Returns (residual_fro, scale); it holds
+    16^n da^2 entries, so use it on short chains."""
+    da = dlax.fam.dim
+    da2 = da * da
+    lhs, rhs = telescoping_terms(dlax, n_sites, np.eye(da2)[dlax.root * da + dlax.root])
+    res = float(np.linalg.norm(lhs - rhs))
+    scale = float(max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0))
+    if n_sites == 2:
+        lv = dlax.fam.space.levels()
+        interior = (lv[:, None] + lv[None, :]).ravel() <= dlax.fam.space.cutoff_K - 1 + 1e-9
+        lhs, rhs = telescoping_terms(dlax, 2, np.eye(da2)[interior])
+        open_scale = max(np.linalg.norm(rhs), 1.0)
+        res = max(res, float(np.linalg.norm(lhs - rhs)) * scale / open_scale)
+    return res, scale
+
+
+def off_root_ltilde_defect(fam: LaxFamily):
+    """Scale by 1.01, in place, the largest entry of the Ltilde components
+    between two vertices of level K - 1, the highest level an interior cut
+    reaches: the bulk certificate reads it only through its outermost levels.
+    The root slabs of the boundary equations never read it, and Omega, built
+    from L alone, does not change."""
+    top = np.isclose(fam.space.levels(), fam.space.cutoff_K - 1)
+    mask = np.outer(top, top)
+    st = max(fam.Ltilde, key=lambda k: np.abs(fam.Ltilde[k][mask]).max())
+    a, b = np.unravel_index(np.argmax(np.abs(fam.Ltilde[st]) * mask), mask.shape)
+    fam.Ltilde[st][a, b] *= 1.01
+    return fam
 
 
 def spin_flip_G(n: int) -> sp.csr_matrix:

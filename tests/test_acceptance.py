@@ -178,7 +178,7 @@ def test_criterion_07_state_sanity():
     for n in (2, 3, 4, 5):
         _ness(DrivingConfig(*ASYM, n))
     worst_h = worst_t = 0.0
-    worst_eig = 0.0
+    worst_eig = float("inf")
     for res in _NESS.values():
         d = res.diagnostics
         worst_h = max(worst_h, d["hermiticity"])

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -84,17 +85,22 @@ def test_observe_long_scaling_under_memory_cap(tmp_path):
     assert [n for n, _ in doc["scaling"]["series"]] == [4, 24, 40]
 
 
-def test_ness_six_sites_refused_before_dense_build(tmp_path, monkeypatch, capsys):
+def test_ness_seven_sites_refused_before_dense_build(tmp_path, capsys):
+    # the certificate is local, so the refusal comes from the dense state's
+    # own guard: Omega alone would take 4 GiB at n = 7, the certificate a few MiB
     from hubbard_lax import cli
 
-    def no_dense_state(*args, **kwargs):
-        raise AssertionError("the dense state was built before the size check")
-
-    monkeypatch.setattr(cli, "build_ness", no_dense_state)
-    rc = cli.main(["ness", "--n", "6", "--gammaL", "1.5", "--gammaR", "0.7",
-                   "--u", "2", "--out", str(tmp_path)])
+    tracemalloc.start()
+    try:
+        rc = cli.main(["ness", "--n", "7", "--gammaL", "1.5", "--gammaR", "0.7",
+                       "--u", "2", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rc == 2
     assert "exceeds the memory limits" in capsys.readouterr().err
+    assert peak < 16 << 20
+    assert not (tmp_path / "ness.json").exists()
 
 
 def test_observe_refusal_names_the_environment_store(tmp_path, capsys):
@@ -174,6 +180,45 @@ def test_ness_assembles_one_family(tmp_path, monkeypatch):
                    "--u", "2", "--out", str(tmp_path)])
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_ness_gates_on_the_bulk_certificate(tmp_path, monkeypatch, capsys):
+    # an off-root Ltilde defect leaves Omega and the boundary equations
+    # intact; only the bulk certificate sees it, and it must fail the run
+    from conftest import off_root_ltilde_defect
+    from hubbard_lax import cli
+
+    ness_family = cli.ness_family
+    monkeypatch.setattr(cli, "ness_family", lambda cfg: off_root_ltilde_defect(ness_family(cfg)))
+    rc = cli.main(["ness", "--n", "3", "--gammaL", "1.5", "--gammaR", "0.7",
+                   "--muL", "0.3", "--muR", "-0.4", "--u", "2", "--out", str(tmp_path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["passed"] is False
+    assert doc["diagnostics"]["telescoping_residual"] > 1e-4
+    assert max(doc["diagnostics"]["boundary_left_residual"],
+               doc["diagnostics"]["boundary_right_residual"]) <= 1e-10
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["oracle", "--n", "2", "--u", "1", "--tol", "inf"], None),
+    (["verify", "--K", "3", "--samples", "1", "--tol", "inf"], None),
+    (["ness", "--n", "2", "--u", "1", "--tol", "nan"], None),
+    (["ness", "--n", "2", "--u", "1", "--tol", "0"], None),
+    (["oracle", "--n", "2", "--u", "1"], {"tol": -1e-10}),
+    (["verify", "--K", "3", "--samples", "1"], {"tol": "Infinity"}),
+])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, argv, config):
+    # an infinite or nan tolerance passes every gate, and 0 or less none
+    from hubbard_lax import cli
+
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "tol must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_precedence(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hubbard_lax.linalg import PAULI, SPIN_LABELS, lift, local4
-from hubbard_lax.ness_engine import DrivingConfig, ness_family, phys_transfer_tensor
+from hubbard_lax.linalg import PAULI, SPIN_LABELS, lift, local4, phys_transfer_tensor
+from hubbard_lax.ness_engine import DrivingConfig, ness_family
 
 
 def test_pauli_algebra():

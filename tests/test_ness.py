@@ -1,19 +1,29 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import canonical_configs, spin_flip_G, total_magnetization
+from conftest import (
+    canonical_configs,
+    doubled_tensors,
+    global_telescoping,
+    off_root_ltilde_defect,
+    spin_flip_G,
+    telescoping_terms,
+    total_magnetization,
+)
+from hubbard_lax import lax_builder, ness_engine
+from hubbard_lax.aux_space import AuxVertex
 from hubbard_lax.lax_builder import assemble_family
-from hubbard_lax.linalg import chain
+from hubbard_lax.linalg import chain, local4
 from hubbard_lax.ness_engine import (
     DrivingConfig,
-    _pair_interior_mask,
+    _yy,
     build_double_lax,
     build_ness,
     check_boundary_conditions,
     check_telescoping,
-    _telescoping_terms,
     contract_omega,
     contract_omega_factored,
     double_contract,
@@ -200,19 +210,54 @@ def test_doubled_spectral_operator_root_entry():
     dl = build_double_lax(cfg)
     lam, u = dl.fam.params.lam, dl.fam.params.u
     want = -2.0 * u * (lam - np.conj(lam))
-    assert abs(dl.YY_aux[dl.root, dl.root] - want) < 1e-14
+    unit = np.zeros((dl.fam.dim, dl.fam.dim, 1, 1))
+    unit[dl.root, dl.root] = 1.0
+    assert abs(_yy(dl.fam.Y, unit)[dl.root, dl.root, 0, 0] - want) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_root_slabs_match_whole_doubled_tensors(n):
+    # build_double_lax keeps the root slabs of LL and LLt, and applies YY to
+    # them as Y X - X Y^dag; the whole tensors and the da^2 x da^2 YY of
+    # conftest are the reference
+    for cfg in canonical_configs(n):
+        dl = build_double_lax(cfg)
+        LL, LLt, YY, root = doubled_tensors(dl)
+        da = dl.fam.dim
+
+        def as_slab(T):
+            return T.transpose(2, 0, 1).reshape(da, da, 4, 4)
+
+        assert np.array_equal(dl.row, as_slab(LL[:, :, root, :]))
+        assert np.array_equal(dl.row_t, as_slab(LLt[:, :, root, :]))
+        assert np.array_equal(dl.col, as_slab(LL[:, :, :, root]))
+        assert np.array_equal(dl.col_t, as_slab(LLt[:, :, :, root]))
+        # a row slab is acted on from the right, a column slab from the left
+        left = (YY.T @ dl.row.reshape(da * da, 16)).reshape(dl.row.shape)
+        right = (YY @ dl.col.reshape(da * da, 16)).reshape(dl.col.shape)
+        assert np.linalg.norm(_yy(dl.fam.Y.T, dl.row) - left) <= 1e-14 * np.linalg.norm(left)
+        assert np.linalg.norm(_yy(dl.fam.Y, dl.col) - right) <= 1e-14 * np.linalg.norm(right)
+
+
+def _certificate(cfg, fam=None):
+    """Relative residuals of the local stationarity certificate: the bulk
+    (check_telescoping) and the two boundary equations."""
+    dl = build_double_lax(cfg, fam)
+    res, scale = check_telescoping(dl)
+    bc = check_boundary_conditions(dl)
+    return {"bulk": res / scale, "left": bc["left_residual"] / bc["scale"],
+            "right": bc["right_residual"] / bc["scale"]}
 
 
 def test_telescoping_two_and_three_sites():
     cfg2 = DrivingConfig(1.4, 0.6, 0.2, -0.3, 1.2, 2)
-    dl2 = build_double_lax(cfg2)
-    # at n = 2 this includes the open check between all interior levels
-    res, scale = check_telescoping(dl2, 2)
+    res, scale = check_telescoping(build_double_lax(cfg2))
     assert res <= 1e-10 * scale
 
+    # on a family one level above the exact cutoff as well
     cfg3 = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3)
     dl3 = build_double_lax(cfg3, assemble_family(3, ness_lax_params(cfg3)))
-    res3, scale3 = check_telescoping(dl3, 3)
+    res3, scale3 = check_telescoping(dl3)
     assert res3 <= 1e-10 * scale3
 
 
@@ -224,31 +269,102 @@ def test_bond_commutator_matches_kron_reference(n):
 
     for cfg in canonical_configs(n):
         dl = build_double_lax(cfg)
+        LL, _, _, root = doubled_tensors(dl)
         hb = h_bond(cfg.u)
         Hbulk = sum(np.kron(np.kron(np.eye(4 ** (j - 1)), hb), np.eye(4 ** (n - j - 1)))
                     for j in range(1, n))
-        blocks = [np.eye(dl.daux2)[dl.root]]
+        blocks = [np.eye(LL.shape[2])[root]]
         if n == 2:
-            blocks.append(np.eye(dl.daux2)[:5])
+            blocks.append(np.eye(LL.shape[2])[:5])
         for rows in blocks:
-            lhs, _ = _telescoping_terms(dl, n, rows)
-            R = chain([dl.LL] * n, rows, rows)
+            lhs, _ = telescoping_terms(dl, n, rows)
+            R = chain([LL] * n, rows, rows)
             want = Hbulk @ R - R @ Hbulk
             assert np.linalg.norm(lhs - want) <= 1e-13 * np.linalg.norm(want)
-        res, scale = check_telescoping(dl, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_certificate_agrees_with_global_witness(n):
+    # the local certificate and the telescoping of the whole doubled chain
+    # both hold on the canonical drivings
+    for cfg in canonical_configs(n):
+        res, scale = global_telescoping(build_double_lax(cfg), n)
         assert res <= 1e-13 * scale
+        cert = _certificate(cfg)
+        assert max(cert.values()) <= 1e-13, cert
+
+
+def _x_entry_defect(monkeypatch, level):
+    """Scale by 1.01 the X^{-+} entry of the integer block at `level` in every
+    family assembled from here on."""
+    build_X = lax_builder.build_X
+
+    def defective(space, params):
+        X, blocks = build_X(space, params)
+        X[space.index[AuxVertex(2 * level, -1)], space.index[AuxVertex(2 * level, +1)]] *= 1.01
+        return X, blocks
+
+    monkeypatch.setattr(lax_builder, "build_X", defective)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_certificate_detects_seeded_defects(n, monkeypatch):
+    cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
+    assert max(_certificate(cfg).values()) <= 1e-13
+
+    # the boundary equations pin the driving: a 5% spectral-parameter shift
+    # keeps the bulk identity, which holds at every parameter point
+    lp = ness_lax_params(cfg)
+    shifted = assemble_family(k_exact(n), dataclasses.replace(lp, lam=lp.lam * 1.05))
+    cert = _certificate(cfg, shifted)
+    assert cert["bulk"] <= 1e-13
+    assert max(cert["left"], cert["right"]) > 1e-4, cert
+
+    # Y scaled by 1.01 on the state's own family
+    fam = ness_family(cfg)
+    fam.Y *= 1.01
+    assert _certificate(cfg, fam)["bulk"] > 1e-4
+
+    # an X entry at level 1 <= K - 1 feeds L and Ltilde alike
+    with monkeypatch.context() as m:
+        _x_entry_defect(m, 1)
+        assert _certificate(cfg)["bulk"] > 1e-4
+
+    # at level K the same defect reaches neither Omega nor the certificate:
+    # no cut of the chain reaches level K
+    with monkeypatch.context() as m:
+        _x_entry_defect(m, k_exact(n))
+        assert np.array_equal(contract_omega(ness_family(cfg), n),
+                              contract_omega(assemble_family(k_exact(n), lp), n))
+        assert max(_certificate(cfg).values()) <= 1e-13
+
+    # eta * 1.1 through the map: only the boundary equations see the filter
+    lam, om, eta = ness_engine.map_driving_to_params(cfg)
+    monkeypatch.setattr(ness_engine, "map_driving_to_params",
+                        lambda c: (lam, om, 1.1 * eta))
+    cert = _certificate(cfg)
+    assert cert["bulk"] <= 1e-13
+    assert max(cert["left"], cert["right"]) > 1e-4, cert
+
+
+def test_bulk_certificate_checks_charge_conservation(monkeypatch):
+    # a bond term that moves charge would not commute with the filter M
+    h_bond = ness_engine.h_bond
+    flip = np.kron(local4("+", "0") + local4("-", "0"), np.eye(4))
+    monkeypatch.setattr(ness_engine, "h_bond", lambda u: h_bond(u) + flip)
+    assert _certificate(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3))["bulk"] > 1e-4
 
 
 def test_open_telescoping_detects_off_root_defect():
-    # a defect in LLt away from the doubled root never enters the chain
-    # contracted at the root, only the open n = 2 check
-    dl = build_double_lax(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 2))
-    assert dl.root != 1
-    dl.LLt[:, :, 1, 1] *= 1.01
-    res, scale = check_telescoping(dl, 2)
-    assert res > 1e-4 * scale
-    lhs, rhs = _telescoping_terms(dl, 2, np.eye(dl.daux2)[dl.root])
-    assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
+    # an Ltilde entry away from the root never enters the boundary slabs or
+    # Omega, only the bulk divergence between interior levels
+    for n in (2, 3, 4, 5):
+        cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
+        dl = build_double_lax(cfg, off_root_ltilde_defect(ness_family(cfg)))
+        bc = check_boundary_conditions(dl)
+        assert bc["left_passed"] and bc["right_passed"], bc
+        res, scale = check_telescoping(dl)
+        assert res > 1e-4 * scale, n
 
 
 def test_boundary_conditions_hold_at_map():
@@ -261,20 +377,18 @@ def test_boundary_conditions_hold_at_map():
 
 def test_boundary_check_reads_whole_root_slabs():
     # at the n = 2, 3 cutoff K = 2 the root slabs reach pair level 2, above
-    # the interior levels (pair level <= K - 1) of the open telescoping check
+    # the interior levels (pair level <= K - 1) of the bulk certificate
     dl = build_double_lax(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3))
-    assert dl.fam.space.cutoff_K == 2
+    assert dl.fam.space.cutoff_K - 1 < 2
     lv = dl.fam.space.levels()
-    pair = (lv[:, None] + lv[None, :]).ravel()
-    assert not _pair_interior_mask(dl.fam)[pair == 2].any()
+    pair = lv[:, None] + lv[None, :]
     clean = check_boundary_conditions(dl)
     assert clean["left_passed"] and clean["right_passed"], clean
-    for side, slab in (("left", lambda T, x: T[:, :, dl.root, x]),
-                       ("right", lambda T, x: T[:, :, x, dl.root])):
-        x = max(np.flatnonzero(pair == 2),
-                key=lambda x: np.linalg.norm(slab(dl.LLt, x)))
+    for side, name in (("left", "row_t"), ("right", "col_t")):
+        slab = getattr(dl, name)
+        x, y = max(zip(*np.nonzero(pair == 2)), key=lambda xy: np.linalg.norm(slab[xy]))
         bad = build_double_lax(dl.cfg, dl.fam)
-        slab(bad.LLt, x)[...] *= 1.01
+        getattr(bad, name)[x, y] *= 1.01
         bc = check_boundary_conditions(bad)
         assert bc[f"{side}_residual"] > 1e-4 * bc["scale"], (side, bc)
 
