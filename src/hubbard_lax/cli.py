@@ -87,17 +87,25 @@ def _merged(args, key, default=None):
     return DEFAULTS.get(key, default) if val is None else val
 
 
-def _values(args, key, default, parse=float):
-    """A comma-separated flag, or a config list or scalar, as parsed values."""
+def _real(raw, what: str) -> float:
+    """A real option value; a config list, object or boolean is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise ValueError(f"{what} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _values(args, key, default, parse=_real):
+    """A comma-separated flag, or a config list or scalar, as values parsed
+    by parse(value, key)."""
     raw = _merged(args, key, default)
     if isinstance(raw, str):
         raw = raw.split(",")
-    return [parse(x) for x in (raw if isinstance(raw, (list, tuple)) else [raw])]
+    return [parse(x, key) for x in (raw if isinstance(raw, (list, tuple)) else [raw])]
 
 
 def _tol(args) -> float:
     """The gate tolerance; inf or nan would pass every gate, and 0 or less none."""
-    tol = float(_merged(args, "tol"))
+    tol = _real(_merged(args, "tol"), "tol")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     return tol
@@ -120,11 +128,11 @@ def _driving_from_args(args) -> DrivingConfig:
         return v
 
     return DrivingConfig(
-        gamma_L=float(need("gammaL", 1.0)),
-        gamma_R=float(need("gammaR", 1.0)),
-        mu_L=float(_merged(args, "muL", 0.0)),
-        mu_R=float(_merged(args, "muR", 0.0)),
-        u=float(need("u")),
+        gamma_L=_real(need("gammaL", 1.0), "gammaL"),
+        gamma_R=_real(need("gammaR", 1.0), "gammaR"),
+        mu_L=_real(_merged(args, "muL", 0.0), "muL"),
+        mu_R=_real(_merged(args, "muR", 0.0), "muR"),
+        u=_real(need("u"), "u"),
         n_sites=_whole(need("n")),
     )
 
@@ -139,7 +147,7 @@ def cmd_verify(args) -> int:
     if args.K is not None:
         cutoffs = (_whole(args.K, "K"),)
     else:
-        cutoffs = tuple(_values(args, "cutoffs", (3, 4, 5), lambda K: _whole(K, "cutoffs")))
+        cutoffs = tuple(_values(args, "cutoffs", (3, 4, 5), _whole))
     if not cutoffs or samples < 1:
         raise ValueError(f"verify needs at least one cutoff and one sample, got "
                          f"cutoffs {list(cutoffs)} and {samples} samples")
@@ -147,7 +155,7 @@ def cmd_verify(args) -> int:
     if args.u is None:
         reports = verify_suite(num_samples=samples, cutoffs=cutoffs, tol=tol, seed=seed)
     else:
-        pts = [dataclasses.replace(p, u=float(args.u)) for p in pts]
+        pts = [dataclasses.replace(p, u=_real(args.u, "u")) for p in pts]
         reports = [r for K in cutoffs for p in pts for r in verify_family(p, K, tol=tol)]
     xk = [check_xk_structure(p) for p in pts]
     doc = {
@@ -280,7 +288,7 @@ def cmd_observe(args) -> int:
 
 def cmd_commute(args) -> int:
     seed = _whole(_merged(args, "seed"), "seed")
-    u = float(_merged(args, "u", 1.0))
+    u = _real(_merged(args, "u", 1.0), "u")
     npairs = _whole(_merged(args, "pairs", 20), "pairs")
     ns = _values(args, "n", "2,3,4", _whole)
     pairs = sample_pairs(npairs, seed=seed)

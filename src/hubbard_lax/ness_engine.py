@@ -33,12 +33,13 @@ peak memory estimate exceeds linalg.MAX_CHAIN_BYTES.
 
 Local expectation values in the steady state come from an environment
 engine (local_expectations) that never materializes rho: one sweep from each
-end of the chain over the doubled auxiliary space, with the pair transfer
-applied matrix-free through sparse blocks of the transfer tensor and each
-environment rescaled. Time and memory grow as n da^2 (da = 4K + 1, about
-2n + 5), and its store is guarded like linalg.chain, which admits chains up to
-n = 211. mpo_expectation, with dense pair transfer matrices, is kept as its
-cross-check for short chains.
+end of the chain over the doubled auxiliary space, each environment
+rescaled, with the pair transfer applied in numpy from the nonzeros of the
+environments, which are block diagonal in the auxiliary charge. Memory grows
+as n da^2 (da = 4K + 1, about 2n + 5), and the store is guarded like
+linalg.chain, which admits chains up to n = 211. One sweep of the longest
+chain serves a whole series of lengths (first_bonds). mpo_expectation, with
+dense pair transfer matrices, is kept as its cross-check for short chains.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -386,34 +387,88 @@ def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
 # from the left as X -> sum w[r,p] A_pq^T X conj(A_rq).
 
 class _PairSide:
-    """F(w) applied matrix-free from one side, for many w at once.
+    """F(w) X for many w at once, summed over the nonzeros of X alone: from
+    the right when built from A[p, q, a, b], from the left when built from A
+    with its two auxiliary indices swapped.
 
-    Built from A[p, q, a, b] it applies F(w) from the right; built from A
-    with its two auxiliary indices swapped, from the left. The 16 blocks A_pq
-    are level-banded, with at most about 1.5 da nonzeros each, and are held
-    as sparse matrices; no da^4 array is ever formed. The two sparse products
-    do not depend on w, so the local matrices are contracted in afterwards,
-    all of them in one small product.
-    """
+    Each column A[p, q, :, b] holds at most two nonzeros, and F(w) conserves
+    the auxiliary charge, so the environments are block diagonal in it, with
+    about 3 da nonzeros of da^2. The part that does not depend on w,
+    T[r, p, a, c] = sum_q sum_{X[b,d] != 0} A[p,q,a,b] X[b,d] conj(A[r,q,c,d]),
+    is one bincount over the nonzeros of X, and one product contracts every
+    w. It is exact for a dense X too."""
 
     def __init__(self, A: np.ndarray):
-        from scipy import sparse
-
         da = A.shape[2]
-        self.da = da
-        At = A.transpose(0, 2, 1, 3)  # [p, a, q, b]
-        # rows (p, a, q), columns b: every A_pq X in one product
-        self._first = sparse.csr_matrix(At.reshape(16 * da, da))
-        # rows (c, r), columns (q, d): the conj(A_rq) factor
-        self._second = sparse.csr_matrix(np.conj(At).transpose(1, 0, 2, 3).reshape(4 * da, 4 * da))
+        # per (b, q), the nonzeros of A[:, q, :, b] as flat (p, a), zero-padded to one width
+        cols = A.transpose(3, 1, 0, 2).reshape(da, 4, 4 * da)
+        pa = np.argsort(cols == 0, axis=2, kind="stable")[:, :, :(cols != 0).sum(axis=2).max()]
+        self.val = np.take_along_axis(cols, pa, axis=2)
+        p, a = np.divmod(pa, da)
+        # where an entry lands in T as the factor (p, a) and as the conjugate (r, c)
+        self.first, self.second = (p * da + a) * da, p * 4 * da * da + a
 
     def apply(self, X: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """F(w) X for each w of the (m, 4, 4) stack ws, as [w, a, c]."""
-        da = self.da
-        D = (self._first @ X).reshape(4 * da, 4 * da)        # [(p, a), (q, d)]
-        T = self._second @ np.ascontiguousarray(D.T)         # [(c, r), (p, a)]
-        out = ws.reshape(-1, 16) @ T.reshape(da, 16, da)     # [c, w, a]
-        return out.transpose(1, 2, 0)
+        b, d = np.nonzero(X)
+        idx = (self.first[b][..., :, None] + self.second[d][..., None, :]).ravel()
+        val = (X[b, d, None, None, None] * self.val[b][..., :, None]
+               * np.conj(self.val[d])[..., None, :]).ravel()
+        # T[r, p] only at the (a, c) that the sum reaches, and the complex sum
+        # as one real one, over interleaved (re, im) pairs
+        rp, ac = np.divmod(idx, X.size)
+        reached, slot = np.unique(ac, return_inverse=True)
+        T = np.bincount((2 * (rp * len(reached) + slot)[:, None] + [0, 1]).ravel(),
+                        val.view(float), minlength=32 * len(reached)).view(complex)
+        out = np.zeros((len(ws), X.size), dtype=complex)
+        out[:, reached] = ws.reshape(-1, 16) @ T.reshape(16, -1)
+        return out.reshape(len(ws), *X.shape)
+
+
+class _Environments:
+    """The environment engine of one chain: its pair transfer from either
+    side, its sweep from the right and the values read off it. Refused before
+    the family is built if the environment store would not fit beside the
+    family, A and one site's intermediates."""
+
+    def __init__(self, cfg: DrivingConfig):
+        n, space = cfg.n_sites, build_aux_space(k_exact(cfg.n_sites))
+        guard(16 * space.dim ** 2 * (n + 160), f"{n}-site environment store")
+        A = phys_transfer_tensor(ness_family(cfg).L)
+        self.right, self.left = _PairSide(A), _PairSide(A.swapaxes(2, 3))
+        self.m = m_diag(1, map_driving_to_params(cfg)[2])
+        self.root = np.diag(_basis(space.dim, _root_index(space))).astype(complex)  # |00>
+
+    def weights(self, ops) -> np.ndarray:
+        """The stack of m O for the identity and each local operator O."""
+        return np.array([self.m[:, None] * np.asarray(op) for op in [np.eye(4), *ops]])
+
+    def sweep(self, n: int):
+        """Yields env[k] ~ F_id^k |00> for k < n, each rescaled to unit norm,
+        so that long chains cannot overflow."""
+        X, w_id = self.root, self.weights([])
+        yield X
+        for _ in range(n - 1):
+            X = self.right.apply(X, w_id)[0]
+            X = X / np.linalg.norm(X)
+            yield X
+
+    def expectations(self, env: list, site_ops: dict, bond_ops: dict):
+        """local_expectations of the len(env)-site chain, read off its
+        environments env from the right."""
+        n, n_site, L = len(env), len(site_ops), self.root
+        w_left = self.weights([*site_ops.values(), *(op for op, _ in bond_ops.values())])
+        w_right = self.weights([op for _, op in bond_ops.values()])
+        for j in range(1, n + 1):
+            V = self.left.apply(L, w_left)
+            site = np.einsum("wac,ac->w", V[:n_site + 1], env[n - j])
+            bond = {}
+            if j < n:
+                RV = self.right.apply(env[n - j - 1], w_right)
+                pairs = np.einsum("wac,wac->w", V[[0, *range(n_site + 1, len(V))]], RV)
+                bond = dict(zip(bond_ops, pairs[1:] / pairs[0]))
+            yield dict(zip(site_ops, site[1:] / site[0])), bond
+            L = V[0] / np.linalg.norm(V[0])
 
 
 def local_expectations(cfg: DrivingConfig, site_ops: dict, bond_ops: dict):
@@ -426,47 +481,25 @@ def local_expectations(cfg: DrivingConfig, site_ops: dict, bond_ops: dict):
     ({name: <O_j>}, {name: <O_j P_{j+1}>}), the second empty at j = n. The
     generator is lazy: a caller that needs only the first sites stops early.
 
-    One sweep from the right stores the environments F_id^k |00>, each
-    rescaled to unit norm, so long chains cannot overflow. The sweep from the
-    left then reads each value as a ratio of two contractions at the same
-    cut, <left| F(w_j) (F(w_{j+1})) |right> over <left| F_id (F_id) |right>,
-    in which the rescaling cancels.
+    The sweep from the left reads each value as a ratio of two contractions
+    at the same cut, <left| F(w_j) (F(w_{j+1})) |right> over <left| F_id
+    (F_id) |right>, in which the rescaling of the environments cancels.
     """
-    n = cfg.n_sites
-    space = build_aux_space(k_exact(n))
-    da = space.dim
-    # the environment store plus the family, A and one site's intermediates
-    guard(16 * da * da * (n + 160), f"{n}-site environment store")
-    A = phys_transfer_tensor(ness_family(cfg).L)
-    right, left = _PairSide(A), _PairSide(A.swapaxes(2, 3))
-    _, _, eta = map_driving_to_params(cfg)
-    m = m_diag(1, eta)
+    eng = _Environments(cfg)
+    yield from eng.expectations(list(eng.sweep(cfg.n_sites)), site_ops, bond_ops)
 
-    def stack(ops):
-        return np.array([m[:, None] * np.asarray(op) for op in [np.eye(4), *ops]])
 
-    bonds = list(bond_ops.values())
-    w_left = stack([*site_ops.values(), *(op for op, _ in bonds)])
-    w_right = stack([op for _, op in bonds])
-    n_site = len(site_ops)
-
-    env = np.zeros((n, da, da), dtype=complex)  # env[k] ~ F_id^k |00>
-    i0 = _root_index(space)
-    env[0, i0, i0] = 1.0
-    for k in range(1, n):
-        X = right.apply(env[k - 1], w_right[:1])[0]
-        env[k] = X / np.linalg.norm(X)
-    L = env[0]
-    for j in range(1, n + 1):
-        V = left.apply(L, w_left)
-        site = np.einsum("wac,ac->w", V[:n_site + 1], env[n - j])
-        bond = {}
-        if j < n:
-            RV = right.apply(env[n - j - 1], w_right)
-            pairs = np.einsum("wac,wac->w", V[[0, *range(n_site + 1, len(V))]], RV)
-            bond = dict(zip(bond_ops, pairs[1:] / pairs[0]))
-        yield dict(zip(site_ops, site[1:] / site[0])), bond
-        L = V[0] / np.linalg.norm(V[0])
+def first_bonds(base: DrivingConfig, lengths, bond_ops: dict) -> list:
+    """The first bond dict {name: <O_1 P_2>} of local_expectations for each
+    chain length n of lengths, in the order given, at base's driving, all
+    read from one sweep of the longest chain, which keeps only the env[n - 1]
+    and env[n - 2] that they read. Its cutoff k_exact is exact for every
+    shorter chain: cut j of an n-site chain reaches only levels <= min(j, n - j)."""
+    cfg = max((replace(base, n_sites=n) for n in lengths), key=lambda c: c.n_sites)
+    eng = _Environments(cfg)
+    keep = {n - i for n in lengths for i in (1, 2)}
+    env = [X if k in keep else None for k, X in enumerate(eng.sweep(cfg.n_sites))]
+    return [next(eng.expectations(env[:n], {}, bond_ops))[1] for n in lengths]
 
 
 def pair_transfer(fam: LaxFamily, w: np.ndarray) -> np.ndarray:

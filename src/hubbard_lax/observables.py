@@ -27,7 +27,8 @@ import numpy as np
 
 from .hubbard_model import SIGMA, TAU
 from .linalg import local4
-from .ness_engine import DrivingConfig, NessResult, build_ness, local_expectations
+from .ness_engine import (DrivingConfig, NessResult, build_ness, first_bonds,
+                          local_expectations)
 
 REAL_TOL = 1e-10
 
@@ -39,16 +40,6 @@ class ObservableSet:
     densities_tau: list
     currents_sigma: list
     currents_tau: list
-
-
-def expectation(rho: np.ndarray, obs) -> complex:
-    """Cross-check of the dense reader: tr(rho @ obs) = sum_ij rho[j, i]
-    obs[i, j] for a full-size obs, in O(nnz) for a sparse one."""
-    sparse = hasattr(obs, "multiply")
-    obs = obs if sparse else np.asarray(obs)
-    if rho.shape != obs.shape:
-        raise ValueError(f"shape mismatch {rho.shape} vs {obs.shape}")
-    return complex((obs.multiply(rho.T) if sparse else rho.T * obs).sum())
 
 
 def _real(z: complex, what: str) -> float:
@@ -160,15 +151,12 @@ def current_uniformity(obs: ObservableSet) -> float:
 
 
 def current_series(base: DrivingConfig, n_values) -> list:
-    """(n, J_sigma at the first bond) along a family of chain lengths,
-    computed with the environment engine, which stops after the first bond."""
-    out = []
-    for n in n_values:
-        cfg = DrivingConfig(base.gamma_L, base.gamma_R, base.mu_L, base.mu_R,
-                            base.u, int(n))
-        _, bond = next(local_expectations(cfg, {}, _current_terms(SIGMA)))
-        out.append((int(n), _current(bond, SIGMA, "J")))
-    return out
+    """(n, J_sigma at the first bond) for each chain length of n_values, in
+    the order given, all read from one sweep of the environment engine at the
+    longest (ness_engine.first_bonds)."""
+    ns = [int(n) for n in n_values]
+    bonds = first_bonds(base, ns, _current_terms(SIGMA))
+    return [(n, _current(bond, SIGMA, "J")) for n, bond in zip(ns, bonds)]
 
 
 def scaling_fit(series) -> dict:

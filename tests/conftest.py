@@ -3,10 +3,12 @@ reference operators (site operators, the Hamiltonian from its global formula,
 the bond current and the Lindblad generator, all scipy CSR) that the
 local-term code of the package is checked against, the whole doubled site
 tensors and the global telescoping of the doubled chain that the local
-stationarity certificate is checked against, the species-swap and
-total-magnetization operators the symmetry tests use, the auxiliary-space
-gauge the gauge-invariance tests apply, and the text labels of auxiliary
-vertices the operator-table tests read.
+stationarity certificate is checked against, the CSR pair transfer that the
+environment engine's is checked against, tr(rho O) for the dense reader of
+observables, the species-swap and total-magnetization operators the
+symmetry tests use, the auxiliary-space gauge the gauge-invariance tests
+apply, and the text labels of auxiliary vertices the operator-table tests
+read.
 """
 
 import numpy as np
@@ -192,6 +194,47 @@ def off_root_ltilde_defect(fam: LaxFamily):
     a, b = np.unravel_index(np.argmax(np.abs(fam.Ltilde[st]) * mask), mask.shape)
     fam.Ltilde[st][a, b] *= 1.01
     return fam
+
+
+class CsrPairSide:
+    """Cross-check of the environment engine's pair transfer
+    (ness_engine._PairSide): F(w) applied from one side through scipy CSR
+    blocks of the transfer tensor, for many w at once, with work that grows
+    as da^2 whatever the nonzeros of X.
+
+    Built from A[p, q, a, b] it applies F(w) from the right; built from A
+    with its two auxiliary indices swapped, from the left. The two sparse
+    products do not depend on w, so the local matrices are contracted in
+    afterwards, all of them in one small product.
+    """
+
+    def __init__(self, A: np.ndarray):
+        da = A.shape[2]
+        self.da = da
+        At = A.transpose(0, 2, 1, 3)  # [p, a, q, b]
+        # rows (p, a, q), columns b: every A_pq X in one product
+        self._first = sp.csr_matrix(At.reshape(16 * da, da))
+        # rows (c, r), columns (q, d): the conj(A_rq) factor
+        self._second = sp.csr_matrix(np.conj(At).transpose(1, 0, 2, 3).reshape(4 * da, 4 * da))
+
+    def apply(self, X: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """F(w) X for each w of the (m, 4, 4) stack ws, as [w, a, c]."""
+        da = self.da
+        D = (self._first @ X).reshape(4 * da, 4 * da)        # [(p, a), (q, d)]
+        T = self._second @ np.ascontiguousarray(D.T)         # [(c, r), (p, a)]
+        out = ws.reshape(-1, 16) @ T.reshape(da, 16, da)     # [c, w, a]
+        return out.transpose(1, 2, 0)
+
+
+def expectation(rho: np.ndarray, obs) -> complex:
+    """Cross-check of the dense reader of observables: tr(rho @ obs) =
+    sum_ij rho[j, i] obs[i, j] for a full-size obs, in O(nnz) for a sparse
+    one."""
+    sparse = hasattr(obs, "multiply")
+    obs = obs if sparse else np.asarray(obs)
+    if rho.shape != obs.shape:
+        raise ValueError(f"shape mismatch {rho.shape} vs {obs.shape}")
+    return complex((obs.multiply(rho.T) if sparse else rho.T * obs).sum())
 
 
 def spin_flip_G(n: int) -> sp.csr_matrix:

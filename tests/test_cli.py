@@ -115,6 +115,22 @@ def test_observe_refusal_names_the_environment_store(tmp_path, capsys):
     assert "dense-route" not in err
 
 
+@pytest.mark.parametrize("scaling, message", [
+    ("1,4,8", "n_sites >= 2"),
+    ("8,400,12", "400-site environment store"),
+])
+def test_observe_scaling_refusals(tmp_path, capsys, scaling, message):
+    # the whole series is checked, and its one sweep sized from the longest
+    # chain, before any of it is computed
+    from hubbard_lax import cli
+
+    rc = cli.main(["observe", "--n", "6", "--u", "1", "--scaling", scaling,
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "observe.json").exists()
+
+
 def test_oracle_size_refusal(tmp_path):
     for n in ("4", "40"):
         r = run("oracle", "--n", n, "--gammaL", "1", "--gammaR", "1", "--u", "1",
@@ -278,6 +294,23 @@ def test_config_integers_are_whole_numbers(tmp_path, capsys, cmd, key, value):
     cfg.write_text(json.dumps({key: value}))
     assert cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert f"{key} must be a whole number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, config, message", [
+    (["ness"], {"tol": [1e-10], "n": 2, "u": 1}, "tol must be a number, got [1e-10]"),
+    (["ness"], {"gammaL": {"a": 1}, "n": 2, "u": 1}, "gammaL must be a number"),
+    (["sweep", "--n", "2"], {"u": [1, True]}, "u must be a number, got True"),
+    (["commute", "--n", "2", "--pairs", "1"], {"u": [1.0]}, "u must be a number"),
+])
+def test_config_values_of_the_wrong_type(tmp_path, capsys, cmd, config, message):
+    # refused where the value is parsed, with exit 2, not a TypeError traceback
+    from hubbard_lax import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([*cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_pool_is_bounded(tmp_path, monkeypatch, capsys):

@@ -5,20 +5,32 @@ import pytest
 
 from conftest import (
     CANONICAL_DRIVINGS,
+    CsrPairSide,
     current_operator,
+    expectation,
     kron_hamiltonian,
     kron_site_operator,
     spin_flip_G,
 )
-from hubbard_lax.ness_engine import DrivingConfig, build_ness, mpo_expectation
+from hubbard_lax import ness_engine
+from hubbard_lax.linalg import local4, phys_transfer_tensor
+from hubbard_lax.ness_engine import (
+    DrivingConfig,
+    _Environments,
+    build_ness,
+    local_expectations,
+    mpo_expectation,
+    ness_family,
+)
 from hubbard_lax.observables import (
     _MINUS_LOC,
     _PLUS_LOC,
     _SZ_LOC,
+    _current,
+    _current_terms,
     cosine_profile_fit,
     current_series,
     current_uniformity,
-    expectation,
     profile_and_currents,
     profile_and_currents_mpo,
     scaling_fit,
@@ -150,6 +162,61 @@ def test_environment_engine_matches_cross_check(driving, n):
         assert _rel_dev(curr, want) <= TOL
 
 
+@pytest.mark.parametrize("n", [6, 12, 24, 40])
+@pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
+def test_pair_transfer_matches_csr_cross_check(driving, n):
+    """The nonzero-driven pair transfer against the CSR cross-check, from
+    both sides, on every environment of the sweep and on a dense X."""
+    cfg = DrivingConfig(*driving, n)
+    eng = _Environments(cfg)
+    A = phys_transfer_tensor(ness_family(cfg).L)
+    sides = ((eng.right, CsrPairSide(A)), (eng.left, CsrPairSide(A.swapaxes(2, 3))))
+    ws = eng.weights([local4(s, t) for s, t in ("z0", "+0", "-0", "0+", "zz", "+-")])
+    rng = np.random.default_rng(n)
+    dense = rng.normal(size=eng.root.shape) + 1j * rng.normal(size=eng.root.shape)
+    for X in [*eng.sweep(n), dense]:
+        for side, reference in sides:
+            got, want = side.apply(X, ws), reference.apply(X, ws)
+            assert np.abs(got - want).max() <= TOL * np.abs(want).max()
+
+
+def _per_length_current(driving, n):
+    """The first-bond current of an n-site chain from its own family and
+    sweep: the route current_series took one length at a time."""
+    _, bond = next(local_expectations(DrivingConfig(*driving, n), {}, _current_terms(0)))
+    return _current(bond, 0, "J")
+
+
+@pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
+def test_current_series_matches_per_length_route(driving):
+    ns = list(range(2, 41))
+    series = current_series(DrivingConfig(*driving, 4), ns)
+    assert [n for n, _ in series] == ns
+    for n, J in series:
+        want = _per_length_current(driving, n)
+        assert abs(J - want) <= TOL * abs(want)
+
+
+def _record_families(monkeypatch):
+    """The chain lengths of the families the engine builds from here on."""
+    calls = []
+    monkeypatch.setattr(ness_engine, "ness_family",
+                        lambda cfg: calls.append(cfg.n_sites) or ness_family(cfg))
+    return calls
+
+
+def test_current_series_keeps_input_order(monkeypatch):
+    calls = _record_families(monkeypatch)
+    driving = CANONICAL_DRIVINGS[0]
+    series = current_series(DrivingConfig(*driving, 4), [12, 4, 12, 8, 2])
+    assert calls == [12]  # one family, at the longest chain
+    assert [n for n, _ in series] == [12, 4, 12, 8, 2]
+    assert series[0] == series[2]
+    for n, J in series:
+        want = _per_length_current(driving, n)
+        assert abs(J - want) <= TOL * abs(want)
+
+
 @pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
 def test_current_series_matches_cross_check(driving):
     base = DrivingConfig(*driving, 4)
@@ -158,12 +225,15 @@ def test_current_series_matches_cross_check(driving):
         assert abs(J - want) <= TOL * abs(want)
 
 
-def test_environments_rescaled_on_long_chains():
+def test_environments_rescaled_on_long_chains(monkeypatch):
     """At this driving the unscaled <00|F_id^n|00> = tr(Omega Omega^dag M)
     grows by about e^11 per site near n = 70: it is e^705 at n = 70 and
-    e^822 at n = 80, past the float64 limit of e^709.8 from n = 71 on."""
+    e^822 at n = 80, past the float64 limit of e^709.8 from n = 71 on. Both
+    lengths are read from one sweep, of the 80-site chain."""
+    calls = _record_families(monkeypatch)
     base = DrivingConfig(50.0, 1.0, 0.0, 0.0, 1.0, 80)
     series = current_series(base, [70, 80])
+    assert calls == [80]
     assert [n for n, _ in series] == [70, 80]
     assert all(np.isfinite(J) and J > 0 for _, J in series)
     obs = profile_and_currents_mpo(base)
@@ -172,10 +242,20 @@ def test_environments_rescaled_on_long_chains():
     assert current_uniformity(obs) <= UNIFORMITY_TOL
 
 
-def test_environment_store_guarded():
-    # refused from the chain length alone, before the family is built
-    with pytest.raises(MemoryError, match="environment store"):
-        current_series(DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 4), [400])
+def test_environment_store_guarded(monkeypatch):
+    # refused from the longest chain length alone, before any family is built
+    def no_family(cfg):
+        raise AssertionError("family built before the size check")
+
+    monkeypatch.setattr(ness_engine, "ness_family", no_family)
+    with pytest.raises(MemoryError, match="400-site environment store"):
+        current_series(DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 4), [8, 400, 12])
+
+
+def test_current_series_refuses_short_chains_first(monkeypatch):
+    monkeypatch.setattr(ness_engine, "ness_family", None)
+    with pytest.raises(ValueError, match="n_sites >= 2"):
+        current_series(DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 4), [4, 1, 8])
 
 
 def test_scaling_fit_exact_power_laws():

@@ -1,8 +1,8 @@
 """The benchmark's tracer looks up each traced function by name at run time,
 so a renamed function would silently break traced runs; this pins the names.
 The cold-start checks pin which commands pay for importing scipy and the
-process pool: only the ones that use them, which for scipy is the
-environment engine alone."""
+process pool: only the ones that use them. No command uses scipy;
+only the tests' cross-checks import it."""
 
 import importlib.util
 import subprocess
@@ -49,10 +49,12 @@ def test_cli_import_loads_no_scipy_or_process_pool():
     (["ness", "--n", "3", "--u", "1"], "[]"),
     (["observe", "--n", "5", "--u", "1"], "[]"),
     (["sweep", "--n", "2,3"], "[]"),
-    # the probe sees scipy where a command does load it: the CSR engine
-    (["observe", "--n", "6", "--u", "1"], "['scipy']"),
+    # the environment engine
+    (["observe", "--n", "6", "--u", "1"], "[]"),
     (["oracle", "--n", "2", "--u", "1"], "[]"),
     (["ness", "--n", "3", "--u", "1", "--lindblad-residual"], "[]"),
+    # the environment engine again, for a scaling series
+    (["observe", "--n", "8", "--u", "1", "--scaling", "4,6,8"], "[]"),
 ])
 def test_commands_load_scipy_only_where_used(tmp_path, argv, loaded):
     run = "import sys\nfrom hubbard_lax.cli import main\nassert main(sys.argv[1:]) == 0"
