@@ -8,6 +8,10 @@ followed by one "plaquette" of four vertices per integer level,
 Vertices are labelled by (level, sign) with level in {0, 1/2, 1, 3/2, ...};
 level 0 exists only with sign +. Internally levels are stored doubled
 (twice_level) so everything stays integer.
+
+Each vertex carries a charge (sigma, tau) (AuxSpace.charges): the transfer
+components sigma^s tau^t L^{st} conserve the physical charge plus this one,
+which makes the steady state block diagonal in the charge sectors.
 """
 
 from __future__ import annotations
@@ -54,6 +58,20 @@ class AuxSpace:
     def levels(self) -> np.ndarray:
         """Vertex levels as a float array in basis order."""
         return np.array([v.level for v in self.vertices])
+
+    def charges(self) -> np.ndarray:
+        """Vertex charges (sigma, tau) in basis order, as a (dim, 2) integer
+        array: (k, k) at integer level k, either sign (0+ too); (k+1, k) at
+        (k+1/2)+ and (k, k+1) at (k+1/2)-. A component L^{st}[a, b] may be
+        nonzero only where the charge of b less that of a is the charge that
+        sigma^s tau^t adds (lax_builder asserts this on every family)."""
+        def charge(v):
+            k = v.twice_level // 2
+            if v.is_integer:
+                return (k, k)
+            return (k + 1, k) if v.sign > 0 else (k, k + 1)
+
+        return np.array([charge(v) for v in self.vertices], dtype=np.int64)
 
     def level_prefix(self, max_level: float) -> int:
         """Number m of vertices with level <= max_level. They are the first m

@@ -22,6 +22,10 @@ algebra_verifier (any sign change below makes those residuals O(1)):
 - the acute/grave off-diagonals carry the opposite-corner X_k elements:
   acute-S+ X and X grave-S+ carry X^{-+}_k, the minus partners carry X^{+-}_k;
 - the bra of acute-S- X is the minus half-integer vertex.
+
+assemble_family refuses a family whose L components do not conserve the
+total charge, physical plus vertex (AuxSpace.charges): the sector
+contraction of the steady state would silently drop such entries.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aux_space import AuxSpace, AuxVertex, build_aux_space, spin_flip_aux
-from .linalg import SPIN_LABELS
+from .linalg import SITE_CHARGES, SPIN_LABELS, local4
 
 SQRT2 = np.sqrt(2.0)
 
@@ -328,4 +332,21 @@ def assemble_family(cutoff_K: int, params: LaxParams) -> LaxFamily:
             - Y @ ST
             - ST @ Y
         ) @ X
+    _check_charges(fam)
     return fam
+
+
+def _check_charges(fam: LaxFamily) -> None:
+    """Raise ValueError unless every component conserves the total charge:
+    L^{st}[a, b] may be nonzero only where the vertex charge of b less that
+    of a (AuxSpace.charges) is the charge that sigma^s tau^t adds. The
+    sector contraction of the steady state relies on it."""
+    q = fam.space.charges()
+    moved = q[None, :, :] - q[:, None, :]  # [a, b]: charge of b less that of a
+    for (s, t), L in fam.L.items():
+        p, r = np.argwhere(local4(s, t))[0]
+        off = (moved != SITE_CHARGES[p] - SITE_CHARGES[r]).any(axis=2) & (L != 0)
+        if off.any():
+            a, b = np.argwhere(off)[0]
+            raise ValueError(f"L^{s}{t} breaks charge conservation between auxiliary "
+                             f"vertices {fam.space.vertices[a]} and {fam.space.vertices[b]}")

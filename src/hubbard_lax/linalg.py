@@ -3,7 +3,9 @@ it, and the one contraction core shared by every module: lift turns operator
 components into a site tensor A[p, q, a, b] (physical row and column, then
 auxiliary row and column), phys_transfer_tensor does so for the 16 transfer
 components of a Lax family, and chain contracts a product of site tensors
-between auxiliary boundary rows, behind one peak-memory guard."""
+between auxiliary boundary rows. sector_chain contracts the same product one
+charge sector at a time, for site tensors that conserve a charge. Both stand
+behind one peak-memory guard."""
 
 from __future__ import annotations
 
@@ -23,6 +25,10 @@ SPIN_LABELS = ("+", "-", "0", "z")
 # is refused with MemoryError before anything is allocated.
 MAX_CHAIN_BYTES = 1 << 30
 
+
+# The (sigma, tau) charges of the site basis uu, ud, du, dd: its up-spin
+# counts, which sigma^+ and tau^+ raise by one.
+SITE_CHARGES = np.array([(1, 1), (1, 0), (0, 1), (0, 0)])
 
 # The 16 ladder-site operators sigma^s tau^t, built once and read-only.
 _LOCAL4 = {(s, t): np.kron(PAULI[s], PAULI[t]) for s in SPIN_LABELS for t in SPIN_LABELS}
@@ -100,3 +106,83 @@ def chain(tensors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         out = cur.reshape((B,) + (P, Q) * n + (C,)).transpose(order)
         out = out.reshape(B, C, P ** n, Q ** n)
     return out[0, 0] if np.ndim(left) == np.ndim(right) == 1 else out
+
+
+def sector_chain(tensors, charges, aux_charges, left: int, right: int) -> list:
+    """<left| A_1 ... A_n |right>, as chain, one charge sector at a time, for
+    site tensors that conserve a charge: A[p, q, a, b] may be nonzero only
+    where charges[p] + aux_charges[a] == charges[q] + aux_charges[b], with
+    integer charge vectors. The (P^n, Q^n) matrix is never formed.
+
+    Returns a list of (rows, cols, block), one per row charge r of the n
+    sites that the product reaches: block is the product on the basis
+    states rows (indices into P^n, which hold charge r) and cols (which hold
+    r + aux_charges[left] - aux_charges[right]); every other entry vanishes.
+    With left == right, rows is cols.
+
+    The partial product after j sites is held as blocks X[P, Q, b], one per
+    row charge r and column charge c of those sites, over the auxiliary
+    indices b of charge aux_charges[left] + r - c from which the rest of the
+    chain still reaches `right`. Each site maps every block through the
+    (p, q) slices of A between two such index sets, one matrix product per
+    slice. The block sizes are planned first, so that the guard counts
+    sector entries, not P^n Q^n.
+    """
+    n = len(tensors)
+    # one integer per charge vector, so that charges add as integers
+    weights = (1 << 20) ** np.arange(np.shape(charges)[1])
+    pc = [int(x) for x in np.asarray(charges) @ weights]
+    ac = np.asarray(aux_charges) @ weights
+    # live[j]: the auxiliary indices after site j + 1 that still reach `right`
+    live = [np.arange(len(ac)) == right]
+    for A in tensors[:0:-1]:
+        live.insert(0, (A != 0).any(axis=(0, 1))[:, live[0]].any(axis=1))
+
+    dims = {0: 1}                     # basis states per charge of the sites so far
+    verts = {0: np.array([left])}     # auxiliary indices per charge difference r - c
+    keys, plan, sizes = [(0, 0)], [], [1]
+    for A, alive in zip(tensors, live):
+        offset, new_dims = {}, {}     # where (r, p) starts in the rows of r + charge p
+        for r, m in dims.items():
+            for p, cp in enumerate(pc):
+                offset[r + cp, p] = new_dims.get(r + cp, 0)
+                new_dims[r + cp] = offset[r + cp, p] + m
+        new_verts, moves, steps = {}, {}, {}
+        for r, c in keys:
+            if r - c not in moves:
+                moves[r - c] = []
+                for p, q in np.ndindex(A.shape[:2]):
+                    d = r - c + pc[p] - pc[q]
+                    if d not in new_verts:
+                        new_verts[d] = np.flatnonzero((ac == ac[left] + d) & alive)
+                    t = A[p, q][np.ix_(verts[r - c], new_verts[d])]
+                    if t.any():
+                        moves[r - c].append((p, q, t))
+            for p, q, t in moves[r - c]:
+                steps.setdefault((r + pc[p], c + pc[q]), []).append((r, c, p, q, t))
+        plan.append((offset, new_dims, steps))
+        dims, verts, keys = new_dims, new_verts, list(steps)
+        sizes.append(sum(dims[r] * dims[c] * len(verts[r - c]) for r, c in keys))
+    # the blocks before and after a site, one slice product in flight, and
+    # (1 MiB) the plan itself
+    guard(16 * max(a + 2 * b for a, b in zip(sizes, sizes[1:])) + (1 << 20),
+          f"{n}-site sector contraction")
+
+    idx = {0: np.zeros(1, dtype=np.int64)}
+    data = {(0, 0): np.ones((1, 1, 1), dtype=complex)}
+    for offset, dims, steps in plan:
+        new_idx = {r: np.empty(m, dtype=np.int64) for r, m in dims.items()}
+        for (r, p), o in offset.items():
+            old = idx[r - pc[p]]
+            new_idx[r][o:o + len(old)] = old * len(pc) + p
+        new = {}
+        for (r, c), contribs in steps.items():
+            X = np.zeros((dims[r], dims[c], contribs[0][4].shape[1]), dtype=complex)
+            for r0, c0, p, q, t in contribs:
+                old = data[r0, c0]
+                R, C, _ = old.shape
+                o, oc = offset[r, p], offset[c, q]
+                X[o:o + R, oc:oc + C] = (old.reshape(R * C, -1) @ t).reshape(R, C, -1)
+            new[r, c] = X
+        data, idx = new, new_idx
+    return [(idx[r], idx[c], X[:, :, 0]) for (r, c), X in sorted(data.items())]

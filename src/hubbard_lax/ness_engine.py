@@ -11,6 +11,21 @@ Omega; the steady state is
 
 with M the diagonal exp(eta * sum_j (sz_j + tz_j)), eta = log(G_L/G_R)/2.
 
+Omega conserves the charges (S, T) = (sum_j sz_j, sum_j tz_j): each
+transfer component moves the charge of the auxiliary vertex
+(AuxSpace.charges) by what its physical operator adds, which
+assemble_family asserts. M is a scalar on each sector, so build_ness
+contracts Omega one (S, T) sector at a time (linalg.sector_chain) and keeps
+rho as the blocks exp(eta (S + T)) Omega_s Omega_s^dag / Z, positive
+semidefinite sector by sector; its positivity diagnostic comes from the
+singular values of the Omega_s. The dense 4^n x 4^n rho and Omega are
+assembled from the blocks only on demand (NessResult.rho, omega_op), behind
+the guard: for the oracle, the Lindblad residual and the state dump, up to
+n = 6. contract_omega is the dense chain, for the commutation probe and as
+the tests' reference; contract_omega_factored and omega_apply are named
+cross-checks of it that never split sectors, so the cutoff test (K against
+K + 1) compares different tensors.
+
 Sign convention: the steady-state construction uses the family member at the
 *opposite* sign of the spectral parameter returned by map_driving_to_params.
 The boundary-condition checks (check_boundary_conditions) pin this sign: with
@@ -28,8 +43,9 @@ ends, one dissipative equation each, read off the root row and root column
 slabs of the doubled (bra-ket) site tensors (build_double_lax,
 check_boundary_conditions). Omega and the cross-check chains are all
 contracted by the one contraction core in linalg: site tensors built by
-linalg.lift, contracted by linalg.chain, which refuses any contraction whose
-peak memory estimate exceeds linalg.MAX_CHAIN_BYTES.
+linalg.lift, contracted whole by linalg.chain or sector by sector by
+linalg.sector_chain, both of which refuse any contraction whose peak memory
+estimate exceeds linalg.MAX_CHAIN_BYTES.
 
 Local expectation values in the steady state come from an environment
 engine (local_expectations) that never materializes rho: one sweep from each
@@ -55,7 +71,8 @@ from .algebra_verifier import check_gLOD
 from .aux_space import AuxSpace, AuxVertex, build_aux_space
 from .hubbard_model import h_bond, h_left, h_right
 from .lax_builder import LaxFamily, LaxParams, assemble_family
-from .linalg import PAULI, chain, guard, lift, local4, phys_transfer_tensor
+from .linalg import (PAULI, SITE_CHARGES, chain, guard, lift, local4,
+                     phys_transfer_tensor, sector_chain)
 
 RHO_MAGIC = b"NESSRHO1"
 
@@ -138,7 +155,9 @@ def _basis(dim: int, i: int) -> np.ndarray:
 
 
 def contract_omega(fam: LaxFamily, n_sites: int) -> np.ndarray:
-    """<0+| L_1 ... L_n |0+> by direct 16-component contraction."""
+    """<0+| L_1 ... L_n |0+> as one dense 4^n x 4^n matrix, by linalg.chain:
+    the transfer operator of the commutation probe, and the tests' reference
+    for the sector blocks of build_ness."""
     e0 = _basis(fam.dim, _root_index(fam.space))
     return chain([phys_transfer_tensor(fam.L)] * n_sites, e0, e0)
 
@@ -192,39 +211,84 @@ def m_diag(n_sites: int, eta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the steady state
 
+def require_dense(n_sites: int) -> None:
+    """Refuse, before allocating, a dense 4^n x 4^n state that would pass
+    linalg.MAX_CHAIN_BYTES."""
+    guard(16 * 16 ** n_sites, f"a dense {n_sites}-site state")
+
+
+def _dense(n_sites: int, rows: list, blocks: list) -> np.ndarray:
+    """The 4^n x 4^n matrix that holds each block on its sector rows."""
+    require_dense(n_sites)
+    out = np.zeros((4 ** n_sites,) * 2, dtype=complex)
+    for r, b in zip(rows, blocks):
+        out[np.ix_(r, r)] = b
+    return out
+
+
 @dataclass
 class NessResult:
+    """The steady state as its charge-sector blocks: rows[i] holds the basis
+    states (indices into 4^n) of one sector (S, T), omega_blocks[i] and
+    rho_blocks[i] Omega and rho on them. Both vanish between sectors; the
+    dense rho and omega_op are assembled on demand, behind the guard."""
     cfg: DrivingConfig
-    omega_op: np.ndarray
-    rho: np.ndarray
+    rows: list
+    omega_blocks: list
+    rho_blocks: list
     eta: float
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def rho(self) -> np.ndarray:
+        return _dense(self.cfg.n_sites, self.rows, self.rho_blocks)
 
-def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None,
-               compute_spectrum: bool = True) -> NessResult:
-    """Assemble rho = Omega Omega^dag M / tr(...) and its sanity diagnostics.
-    fam is the driving's ness_family, built here when not given."""
+    @property
+    def omega_op(self) -> np.ndarray:
+        return _dense(self.cfg.n_sites, self.rows, self.omega_blocks)
+
+
+def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None) -> NessResult:
+    """rho = Omega Omega^dag M / Z, sector by sector, and its diagnostics.
+    fam is the driving's ness_family, built here when not given.
+
+    Omega conserves (S, T) and M is the scalar exp(eta (S + T)) on each
+    sector, so rho_s = exp(eta (S + T)) Omega_s Omega_s^dag / Z with Omega_s
+    from linalg.sector_chain. Its eigenvalues are exp(eta (S + T))
+    sigma^2 / Z over the singular values sigma of Omega_s, which resolve the
+    smallest one to eps sigma_max, so positivity_min_eig is read far below
+    the eps ||rho|| floor of a dense eigensolver."""
     n = cfg.n_sites
-    om = contract_omega(ness_family(cfg) if fam is None else fam, n)
+    fam = ness_family(cfg) if fam is None else fam
+    i0 = _root_index(fam.space)
+    sectors = sector_chain([phys_transfer_tensor(fam.L)] * n, SITE_CHARGES,
+                           fam.space.charges(), i0, i0)
+    rows = [r for r, _, _ in sectors]
+    omegas = [om for _, _, om in sectors]
+    # rho's blocks beside Omega's, two blocks' temporaries at a time, and
+    # (1 MiB) the index arrays and the diagonal of M
+    guard(16 * (2 * sum(om.size for om in omegas) + 2 * max(om.size for om in omegas))
+          + (1 << 20), f"{n}-site sector blocks")
     _, _, eta = map_driving_to_params(cfg)
-    d = m_diag(n, eta)
-    R = (om @ om.conj().T) * d[None, :]
-    tr = np.trace(R)
-    if abs(tr) == 0.0:
+    weights = m_diag(n, eta)[[r[0] for r in rows]]
+    blocks = [w * (om @ om.conj().T) for w, om in zip(weights, omegas)]
+    tr = sum(np.trace(b).real for b in blocks)
+    if tr == 0.0:
         raise RuntimeError("trace of Omega Omega^dag M vanished; inconsistent input")
-    rho = R / tr
-    herm = float(np.linalg.norm(rho - rho.conj().T) / np.linalg.norm(rho))
+    for b in blocks:
+        b /= tr
+    smallest = [w * np.linalg.svd(om, compute_uv=False)[-1] ** 2 / tr
+                for w, om in zip(weights, omegas)]
+    if sum(map(len, rows)) < 4 ** n:
+        smallest.append(0.0)  # a sector that Omega does not reach
     diag = {
-        "hermiticity": herm,
-        "trace_deviation": float(abs(np.trace(rho) - 1.0)),
+        "hermiticity": float(np.sqrt(sum(np.linalg.norm(b - b.conj().T) ** 2 for b in blocks)
+                                     / sum(np.linalg.norm(b) ** 2 for b in blocks))),
+        "trace_deviation": float(abs(sum(np.trace(b) for b in blocks) - 1.0)),
+        "positivity_min_eig": float(min(smallest)),
     }
-    if compute_spectrum:
-        w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        diag["positivity_min_eig"] = float(w.min())
-    return NessResult(
-        cfg=cfg, omega_op=om, rho=rho, eta=float(eta), diagnostics=diag,
-    )
+    return NessResult(cfg=cfg, rows=rows, omega_blocks=omegas, rho_blocks=blocks,
+                      eta=float(eta), diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

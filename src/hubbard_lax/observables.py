@@ -3,9 +3,10 @@ and finite-size scaling fits.
 
 Both routes feed one assembly with the local values <O_j> and <O_j P_{j+1}>.
 The dense route (profile_and_currents, n <= 5) reads them off the one- and
-two-site reduced density matrices of rho and builds no 4^n-dimensional
-operator; the matrix-free route (profile_and_currents_mpo) takes them from
-the environment engine, ness_engine.local_expectations.
+two-site reduced density matrices, summed over the charge-sector blocks in
+which build_ness keeps rho, and builds no 4^n-dimensional operator; the
+matrix-free route (profile_and_currents_mpo) takes them from the environment
+engine, ness_engine.local_expectations.
 
 Current convention. With hopping 2(s+_j s-_{j+1} + s-_j s+_{j+1}) the local
 magnetization obeys d<sz_j>/dt = i<[H, sz_j]> = <J_{j-1,j}> - <J_{j,j+1}>
@@ -48,26 +49,35 @@ def _real(z: complex, what: str) -> float:
     return float(z.real)
 
 
-def _reduced(rho: np.ndarray, n: int, j: int, k: int) -> np.ndarray:
+def _reduced(ness: NessResult, j: int, k: int) -> np.ndarray:
     """Tr_rest rho over all but the k sites j..j+k-1: a 4^k x 4^k matrix,
-    summed from the diagonal blocks of a view of rho."""
-    left, d, right = 4 ** (j - 1), 4**k, 4 ** (n - j - k + 1)
-    return np.einsum("aibajb->ij", rho.reshape(left, d, right, left, d, right))
+    summed over the sector blocks of rho. Within a block, the rows a, b
+    with the same state of the other sites add rho[a, b] at the states of
+    j..j+k-1 that they hold."""
+    d, right = 4**k, 4 ** (ness.cfg.n_sites - j - k + 1)
+    out = np.zeros(d * d, dtype=complex)
+    for rows, block in zip(ness.rows, ness.rho_blocks):
+        mid, rest = rows // right % d, rows // (right * d) * right + rows % right
+        a, b = np.nonzero(rest[:, None] == rest[None, :])
+        out += np.bincount(mid[a] * d + mid[b], block[a, b].real, d * d)
+        out += 1j * np.bincount(mid[a] * d + mid[b], block[a, b].imag, d * d)
+    return out.reshape(d, d)
 
 
-def _dense_local_expectations(rho: np.ndarray, n: int, site_ops: dict, bond_ops: dict):
-    """Dense counterpart of ness_engine.local_expectations, with the same
-    arguments and the same per-site ({name: <O_j>}, {name: <O_j P_{j+1}>})
-    pairs, read off the two-site reduced density matrix rho_{j,j+1} (the
-    one-site matrix at j = n)."""
+def _sector_local_expectations(ness: NessResult, site_ops: dict, bond_ops: dict):
+    """Dense-route counterpart of ness_engine.local_expectations, with the
+    same per-site ({name: <O_j>}, {name: <O_j P_{j+1}>}) pairs, read off the
+    two-site reduced density matrix rho_{j,j+1} (the one-site matrix at
+    j = n) of the sector blocks."""
+    n = ness.cfg.n_sites
     for j in range(1, n + 1):
         bond = {}
         if j < n:
-            r2 = _reduced(rho, n, j, 2)
+            r2 = _reduced(ness, j, 2)
             r1 = np.einsum("ikjk->ij", r2.reshape(4, 4, 4, 4))
             bond = {k: np.sum(r2.T * np.kron(o, p)) for k, (o, p) in bond_ops.items()}
         else:
-            r1 = _reduced(rho, n, n, 1)
+            r1 = _reduced(ness, n, 1)
         yield {k: np.sum(r1.T * o) for k, o in site_ops.items()}, bond
 
 
@@ -108,10 +118,9 @@ def _profile(n: int, sweep) -> ObservableSet:
 
 
 def profile_and_currents(ness: NessResult) -> ObservableSet:
-    """Densities <sz_j>, <tz_j> and bond currents from a dense steady state,
-    read off its one- and two-site reduced density matrices."""
-    n = ness.cfg.n_sites
-    return _profile(n, _dense_local_expectations(ness.rho, n, _SZ_LOC, _CURRENT_TERMS))
+    """Densities <sz_j>, <tz_j> and bond currents from a steady state of
+    build_ness, read off its one- and two-site reduced density matrices."""
+    return _profile(ness.cfg.n_sites, _sector_local_expectations(ness, _SZ_LOC, _CURRENT_TERMS))
 
 
 def profile_and_currents_mpo(cfg: DrivingConfig) -> ObservableSet:
@@ -123,15 +132,15 @@ def profile_and_currents_mpo(cfg: DrivingConfig) -> ObservableSet:
     return _profile(cfg.n_sites, local_expectations(cfg, _SZ_LOC, _CURRENT_TERMS))
 
 
-def steady_observables(cfg: DrivingConfig, compute_spectrum: bool = False):
-    """Profile and currents through the dense steady state for n <= 5, else
-    through the environment engine, which never builds rho.
+def steady_observables(cfg: DrivingConfig):
+    """Profile and currents through the steady state of build_ness for
+    n <= 5, else through the environment engine, which never builds rho.
 
-    Returns (observables, diagnostics); the diagnostics are those of the
-    dense state, and empty on the matrix-free route.
+    Returns (observables, diagnostics); the diagnostics are those of
+    build_ness, and empty on the matrix-free route.
     """
     if cfg.n_sites <= 5:
-        res = build_ness(cfg, compute_spectrum=compute_spectrum)
+        res = build_ness(cfg)
         return profile_and_currents(res), res.diagnostics
     return profile_and_currents_mpo(cfg), {}
 

@@ -4,8 +4,9 @@ the bond current and the Lindblad generator, all scipy CSR) that the
 local-term code of the package is checked against, the whole doubled site
 tensors and the global telescoping of the doubled chain that the local
 stationarity certificate is checked against, the CSR pair transfer that the
-environment engine's is checked against, tr(rho O) for the dense reader of
-observables, the species-swap and total-magnetization operators the
+environment engine's is checked against, the dense steady state that the
+sector blocks of build_ness are checked against, tr(rho O) for the dense
+reader of observables, the species-swap and total-magnetization operators the
 symmetry tests use, the auxiliary-space gauge the gauge-invariance tests
 apply, and the text labels of auxiliary vertices the operator-table tests
 read.
@@ -18,7 +19,8 @@ from hubbard_lax.aux_space import AuxSpace, AuxVertex
 from hubbard_lax.hubbard_model import SIGMA, TAU, h_bond, phys_dim
 from hubbard_lax.lax_builder import LaxFamily
 from hubbard_lax.linalg import PAULI, chain, phys_transfer_tensor
-from hubbard_lax.ness_engine import DoubleLax, DrivingConfig, m_diag, map_driving_to_params
+from hubbard_lax.ness_engine import (DoubleLax, DrivingConfig, contract_omega, m_diag,
+                                    map_driving_to_params, ness_family)
 
 # asymmetric rates, asymmetric potentials, and a symmetric-rate control
 CANONICAL_DRIVINGS = (
@@ -224,6 +226,15 @@ class CsrPairSide:
         T = self._second @ np.ascontiguousarray(D.T)         # [(c, r), (p, a)]
         out = ws.reshape(-1, 16) @ T.reshape(da, 16, da)     # [c, w, a]
         return out.transpose(1, 2, 0)
+
+
+def dense_reference_rho(cfg: DrivingConfig) -> np.ndarray:
+    """Reference: the steady state from the dense Omega of contract_omega,
+    rho = Omega Omega^dag M / tr(Omega Omega^dag M)."""
+    n = cfg.n_sites
+    om = contract_omega(ness_family(cfg), n)
+    R = (om @ om.conj().T) * m_diag(n, map_driving_to_params(cfg)[2])[None, :]
+    return R / np.trace(R)
 
 
 def expectation(rho: np.ndarray, obs) -> complex:

@@ -62,3 +62,11 @@ def test_level_prefix():
     shuffled = AuxSpace(cutoff_K=7, vertices=verts, index={v: i for i, v in enumerate(verts)})
     with pytest.raises(AssertionError):
         shuffled.level_prefix(0)
+
+
+def test_vertex_charges():
+    sp = build_aux_space(2)
+    charges = {label(v): tuple(q) for v, q in zip(sp.vertices, sp.charges())}
+    assert charges == {"0+": (0, 0), "1/2+": (1, 0), "1/2-": (0, 1), "1-": (1, 1),
+                       "1+": (1, 1), "3/2+": (2, 1), "3/2-": (1, 2), "2-": (2, 2),
+                       "2+": (2, 2)}

@@ -73,6 +73,17 @@ def test_ness_five_sites_under_memory_cap(tmp_path):
     assert doc["diagnostics"]["telescoping_residual"] <= 1e-10
 
 
+def test_ness_six_sites_under_memory_cap(tmp_path):
+    # the dense rho alone would be 256 MiB, and its dense spectrum took most of a minute
+    r = run("ness", "--n", "6", "--gammaL", "1.5", "--gammaR", "0.7", "--muL", "0.3",
+            "--muR", "-0.4", "--u", "2", "--out", str(tmp_path),
+            preexec_fn=_cap_address_space, timeout=60)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["passed"] is True
+    assert doc["diagnostics"]["positivity_min_eig"] > 0
+
+
 def test_observe_long_scaling_under_memory_cap(tmp_path):
     # the series runs to n = 40, where a dense pair transfer matrix would
     # need about 800 MiB per copy
@@ -85,14 +96,15 @@ def test_observe_long_scaling_under_memory_cap(tmp_path):
     assert [n for n, _ in doc["scaling"]["series"]] == [4, 24, 40]
 
 
-def test_ness_seven_sites_refused_before_dense_build(tmp_path, capsys):
-    # the certificate is local, so the refusal comes from the dense state's
-    # own guard: Omega alone would take 4 GiB at n = 7, the certificate a few MiB
+def test_ness_eight_sites_refused_before_sector_build(tmp_path, capsys):
+    # the certificate is local, so the refusal comes from the sector
+    # contraction's own guard: the sectors of Omega alone would take 2.5 GiB
+    # at n = 8, the certificate a few MiB
     from hubbard_lax import cli
 
     tracemalloc.start()
     try:
-        rc = cli.main(["ness", "--n", "7", "--gammaL", "1.5", "--gammaR", "0.7",
+        rc = cli.main(["ness", "--n", "8", "--gammaL", "1.5", "--gammaR", "0.7",
                        "--u", "2", "--out", str(tmp_path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -101,6 +113,37 @@ def test_ness_seven_sites_refused_before_dense_build(tmp_path, capsys):
     assert "exceeds the memory limits" in capsys.readouterr().err
     assert peak < 16 << 20
     assert not (tmp_path / "ness.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--dump-rho", "--lindblad-residual"])
+def test_ness_refuses_a_dense_state_past_six_sites(tmp_path, capsys, monkeypatch, flag):
+    # both read the dense rho, 4 GiB at n = 7: refused before any family is built
+    from hubbard_lax import cli
+
+    def built(cfg):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(cli, "ness_family", built)
+    args = [flag, str(tmp_path / "rho.bin")] if flag == "--dump-rho" else [flag]
+    rc = cli.main(["ness", "--n", "7", "--u", "2", *args, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "a dense 7-site state" in capsys.readouterr().err
+    assert not (tmp_path / "ness.json").exists()
+    assert not (tmp_path / "rho.bin").exists()
+
+
+def test_ness_refuses_a_dump_path_that_is_not_text(tmp_path, capsys, monkeypatch):
+    from hubbard_lax import cli
+
+    def built(cfg):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(cli, "ness_family", built)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "u": 1, "dump_rho": [1]}))
+    assert cli.main(["ness", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "dump_rho must be a file path, got [1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_observe_refusal_names_the_environment_store(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hubbard_lax.linalg import PAULI, SPIN_LABELS, lift, local4, phys_transfer_tensor
+from hubbard_lax.linalg import (PAULI, SITE_CHARGES, SPIN_LABELS, chain, lift, local4,
+                               phys_transfer_tensor, sector_chain)
 from hubbard_lax.ness_engine import DrivingConfig, ness_family
 
 
@@ -33,3 +34,34 @@ def test_transfer_tensor_matches_kron_reference(n):
     fam = ness_family(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n))
     ref = lift({st: np.kron(PAULI[st[0]], PAULI[st[1]]) for st in fam.L}, fam.L)
     assert np.array_equal(phys_transfer_tensor(fam.L), ref)
+
+
+@pytest.mark.parametrize("left, right", [(0, 0), (1, 2), (3, 0)])
+def test_sector_chain_matches_chain(left, right):
+    # a random site tensor that conserves one integer charge, with distinct
+    # boundary charges too: the sectors hold every entry of the dense product
+    rng = np.random.default_rng(5)
+    aux = np.array([[0], [1], [-1], [1], [2]])
+    phys = np.array([[1], [0], [0], [-1]])
+    keep = (phys[:, None, None, None, 0] + aux[None, None, :, None, 0]
+            == phys[None, :, None, None, 0] + aux[None, None, None, :, 0])
+    A = np.where(keep, rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape), 0)
+    e = np.eye(5)
+    for n in (1, 2, 4):
+        want = chain([A] * n, e[left], e[right])
+        assert np.linalg.norm(want) > 0
+        got = np.zeros_like(want)
+        seen = 0
+        for rows, cols, block in sector_chain([A] * n, phys, aux, left, right):
+            got[np.ix_(rows, cols)] = block
+            seen += block.size
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert np.count_nonzero(want) <= seen < want.size
+
+
+def test_site_charges_count_up_spins():
+    # sigma^+ (tau^+) raises the sigma (tau) charge of a site state by one
+    step = {"+": 1, "-": -1, "0": 0}
+    for s, t in [("+", "0"), ("0", "+"), ("+", "+"), ("-", "+")]:
+        p, q = np.argwhere(local4(s, t))[0]
+        assert tuple(SITE_CHARGES[p] - SITE_CHARGES[q]) == (step[s], step[t])

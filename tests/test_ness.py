@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     canonical_configs,
+    dense_reference_rho,
     doubled_tensors,
     global_telescoping,
     off_root_ltilde_defect,
@@ -13,10 +14,10 @@ from conftest import (
     telescoping_terms,
     total_magnetization,
 )
-from hubbard_lax import lax_builder, ness_engine
+from hubbard_lax import lax_builder, linalg, ness_engine
 from hubbard_lax.aux_space import AuxVertex
 from hubbard_lax.lax_builder import assemble_family
-from hubbard_lax.linalg import chain, local4
+from hubbard_lax.linalg import SITE_CHARGES, chain, local4, phys_transfer_tensor
 from hubbard_lax.ness_engine import (
     DrivingConfig,
     _yy,
@@ -164,9 +165,90 @@ def test_sanity_random_driving():
 
 def test_species_symmetric_state():
     cfg = DrivingConfig(1.2, 0.7, 0.4, -0.1, 1.0, 3)
-    rho = build_ness(cfg, compute_spectrum=False).rho
+    rho = build_ness(cfg).rho
     G = spin_flip_G(3).toarray()
     assert np.linalg.norm(G @ rho @ G - rho) < 1e-12
+
+
+# the states of acceptance criteria 4 (n = 2, 3, three drivings), 5 and 7
+# (the asymmetric driving, n = 2..5)
+CRITERIA_STATES = [*canonical_configs(2), *canonical_configs(3),
+                   *(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n) for n in (4, 5))]
+
+
+@pytest.mark.parametrize("cfg", CRITERIA_STATES, ids=DrivingConfig.key)
+def test_sector_blocks_match_dense_reference(cfg):
+    res = build_ness(cfg)
+    want = dense_reference_rho(cfg)
+    assert np.linalg.norm(res.rho - want) <= 1e-14 * np.linalg.norm(want)
+    # the blocks tile the basis, one sector each
+    rows = np.concatenate(res.rows)
+    assert np.array_equal(np.sort(rows), np.arange(4 ** cfg.n_sites))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_positivity_from_sector_singular_values(n):
+    # the smallest eigenvalue of rho, from the singular values of the Omega
+    # blocks, against a dense eigensolver
+    for cfg in canonical_configs(n):
+        want = np.linalg.eigvalsh(dense_reference_rho(cfg)).min()
+        assert abs(build_ness(cfg).diagnostics["positivity_min_eig"] - want) <= 1e-13
+
+
+def test_off_charge_entry_refused_before_contraction(monkeypatch):
+    # an X entry between 1/2+ and 1/2-, of charges (1, 0) and (0, 1), moves
+    # L entries off their charge; the family must be refused as it is built
+    build_X = lax_builder.build_X
+
+    def defective(space, params):
+        X, blocks = build_X(space, params)
+        X[space.index[AuxVertex(1, +1)], space.index[AuxVertex(1, -1)]] = 0.1
+        return X, blocks
+
+    def contracted(*args):
+        raise AssertionError("the sector contraction was entered")
+
+    monkeypatch.setattr(lax_builder, "build_X", defective)
+    monkeypatch.setattr(ness_engine, "sector_chain", contracted)
+    with pytest.raises(ValueError, match="breaks charge conservation"):
+        build_ness(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_six_site_state_memory():
+    # a dense rho alone would be 256 MiB
+    assert _traced_peak(build_ness, DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 6)) < 128 << 20
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sector_guards_bound_the_peaks(n, monkeypatch):
+    # the contraction's guard bounds what the contraction allocates, and the
+    # larger of the two guards of build_ness what build_ness allocates
+    estimates = {}
+    guard = linalg.guard
+
+    def recorded(nbytes, what):
+        estimates[what.split("-site ")[1]] = nbytes
+        guard(nbytes, what)
+
+    monkeypatch.setattr(linalg, "guard", recorded)
+    monkeypatch.setattr(ness_engine, "guard", recorded)
+    cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
+    fam = ness_family(cfg)
+    A, root = phys_transfer_tensor(fam.L), fam.space.index[AuxVertex(0, +1)]
+    peak = _traced_peak(linalg.sector_chain, [A] * n, SITE_CHARGES, fam.space.charges(), root, root)
+    assert peak <= estimates["sector contraction"]
+    peak = _traced_peak(build_ness, cfg, fam)
+    assert set(estimates) == {"sector contraction", "sector blocks"}
+    assert peak <= max(estimates.values())
 
 
 # ---------------------------------------------------------------------------

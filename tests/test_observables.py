@@ -84,19 +84,19 @@ def test_bond_range_check():
 def test_uniform_currents():
     for n in (2, 3, 4, 5):
         cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
-        obs = profile_and_currents(build_ness(cfg, compute_spectrum=False))
+        obs = profile_and_currents(build_ness(cfg))
         assert current_uniformity(obs) <= UNIFORMITY_TOL
 
 
 def test_species_symmetric_currents():
     cfg = DrivingConfig(1.3, 0.6, 0.2, -0.4, 1.0, 3)
-    obs = profile_and_currents(build_ness(cfg, compute_spectrum=False))
+    obs = profile_and_currents(build_ness(cfg))
     assert np.allclose(obs.currents_sigma, obs.currents_tau, atol=1e-10)
 
 
 def test_antisymmetric_profile():
     cfg = DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 4)
-    obs = profile_and_currents(build_ness(cfg, compute_spectrum=False))
+    obs = profile_and_currents(build_ness(cfg))
     d = np.array(obs.densities_sigma)
     assert np.max(np.abs(d + d[::-1])) < 1e-9
 
@@ -106,7 +106,7 @@ def test_antisymmetric_profile():
 def test_dense_reader_matches_cross_check(driving, n):
     """Every density and current read off the reduced density matrices
     against tr(rho O) with the full 4^n x 4^n operator."""
-    ness = build_ness(DrivingConfig(*driving, n), compute_spectrum=False)
+    ness = build_ness(DrivingConfig(*driving, n))
     obs = profile_and_currents(ness)
     for sp, dens, curr in ((0, obs.densities_sigma, obs.currents_sigma),
                            (1, obs.densities_tau, obs.currents_tau)):
@@ -120,16 +120,17 @@ def test_dense_reader_matches_cross_check(driving, n):
 
 def test_dense_reader_checks_imaginary_parts():
     n = 3
-    ness = build_ness(DrivingConfig(*CANONICAL_DRIVINGS[0], n), compute_spectrum=False)
-    rho = ness.rho + 1e-6j * kron_site_operator(n, 1, 0, "z").toarray()
+    ness = build_ness(DrivingConfig(*CANONICAL_DRIVINGS[0], n))
+    sz1 = kron_site_operator(n, 1, 0, "z").diagonal()
+    blocks = [b + 1e-6j * np.diag(sz1[rows]) for rows, b in zip(ness.rows, ness.rho_blocks)]
     with pytest.raises(ValueError, match="imaginary part"):
-        profile_and_currents(dataclasses.replace(ness, rho=rho))
+        profile_and_currents(dataclasses.replace(ness, rho_blocks=blocks))
 
 
 def test_engine_matches_dense():
     for n in (3, 4):
         cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
-        od = profile_and_currents(build_ness(cfg, compute_spectrum=False))
+        od = profile_and_currents(build_ness(cfg))
         om = profile_and_currents_mpo(cfg)
         assert np.allclose(od.densities_sigma, om.densities_sigma, atol=1e-12)
         assert np.allclose(od.currents_sigma, om.currents_sigma, atol=1e-12)
