@@ -78,12 +78,14 @@ def _cut(fam: LaxFamily, target_K):
     return target_K, fam.space.level_prefix(target_K)
 
 
-def _finish(name, fam, K, diff, scale, tol) -> ResidualReport:
+def residual_report(name, params, K, diff, scale, tol) -> ResidualReport:
+    """The report of the residual diff of identity name on the scale of its
+    operands: passed when ||diff||_F <= tol scale."""
     fro = float(np.linalg.norm(diff))
     mx = float(np.max(np.abs(diff))) if diff.size else 0.0
     scale = float(max(scale, 1e-300))
     return ResidualReport(
-        identity_name=name, params=fam.params, cutoff_K=K,
+        identity_name=name, params=params, cutoff_K=K,
         residual_fro=fro, residual_max=mx, operand_scale=scale,
         passed=bool(fro <= tol * scale), tol=tol,
     )
@@ -112,7 +114,8 @@ def _divergence(fam, ops, acuteX, Xgrave, name, target_K, tol):
     hA12 = _HOP2 @ A12
     rhs = chain([lift(PAULI, acuteX), A], E, E) - chain([A, lift(PAULI, Xgrave)], E, E)
     diff = hA12 - A12 @ _HOP2 - rhs
-    return _finish(name, fam, K, diff, max(np.linalg.norm(hA12), np.linalg.norm(rhs)), tol)
+    return residual_report(name, fam.params, K, diff,
+                           max(np.linalg.norm(hA12), np.linalg.norm(rhs)), tol)
 
 
 def check_id3(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
@@ -142,7 +145,7 @@ def check_id3(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
     # Scale from the un-cancelled product groups: the combined sides may
     # vanish identically (both do at u = 0).
     scale = max(max(np.linalg.norm(g) for g in groups), np.linalg.norm(WST))
-    return _finish("mixed_divergence", fam, K, diff, scale, tol)
+    return residual_report("mixed_divergence", fam.params, K, diff, scale, tol)
 
 
 def check_id4(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
@@ -152,7 +155,7 @@ def check_id4(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
              for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS)]
     worst = max((ST - TS for ST, TS in pairs), key=np.linalg.norm)
     scale = max(np.linalg.norm(ST) for ST, _ in pairs)
-    return _finish("species_commutation", fam, K, worst, scale, tol)
+    return residual_report("species_commutation", fam.params, K, worst, scale, tol)
 
 
 def check_id5(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
@@ -160,7 +163,7 @@ def check_id5(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
     K, m = _cut(fam, target_K)
     diff = (fam.X @ fam.Y - fam.Y @ fam.X)[:m, :m]
     scale = max(np.linalg.norm(fam.X), np.linalg.norm(fam.Y))
-    return _finish("interaction_spectral_commutation", fam, K, diff, scale, tol)
+    return residual_report("interaction_spectral_commutation", fam.params, K, diff, scale, tol)
 
 
 def check_gLOD(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
@@ -174,8 +177,8 @@ def check_gLOD(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport
     hL12 = h @ L12
     rhs = chain([At + fam.Y @ A, A], E, E) - chain([A, At + A @ fam.Y], E, E)
     diff = hL12 - L12 @ h - rhs
-    return _finish("bond_divergence", fam, K, diff,
-                   max(np.linalg.norm(hL12), np.linalg.norm(rhs)), tol)
+    return residual_report("bond_divergence", fam.params, K, diff,
+                           max(np.linalg.norm(hL12), np.linalg.norm(rhs)), tol)
 
 
 def check_center(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualReport:
@@ -185,7 +188,7 @@ def check_center(fam: LaxFamily, target_K=None, tol=DEFAULT_TOL) -> ResidualRepo
     worst = max(((C @ op - op @ C)[:m, :m] for ops in (fam.S, fam.T) for op in ops.values()),
                 key=np.linalg.norm)
     scale = max(np.linalg.norm(C[:m, :m]), 1.0)
-    return _finish("center_condition", fam, K, worst, scale, tol)
+    return residual_report("center_condition", fam.params, K, worst, scale, tol)
 
 
 ALL_CHECKS = (check_id1, check_id2, check_id3, check_id4, check_id5, check_gLOD, check_center)
@@ -267,19 +270,26 @@ def check_xk_structure(params: LaxParams, k_max: int = 20, tol: float = 1e-12) -
     }
 
 
+def annulus_points(rng, k: int) -> list:
+    """k random points of the annulus 0.3 <= |z| <= 1.5, each drawn as its
+    radius (uniform) and then its angle."""
+    zs = []
+    for _ in range(k):
+        r = 0.3 + 1.2 * rng.random()
+        phi = 2.0 * np.pi * rng.random()
+        zs.append(r * np.exp(1j * phi))
+    return zs
+
+
 def sample_params(num: int, seed: int = 42) -> list:
-    """Random parameter points: lambda, omega uniform on the annulus
-    0.3 <= |z| <= 1.5, u from {+-0.5, +-1, +-2}."""
+    """Random parameter points: lambda, omega from annulus_points, u from
+    {+-0.5, +-1, +-2}."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(num):
-        zs = []
-        for _ in range(2):
-            r = 0.3 + 1.2 * rng.random()
-            phi = 2.0 * np.pi * rng.random()
-            zs.append(r * np.exp(1j * phi))
+        lam, om = annulus_points(rng, 2)
         u = float(rng.choice([0.5, -0.5, 1.0, -1.0, 2.0, -2.0]))
-        out.append(LaxParams(zs[0], zs[1], u))
+        out.append(LaxParams(lam, om, u))
     return out
 
 

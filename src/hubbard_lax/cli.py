@@ -8,8 +8,10 @@ inputs produce bit-identical outputs.
 
 Config precedence: command-line flags override entries of a JSON config file
 (--config), which may set only its subcommand's options (and verify's cutoffs);
-built-in defaults fill the rest (tol 1e-10, seed 42). The steady-state cutoff
-is not an input: the chain length fixes it.
+built-in defaults fill the rest (tol 1e-10, seed 42, rates 1, potentials 0).
+A flag's text and a config value are parsed alike, and a bad one is refused
+with exit status 2. The steady-state cutoff is not an input: the chain length
+fixes it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from .ness_engine import (
     map_driving_to_params,
     ness_family,
     require_dense,
+    state_passed,
 )
 from .observables import (
+    UNIFORMITY_TOL,
     cosine_profile_fit,
     current_series,
     current_uniformity,
@@ -49,7 +53,8 @@ from .observables import (
 from .transfer_commutativity import check_commutativity, sample_pairs
 
 SCHEMA_VERSION = 2
-DEFAULTS = {"tol": 1e-10, "seed": 42}
+DEFAULTS = {"tol": 1e-10, "seed": 42, "gammaL": 1.0, "gammaR": 1.0, "muL": 0.0, "muR": 0.0}
+RATES = ("gammaL", "gammaR", "muL", "muR")
 
 
 def _jsonable(obj):
@@ -69,17 +74,17 @@ def _jsonable(obj):
     return obj
 
 
-def _dump_json(doc, path):
+def _emit(args, doc: dict, passed: bool) -> int:
+    """Stamp doc with the schema version and the command, write it to
+    <command>.json under --out, echo it, and return the exit status: 0 when
+    passed, 1 when not."""
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
     text = json.dumps(_jsonable(doc), sort_keys=True, indent=2)
-    with open(path, "w") as fh:
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, f"{args.command}.json"), "w") as fh:
         fh.write(text + "\n")
-    return text
-
-
-def _outdir(args) -> str:
-    d = args.out
-    os.makedirs(d, exist_ok=True)
-    return d
+    print(text)
+    return 0 if passed else 1
 
 
 def _merged(args, key, default=None):
@@ -88,11 +93,19 @@ def _merged(args, key, default=None):
     return DEFAULTS.get(key, default) if val is None else val
 
 
+# Every option value, a flag's text and a config file's JSON value alike, is
+# parsed by _real or _whole (directly, or through _values and _tol) and
+# refused there as "<key> must be ...": the flags carry no argparse type.
+
 def _real(raw, what: str) -> float:
-    """A real option value; a config list, object or boolean is refused."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise ValueError(f"{what} must be a number, got {raw!r}")
-    return float(raw)
+    """A real option value; text that is not a number, and a config list,
+    object or boolean, are refused."""
+    if not isinstance(raw, bool) and isinstance(raw, (int, float, str)):
+        try:
+            return float(raw)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be a number, got {raw!r}")
 
 
 def _values(args, key, default, parse=_real):
@@ -112,9 +125,9 @@ def _tol(args) -> float:
     return tol
 
 
-def _whole(raw, what: str = "chain length") -> int:
-    """A chain length, or the integer option `what`, exactly as given: 2.9 is
-    refused, never rounded."""
+def _whole(raw, what: str) -> int:
+    """The integer option `what`, exactly as given: 2.9 is refused, never
+    rounded."""
     try:
         return int(str(raw))
     except ValueError:
@@ -122,20 +135,11 @@ def _whole(raw, what: str = "chain length") -> int:
 
 
 def _driving_from_args(args) -> DrivingConfig:
-    def need(key, default=None):
-        v = _merged(args, key, default)
-        if v is None:
+    for key in ("u", "n"):
+        if _merged(args, key) is None:
             raise ValueError(f"missing required parameter --{key}")
-        return v
-
-    return DrivingConfig(
-        gamma_L=_real(need("gammaL", 1.0), "gammaL"),
-        gamma_R=_real(need("gammaR", 1.0), "gammaR"),
-        mu_L=_real(_merged(args, "muL", 0.0), "muL"),
-        mu_R=_real(_merged(args, "muR", 0.0), "muR"),
-        u=_real(need("u"), "u"),
-        n_sites=_whole(need("n")),
-    )
+    return DrivingConfig(*(_real(_merged(args, key), key) for key in RATES),
+                         u=_real(args.u, "u"), n_sites=_whole(args.n, "n"))
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +163,15 @@ def cmd_verify(args) -> int:
         pts = [dataclasses.replace(p, u=_real(args.u, "u")) for p in pts]
         reports = [r for K in cutoffs for p in pts for r in verify_family(p, K, tol=tol)]
     xk = [check_xk_structure(p) for p in pts]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
+    ok = all(r.passed for r in reports) and all(x["passed"] for x in xk)
+    return _emit(args, {
         "seed": seed,
         "tolerance": tol,
         "cutoffs": list(cutoffs),
         "reports": [r.as_dict() for r in reports],
         "interaction_blocks": xk,
-        "all_passed": all(r.passed for r in reports) and all(x["passed"] for x in xk),
-    }
-    text = _dump_json(doc, os.path.join(_outdir(args), "verify.json"))
-    print(text)
-    return 0 if doc["all_passed"] else 1
+        "all_passed": ok,
+    }, ok)
 
 
 def cmd_ness(args) -> int:
@@ -198,72 +198,54 @@ def cmd_ness(args) -> int:
     diag["telescoping_residual"] = tele_res / tele_scale
     if args.lindblad_residual:
         diag["lindblad_residual"] = fixed_point_residual(cfg, rho)
+    ok = bool(state_passed(diag) and bc["left_passed"] and bc["right_passed"]
+              and diag["telescoping_residual"] <= tol)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "ness",
-        "driving": _jsonable(dataclasses.asdict(cfg)),
+        "driving": dataclasses.asdict(cfg),
         "cutoff_K": fam.space.cutoff_K,
         "tolerance": tol,
         "map": {"lambda": lam, "omega": om, "eta": eta},
         "diagnostics": diag,
+        "passed": ok,
     }
-    ok = (
-        diag["hermiticity"] <= 1e-10
-        and diag["trace_deviation"] <= 1e-12
-        and diag["positivity_min_eig"] >= -1e-10
-        and bc["left_passed"] and bc["right_passed"]
-        and diag["telescoping_residual"] <= tol
-    )
-    doc["passed"] = bool(ok)
     if args.dump_rho:
         dump_rho(args.dump_rho, rho)
         doc["rho_dump"] = args.dump_rho
-    text = _dump_json(doc, os.path.join(_outdir(args), "ness.json"))
-    print(text)
-    return 0 if ok else 1
+    return _emit(args, doc, ok)
 
 
 def cmd_oracle(args) -> int:
     cfg = _driving_from_args(args)
     tol = _tol(args)
     rho_oracle = fixed_point_oracle(cfg)
-    res = build_ness(cfg)
-    dist = float(np.linalg.norm(res.rho - rho_oracle))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
-        "driving": _jsonable(dataclasses.asdict(cfg)),
+    rho = build_ness(cfg).rho
+    dist = float(np.linalg.norm(rho - rho_oracle))
+    return _emit(args, {
+        "driving": dataclasses.asdict(cfg),
         "frobenius_distance": dist,
-        "lindblad_residual": fixed_point_residual(cfg, res.rho),
+        "lindblad_residual": fixed_point_residual(cfg, rho),
         "tolerance": tol,
-        "passed": bool(dist <= tol),
-    }
-    text = _dump_json(doc, os.path.join(_outdir(args), "oracle.json"))
-    print(text)
-    return 0 if doc["passed"] else 1
+        "passed": dist <= tol,
+    }, dist <= tol)
 
 
 def cmd_observe(args) -> int:
     cfg = _driving_from_args(args)
-    out = _outdir(args)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     obs, _ = steady_observables(cfg)
     uni = current_uniformity(obs)
 
-    with open(os.path.join(out, "densities.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["site", "sz", "tz"])
-        for j in range(cfg.n_sites):
-            w.writerow([j + 1, repr(obs.densities_sigma[j]), repr(obs.densities_tau[j])])
-    with open(os.path.join(out, "currents.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bond", "J_sigma", "J_tau"])
-        for j in range(cfg.n_sites - 1):
-            w.writerow([j + 1, repr(obs.currents_sigma[j]), repr(obs.currents_tau[j])])
+    for name, header, xs, ys in (
+            ("densities.csv", ["site", "sz", "tz"], obs.densities_sigma, obs.densities_tau),
+            ("currents.csv", ["bond", "J_sigma", "J_tau"], obs.currents_sigma, obs.currents_tau)):
+        with open(os.path.join(out, name), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([j, repr(x), repr(y)] for j, (x, y) in enumerate(zip(xs, ys), 1))
 
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "observe",
-        "driving": _jsonable(dataclasses.asdict(cfg)),
+        "driving": dataclasses.asdict(cfg),
         "densities_sigma": obs.densities_sigma,
         "densities_tau": obs.densities_tau,
         "currents_sigma": obs.currents_sigma,
@@ -288,10 +270,8 @@ def cmd_observe(args) -> int:
                 fh.write("# n J\n")
                 for n, J in doc["scaling"]["series"]:
                     fh.write(f"{n} {J:.16e}\n")
-    doc["passed"] = bool(uni <= 1e-9)
-    text = _dump_json(doc, os.path.join(out, "observe.json"))
-    print(text)
-    return 0 if doc["passed"] else 1
+    doc["passed"] = uni <= UNIFORMITY_TOL
+    return _emit(args, doc, doc["passed"])
 
 
 def cmd_commute(args) -> int:
@@ -300,13 +280,10 @@ def cmd_commute(args) -> int:
     npairs = _whole(_merged(args, "pairs", 20), "pairs")
     ns = _values(args, "n", "2,3,4", _whole)
     pairs = sample_pairs(npairs, seed=seed)
-    all_reports = {}
-    for n in ns:
-        reps = check_commutativity(n, u, pairs)
-        all_reports[str(n)] = [r.as_dict() for r in reps]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "commute",
+    all_reports = {str(n): [r.as_dict() for r in check_commutativity(n, u, pairs)]
+                   for n in ns}
+    # conjecture tier never gates
+    return _emit(args, {
         "tier": "conjecture",
         "seed": seed,
         "u": u,
@@ -314,11 +291,7 @@ def cmd_commute(args) -> int:
         "all_within_tolerance": all(
             r["passed"] for reps in all_reports.values() for r in reps
         ),
-    }
-    text = _dump_json(doc, os.path.join(_outdir(args), "commute.json"))
-    print(text)
-    # conjecture tier never gates
-    return 0
+    }, True)
 
 
 def _sweep_one(kwargs):
@@ -334,16 +307,11 @@ def _sweep_one(kwargs):
 
 
 def cmd_sweep(args) -> int:
-    ns = _values(args, "n", "2,3", _whole)
-    gLs = _values(args, "gammaL", "1.0")
-    gRs = _values(args, "gammaR", "1.0")
-    muLs = _values(args, "muL", "0.0")
-    muRs = _values(args, "muR", "0.0")
-    us = _values(args, "u", "1.0")
-    jobs = [
-        dict(gamma_L=gL, gamma_R=gR, mu_L=mL, mu_R=mR, u=u, n_sites=n)
-        for n, gL, gR, mL, mR, u in itertools.product(ns, gLs, gRs, muLs, muRs, us)
-    ]
+    grid = itertools.product(_values(args, "n", "2,3", _whole),
+                             *(_values(args, key, None) for key in RATES),
+                             _values(args, "u", "1.0"))
+    jobs = [dict(gamma_L=gL, gamma_R=gR, mu_L=mL, mu_R=mR, u=u, n_sites=n)
+            for n, gL, gR, mL, mR, u in grid]
     workers = _whole(_merged(args, "workers", 1), "workers")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -357,31 +325,21 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_one(j) for j in jobs]
     results.sort(key=lambda kv: kv[0])
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sweep",
+    # matrix-free rows carry no state diagnostics
+    ok = all((not v["diagnostics"] or state_passed(v["diagnostics"]))
+             and v["current_uniformity"] <= UNIFORMITY_TOL for _, v in results)
+    return _emit(args, {
         "configurations": [{"key": k, **v} for k, v in results],
-        # matrix-free rows carry no dense diagnostics
-        "passed": all(
-            v["diagnostics"].get("hermiticity", 0.0) <= 1e-10
-            and v["current_uniformity"] <= 1e-9
-            for _, v in results
-        ),
-    }
-    text = _dump_json(doc, os.path.join(_outdir(args), "sweep.json"))
-    print(text)
-    return 0 if doc["passed"] else 1
+        "passed": ok,
+    }, ok)
 
 
 # ---------------------------------------------------------------------------
 
 def _add_driving_flags(p):
-    p.add_argument("--n", type=int, default=None, help="chain length")
-    p.add_argument("--gammaL", type=float, default=None)
-    p.add_argument("--gammaR", type=float, default=None)
-    p.add_argument("--muL", type=float, default=None)
-    p.add_argument("--muR", type=float, default=None)
-    p.add_argument("--u", type=float, default=None)
+    p.add_argument("--n", help="chain length")
+    for key in (*RATES, "u"):
+        p.add_argument("--" + key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,48 +352,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the operator-identity residual suite")
-    p.add_argument("--u", type=float, default=None, help="fix the interaction")
-    p.add_argument("--K", type=int, default=None, help="single cutoff instead of 3,4,5")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--u", help="fix the interaction")
+    p.add_argument("--K", help="single cutoff instead of 3,4,5")
+    p.add_argument("--seed")
+    p.add_argument("--samples")
+    p.add_argument("--tol")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ness", help="build the steady state and its diagnostics")
     _add_driving_flags(p)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--dump-rho", default=None, help="binary dump path for rho")
+    p.add_argument("--tol")
+    p.add_argument("--dump-rho", help="binary dump path for rho")
     p.add_argument("--lindblad-residual", action="store_true", default=None,
                    help="also evaluate the Lindblad fixed-point residual")
     p.set_defaults(func=cmd_ness)
 
     p = sub.add_parser("oracle", help="cross-check against the Lindblad fixed point (n <= 3)")
     _add_driving_flags(p)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("observe", help="densities, currents, scaling")
     _add_driving_flags(p)
-    p.add_argument("--scaling", default=None,
+    p.add_argument("--scaling",
                    help="comma-separated chain lengths for the current scaling fit")
     p.add_argument("--gnuplot", action="store_true", default=None, help="emit plain .dat files")
     p.set_defaults(func=cmd_observe)
 
     p = sub.add_parser("commute", help="transfer-family commutation probe (conjecture tier)")
-    p.add_argument("--n", default=None, help="comma-separated chain lengths (default 2,3,4)")
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", help="comma-separated chain lengths (default 2,3,4)")
+    p.add_argument("--u")
+    p.add_argument("--pairs")
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_commute)
 
-    p = sub.add_parser("sweep", help="grid of driving configurations")
-    p.add_argument("--n", default=None)
-    p.add_argument("--gammaL", default=None)
-    p.add_argument("--gammaR", default=None)
-    p.add_argument("--muL", default=None)
-    p.add_argument("--muR", default=None)
-    p.add_argument("--u", default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p = sub.add_parser("sweep", help="grid of driving configurations, each flag a "
+                                     "comma-separated list")
+    _add_driving_flags(p)
+    p.add_argument("--workers")
     p.set_defaults(func=cmd_sweep)
 
     for name, sp in sub.choices.items():

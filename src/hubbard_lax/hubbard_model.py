@@ -11,8 +11,8 @@ dimension is 4^n. Hamiltonian (n >= 2):
         + u sum_j sz_j tz_j + (mu_L/2)(sz_1 + tz_1) + (mu_R/2)(sz_n + tz_n),
 
 a sum of bulk bond terms h_{j,j+1} (u/2 per adjacent site) plus single-site
-pieces h_L, h_R that restore the full u on the boundary sites and add the
-chemical potentials. Every term conserves both charges S = sum_j sz_j and
+pieces h_L, h_R (h_end at either end) that restore the full u on the boundary
+sites and add the chemical potentials. Every term conserves both charges S = sum_j sz_j and
 T = sum_j tz_j.
 """
 
@@ -49,17 +49,14 @@ def h_bond(u: float) -> np.ndarray:
             + 0.5 * u * (np.kron(zz, eye4) + np.kron(eye4, zz)))
 
 
-def h_left(u: float, mu_L: float) -> np.ndarray:
-    """Left boundary single-site piece: (u/2) sz tz + (mu_L/2)(sz + tz)."""
-    return 0.5 * u * local4("z", "z") + 0.5 * mu_L * (local4("z", "0") + local4("0", "z"))
-
-
-def h_right(u: float, mu_R: float) -> np.ndarray:
-    return 0.5 * u * local4("z", "z") + 0.5 * mu_R * (local4("z", "0") + local4("0", "z"))
+def h_end(u: float, mu: float) -> np.ndarray:
+    """Single-site piece at either end of the chain, with that end's
+    potential mu: (u/2) sz tz + (mu/2)(sz + tz)."""
+    return 0.5 * u * local4("z", "z") + 0.5 * mu * (local4("z", "0") + local4("0", "z"))
 
 
 def build_hamiltonian(n: int, u: float, mu_L: float = 0.0, mu_R: float = 0.0) -> list:
     """H as its local terms, (operator, first site) pairs: h_bond on each bond
-    j, j+1, then h_left on site 1 and h_right on site n."""
+    j, j+1, then h_end on site 1 and on site n."""
     hb = h_bond(u)
-    return [(hb, j) for j in range(1, n)] + [(h_left(u, mu_L), 1), (h_right(u, mu_R), n)]
+    return [(hb, j) for j in range(1, n)] + [(h_end(u, mu_L), 1), (h_end(u, mu_R), n)]

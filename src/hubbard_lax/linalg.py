@@ -79,7 +79,9 @@ def chain(tensors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     output per auxiliary index. Each site is one tensordot over the
     auxiliary index; the physical indices stay interleaved (p_1 q_1 ... p_j
     q_j) in the rows of the intermediate, which makes every reshape free,
-    until one transpose at the end.
+    until one transpose at the end. Its 2n + 2 axes stay within numpy's
+    limit of 64 on every chain the guard admits with P Q > 1; a product of
+    plain matrices (P = Q = 1) is left to the caller.
     """
     n = len(tensors)
     P, Q = tensors[0].shape[:2]
@@ -96,15 +98,10 @@ def chain(tensors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     for A in tensors[:-1]:
         cur = np.tensordot(cur, A, axes=(1, 2)).reshape(-1, A.shape[3])
     cur = np.tensordot(cur, np.tensordot(tensors[-1], rrows, axes=(3, 1)), axes=(1, 2))
-    if P * Q == 1:
-        # nothing to reorder, and the 2n axes below would pass numpy's limit
-        # of 64 dimensions on long pair-transfer chains
-        out = cur.reshape(B, C, 1, 1)
-    else:
-        # axes (b, p_1, q_1, ..., p_n, q_n, c) -> (b, c, p_1..p_n, q_1..q_n)
-        order = [0, 2 * n + 1] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
-        out = cur.reshape((B,) + (P, Q) * n + (C,)).transpose(order)
-        out = out.reshape(B, C, P ** n, Q ** n)
+    # axes (b, p_1, q_1, ..., p_n, q_n, c) -> (b, c, p_1..p_n, q_1..q_n)
+    order = [0, 2 * n + 1] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
+    out = cur.reshape((B,) + (P, Q) * n + (C,)).transpose(order)
+    out = out.reshape(B, C, P ** n, Q ** n)
     return out[0, 0] if np.ndim(left) == np.ndim(right) == 1 else out
 
 

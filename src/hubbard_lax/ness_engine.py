@@ -18,11 +18,11 @@ assemble_family asserts. M is a scalar on each sector, so build_ness
 contracts Omega one (S, T) sector at a time (linalg.sector_chain) and keeps
 rho as the blocks exp(eta (S + T)) Omega_s Omega_s^dag / Z, positive
 semidefinite sector by sector; its positivity diagnostic comes from the
-singular values of the Omega_s. The dense 4^n x 4^n rho and Omega are
-assembled from the blocks only on demand (NessResult.rho, omega_op), behind
-the guard: for the oracle, the Lindblad residual and the state dump, up to
-n = 6. contract_omega is the dense chain, for the commutation probe and as
-the tests' reference; contract_omega_factored and omega_apply are named
+singular values of the Omega_s, each released once read. The dense
+4^n x 4^n rho is assembled from the blocks only on demand (NessResult.rho),
+behind the guard: for the oracle, the Lindblad residual and the state dump,
+up to n = 6. contract_omega is the dense chain, for the commutation probe and
+as the tests' reference; contract_omega_factored and omega_apply are named
 cross-checks of it that never split sectors, so the cutoff test (K against
 K + 1) compares different tensors.
 
@@ -69,7 +69,7 @@ import numpy as np
 
 from .algebra_verifier import check_gLOD
 from .aux_space import AuxSpace, AuxVertex, build_aux_space
-from .hubbard_model import h_bond, h_left, h_right
+from .hubbard_model import h_bond, h_end
 from .lax_builder import LaxFamily, LaxParams, assemble_family
 from .linalg import (PAULI, SITE_CHARGES, chain, guard, lift, local4,
                      phys_transfer_tensor, sector_chain)
@@ -201,7 +201,7 @@ def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
 
 def m_diag(n_sites: int, eta: float) -> np.ndarray:
     """Diagonal of M = prod_j exp(eta (sz_j + tz_j)) in the product basis."""
-    loc = np.array([np.exp(2 * eta), 1.0, 1.0, np.exp(-2 * eta)])
+    loc = np.exp(eta * (2 * SITE_CHARGES.sum(axis=1) - 2))  # sz + tz = 2 (up spins) - 2
     d = np.array([1.0])
     for _ in range(n_sites):
         d = np.kron(d, loc)
@@ -229,12 +229,11 @@ def _dense(n_sites: int, rows: list, blocks: list) -> np.ndarray:
 @dataclass
 class NessResult:
     """The steady state as its charge-sector blocks: rows[i] holds the basis
-    states (indices into 4^n) of one sector (S, T), omega_blocks[i] and
-    rho_blocks[i] Omega and rho on them. Both vanish between sectors; the
-    dense rho and omega_op are assembled on demand, behind the guard."""
+    states (indices into 4^n) of one sector (S, T), rho_blocks[i] rho on
+    them. rho vanishes between sectors; the dense rho is assembled on
+    demand, behind the guard."""
     cfg: DrivingConfig
     rows: list
-    omega_blocks: list
     rho_blocks: list
     eta: float
     diagnostics: dict = field(default_factory=dict)
@@ -242,10 +241,6 @@ class NessResult:
     @property
     def rho(self) -> np.ndarray:
         return _dense(self.cfg.n_sites, self.rows, self.rho_blocks)
-
-    @property
-    def omega_op(self) -> np.ndarray:
-        return _dense(self.cfg.n_sites, self.rows, self.omega_blocks)
 
 
 def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None) -> NessResult:
@@ -257,28 +252,31 @@ def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None) -> NessResult:
     from linalg.sector_chain. Its eigenvalues are exp(eta (S + T))
     sigma^2 / Z over the singular values sigma of Omega_s, which resolve the
     smallest one to eps sigma_max, so positivity_min_eig is read far below
-    the eps ||rho|| floor of a dense eigensolver."""
+    the eps ||rho|| floor of a dense eigensolver. Each Omega_s is released
+    once its rho_s and sigma_min are read."""
     n = cfg.n_sites
     fam = ness_family(cfg) if fam is None else fam
     i0 = _root_index(fam.space)
     sectors = sector_chain([phys_transfer_tensor(fam.L)] * n, SITE_CHARGES,
                            fam.space.charges(), i0, i0)
-    rows = [r for r, _, _ in sectors]
-    omegas = [om for _, _, om in sectors]
-    # rho's blocks beside Omega's, two blocks' temporaries at a time, and
-    # (1 MiB) the index arrays and the diagonal of M
-    guard(16 * (2 * sum(om.size for om in omegas) + 2 * max(om.size for om in omegas))
-          + (1 << 20), f"{n}-site sector blocks")
+    # the blocks, each rho_s in place of its Omega_s, two blocks'
+    # temporaries at a time, and (1 MiB) the index arrays and the diagonal of M
+    sizes = [om.size for _, _, om in sectors]
+    guard(16 * (sum(sizes) + 2 * max(sizes)) + (1 << 20), f"{n}-site sector blocks")
     _, _, eta = map_driving_to_params(cfg)
-    weights = m_diag(n, eta)[[r[0] for r in rows]]
-    blocks = [w * (om @ om.conj().T) for w, om in zip(weights, omegas)]
+    weights = m_diag(n, eta)[[r[0] for r, _, _ in sectors]]
+    rows, blocks, smallest = [], [], []
+    for w in weights:
+        r, _, om = sectors.pop(0)
+        rows.append(r)
+        blocks.append(w * (om @ om.conj().T))
+        smallest.append(w * np.linalg.svd(om, compute_uv=False)[-1] ** 2)
     tr = sum(np.trace(b).real for b in blocks)
     if tr == 0.0:
         raise RuntimeError("trace of Omega Omega^dag M vanished; inconsistent input")
     for b in blocks:
         b /= tr
-    smallest = [w * np.linalg.svd(om, compute_uv=False)[-1] ** 2 / tr
-                for w, om in zip(weights, omegas)]
+    smallest = [s / tr for s in smallest]
     if sum(map(len, rows)) < 4 ** n:
         smallest.append(0.0)  # a sector that Omega does not reach
     diag = {
@@ -287,8 +285,15 @@ def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None) -> NessResult:
         "trace_deviation": float(abs(sum(np.trace(b) for b in blocks) - 1.0)),
         "positivity_min_eig": float(min(smallest)),
     }
-    return NessResult(cfg=cfg, rows=rows, omega_blocks=omegas, rho_blocks=blocks,
-                      eta=float(eta), diagnostics=diag)
+    return NessResult(cfg=cfg, rows=rows, rho_blocks=blocks, eta=float(eta), diagnostics=diag)
+
+
+def state_passed(diagnostics: dict) -> bool:
+    """The sanity rule for the diagnostics of build_ness: Hermitian to 1e-10,
+    trace one to 1e-12, and no eigenvalue below -1e-10."""
+    return (diagnostics["hermiticity"] <= 1e-10
+            and diagnostics["trace_deviation"] <= 1e-12
+            and diagnostics["positivity_min_eig"] >= -1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +429,10 @@ def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
         return 1j * gamma * sum(_dissipator(a, X) for a in jumps) + h @ X - X @ h
 
     OL = (local(cfg.gamma_L, (local4("+", "0"), local4("0", "+")),
-                h_left(cfg.u, cfg.mu_L), dlax.row)
+                h_end(cfg.u, cfg.mu_L), dlax.row)
           + dlax.row_t + _yy(Y.T, dlax.row))
     OR = (local(cfg.gamma_R, (local4("-", "0"), local4("0", "-")),
-                h_right(cfg.u, cfg.mu_R), dlax.col)
+                h_end(cfg.u, cfg.mu_R), dlax.col)
           - dlax.col_t - _yy(Y, dlax.col))
     left = float(np.linalg.norm(OL))
     right = float(np.linalg.norm(OR))
@@ -599,8 +604,10 @@ def mpo_expectation(cfg: DrivingConfig, site_ops: dict) -> complex:
     e0 = _basis(fam.dim ** 2, i0 * fam.dim + i0)
 
     def contract(ops):
-        # [1, 1, a, b] views of the transfer matrices; never copied
-        return chain([ops.get(j, F_id)[None, None] for j in range(1, n + 1)], e0, e0)[0, 0]
+        v = e0
+        for j in range(1, n + 1):
+            v = v @ ops.get(j, F_id)
+        return v @ e0
 
     special = {j: pair_transfer(fam, M_loc @ np.asarray(op, dtype=complex))
                for j, op in site_ops.items()}

@@ -32,6 +32,9 @@ from .ness_engine import (DrivingConfig, NessResult, build_ness, first_bonds,
                           local_expectations)
 
 REAL_TOL = 1e-10
+# The largest relative spread of the bond currents along a steady state that
+# observe and sweep pass (current_uniformity).
+UNIFORMITY_TOL = 1e-9
 
 
 @dataclass
@@ -146,16 +149,12 @@ def steady_observables(cfg: DrivingConfig):
 
 
 def current_uniformity(obs: ObservableSet) -> float:
-    """max_j |J_j - J_1| / |J_1| over both species."""
+    """max_j |J_j - J_1| / |J_1| over both species; max_j |J_j| where J_1 = 0."""
     worst = 0.0
     for series in (obs.currents_sigma, obs.currents_tau):
-        if len(series) < 2:
-            continue
-        ref = series[0]
-        if ref == 0.0:
-            worst = max(worst, max(abs(x) for x in series))
-            continue
-        worst = max(worst, max(abs(x - ref) for x in series) / abs(ref))
+        if len(series) >= 2:
+            ref = series[0]
+            worst = max(worst, max(abs(x - ref) for x in series) / (abs(ref) or 1.0))
     return worst
 
 
@@ -166,6 +165,15 @@ def current_series(base: DrivingConfig, n_values) -> list:
     ns = [int(n) for n in n_values]
     bonds = first_bonds(base, ns, _current_terms(SIGMA))
     return [(n, _current(bond, SIGMA, "J")) for n, bond in zip(ns, bonds)]
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares y ~ a x + b: the coefficients (a, b) and r^2."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    ss_res = float(np.sum((y - A @ coef) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return coef, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def scaling_fit(series) -> dict:
@@ -179,13 +187,7 @@ def scaling_fit(series) -> dict:
     js = np.array([p[1] for p in series], dtype=float)
     if np.any(js == 0) or (np.sign(js) != np.sign(js[0])).any():
         raise ValueError("current changes sign across the series; fit refused")
-    x, y = np.log(ns), np.log(np.abs(js))
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-    yhat = A @ coef
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    coef, r2 = _line_fit(np.log(ns), np.log(np.abs(js)))
     return {"exponent": float(coef[0]), "r_squared": r2}
 
 
@@ -193,13 +195,6 @@ def cosine_profile_fit(profile) -> dict:
     """Fit <z_j> to a cos(pi (j - 1/2) / n) + b; reports amplitude, offset,
     and goodness of fit (no pass/fail threshold attached)."""
     y = np.asarray(profile, dtype=float)
-    n = len(y)
-    j = np.arange(1, n + 1)
-    c = np.cos(np.pi * (j - 0.5) / n)
-    A = np.vstack([c, np.ones_like(c)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    yhat = A @ coef
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    j = np.arange(1, len(y) + 1)
+    coef, r2 = _line_fit(np.cos(np.pi * (j - 0.5) / len(y)), y)
     return {"amplitude": float(coef[0]), "offset": float(coef[1]), "r_squared": r2}

@@ -47,7 +47,7 @@ def kron_site_operator(n: int, j: int, species: int, s: str) -> sp.csr_matrix:
 
 def kron_hamiltonian(n: int, u: float, mu_L: float = 0.0, mu_R: float = 0.0) -> sp.csr_matrix:
     """Reference: H from its global formula, term by term from kron-built
-    site operators, independent of the local terms h_bond, h_left, h_right."""
+    site operators, independent of the local terms h_bond, h_end."""
     op = kron_site_operator
     H = sp.csr_matrix((phys_dim(n), phys_dim(n)), dtype=complex)
     for j in range(1, n):

@@ -288,9 +288,9 @@ def test_criterion_11_mutation_battery():
     margins["Y scale"] = max(r3.residual_fro / r3.operand_scale,
                              rg.residual_fro / rg.operand_scale)
 
-    res = _ness(cfg)
-    d_bad = m_diag(cfg.n_sites, res.eta * 1.1)
-    R = (res.omega_op @ res.omega_op.conj().T) * d_bad[None, :]
+    om = contract_omega(ness_family(cfg), cfg.n_sites)
+    d_bad = m_diag(cfg.n_sites, _ness(cfg).eta * 1.1)
+    R = (om @ om.conj().T) * d_bad[None, :]
     margins["filter exponent"] = fixed_point_residual(cfg, R / np.trace(R))
 
     lp = ness_lax_params(cfg)

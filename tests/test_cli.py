@@ -356,6 +356,75 @@ def test_config_values_of_the_wrong_type(tmp_path, capsys, cmd, config, message)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, key, text, message", [
+    (["ness", "--u", "1"], "n", "2.9", "n must be a whole number, got '2.9'"),
+    (["verify", "--samples", "1"], "K", "3.5", "K must be a whole number, got '3.5'"),
+    (["sweep", "--n", "2"], "workers", "1.5", "workers must be a whole number, got '1.5'"),
+    (["ness", "--n", "2", "--u", "1"], "tol", "abc", "tol must be a number, got 'abc'"),
+])
+def test_flag_and_config_values_parse_one_way(tmp_path, capsys, argv, key, text, message):
+    # a flag's text and the same text in a config file meet one parser: the
+    # same exit 2, the same message, and no JSON; a config number is shown
+    # as the number
+    from hubbard_lax import cli
+
+    out = tmp_path / "o"
+
+    def refusal(*extra, config=None):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            extra = (*extra, "--config", str(cfg))
+        assert cli.main([*argv, *extra, "--out", str(out)]) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    flag = refusal(f"--{key}", text)
+    assert flag == f"error: {message}\n"
+    assert refusal(config={key: text}) == flag
+    if text != "abc":
+        assert refusal(config={key: float(text)}) == flag.replace(f"'{text}'", text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--K", "3", "--samples", "1"],
+    ["ness", "--n", "2", "--u", "1"],
+    ["oracle", "--n", "2", "--u", "1"],
+    ["observe", "--n", "3", "--u", "1"],
+    ["commute", "--n", "2", "--pairs", "1"],
+    ["sweep", "--n", "2"],
+])
+def test_every_command_writes_its_document_one_way(tmp_path, capsys, argv):
+    from hubbard_lax import cli
+
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    text = (tmp_path / f"{argv[0]}.json").read_text()
+    assert capsys.readouterr().out == text
+    doc = json.loads(text)
+    assert doc["schema_version"] == 2
+    assert doc["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ness", "--n", "2", "--u", "1"],
+    ["sweep", "--n", "2", "--u", "1,2"],
+])
+def test_negative_eigenvalue_fails_ness_and_sweep(tmp_path, capsys, monkeypatch, argv):
+    # the state rule of ness gates every dense-route sweep row too
+    from hubbard_lax import cli, observables
+
+    def negative(cfg, fam=None):
+        res = build_ness(cfg, fam)
+        res.diagnostics["positivity_min_eig"] = -2e-10
+        return res
+
+    build_ness = observables.build_ness
+    monkeypatch.setattr(cli, "build_ness", negative)
+    monkeypatch.setattr(observables, "build_ness", negative)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
 def test_sweep_pool_is_bounded(tmp_path, monkeypatch, capsys):
     # a fork pool starts every worker at once, so its size must be bounded by
     # the rows and the cores; the fake pool records it and starts nothing

@@ -8,8 +8,7 @@ from conftest import kron_hamiltonian, kron_site_operator, spin_flip_G, total_ma
 from hubbard_lax.hubbard_model import (
     build_hamiltonian,
     h_bond,
-    h_left,
-    h_right,
+    h_end,
     phys_dim,
     site_operator,
 )
@@ -84,8 +83,8 @@ def test_bond_plus_boundaries_assemble_h():
     hb = h_bond(u)
     for j in range(1, n):
         acc += np.kron(np.kron(np.eye(4 ** (j - 1)), hb), np.eye(4 ** (n - j - 1)))
-    acc += np.kron(h_left(u, muL), np.eye(4 ** (n - 1)))
-    acc += np.kron(np.eye(4 ** (n - 1)), h_right(u, muR))
+    acc += np.kron(h_end(u, muL), np.eye(4 ** (n - 1)))
+    acc += np.kron(np.eye(4 ** (n - 1)), h_end(u, muR))
     assert np.linalg.norm(H - acc) < TOL
     assert np.linalg.norm(dense(n, u=u, mu_L=muL, mu_R=muR) - H) < TOL
 

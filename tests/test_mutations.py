@@ -24,7 +24,9 @@ from hubbard_lax.ness_engine import (
     build_double_lax,
     build_ness,
     check_boundary_conditions,
+    contract_omega,
     m_diag,
+    ness_family,
     ness_lax_params,
 )
 
@@ -85,7 +87,7 @@ def test_mutation_filter_exponent():
     exponent — the bulk Hamiltonian commutes with any magnetization filter —
     so detection must come from the fixed point, not from telescoping.)"""
     res = build_ness(CFG)
-    om = res.omega_op
+    om = contract_omega(ness_family(CFG), CFG.n_sites)
     d_bad = m_diag(CFG.n_sites, res.eta * 1.1)
     R = (om @ om.conj().T) * d_bad[None, :]
     rho_bad = R / np.trace(R)
