@@ -64,7 +64,7 @@ class AuxSpace:
         array: (k, k) at integer level k, either sign (0+ too); (k+1, k) at
         (k+1/2)+ and (k, k+1) at (k+1/2)-. A component L^{st}[a, b] may be
         nonzero only where the charge of b less that of a is the charge that
-        sigma^s tau^t adds (lax_builder asserts this on every family)."""
+        sigma^s tau^t adds (linalg.sector_chain refuses a tensor that does not)."""
         def charge(v):
             k = v.twice_level // 2
             if v.is_integer:

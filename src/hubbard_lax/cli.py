@@ -7,7 +7,7 @@ parameter set, seed, cutoff, tolerance, and a schema_version field; identical
 inputs produce bit-identical outputs.
 
 Config precedence: command-line flags override entries of a JSON config file
-(--config), which may set only its subcommand's options (and verify's cutoffs);
+(--config), which may set only its subcommand's options;
 built-in defaults fill the rest (tol 1e-10, seed 42, rates 1, potentials 0).
 A flag's text and a config value are parsed alike, and a bad one is refused
 with exit status 2. The steady-state cutoff is not an input: the chain length
@@ -57,21 +57,13 @@ DEFAULTS = {"tol": 1e-10, "seed": 42, "gammaL": 1.0, "gammaR": 1.0, "muL": 0.0, 
 RATES = ("gammaL", "gammaR", "muL", "muR")
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars and complex numbers ([re, im])."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    """json.dumps hook: numpy scalars as Python ones, complex numbers as [re, im]."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, doc: dict, passed: bool) -> int:
@@ -79,7 +71,7 @@ def _emit(args, doc: dict, passed: bool) -> int:
     <command>.json under --out, echo it, and return the exit status: 0 when
     passed, 1 when not."""
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
-    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2)
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, f"{args.command}.json"), "w") as fh:
         fh.write(text + "\n")
@@ -98,9 +90,9 @@ def _merged(args, key, default=None):
 # refused there as "<key> must be ...": the flags carry no argparse type.
 
 def _real(raw, what: str) -> float:
-    """A real option value; text that is not a number, and a config list,
-    object or boolean, are refused."""
-    if not isinstance(raw, bool) and isinstance(raw, (int, float, str)):
+    """A real option value; text that is not a number or holds a digit-group
+    underscore (1_0), and a config list, object or boolean, are refused."""
+    if not isinstance(raw, bool) and isinstance(raw, (int, float, str)) and "_" not in str(raw):
         try:
             return float(raw)
         except ValueError:
@@ -127,11 +119,13 @@ def _tol(args) -> float:
 
 def _whole(raw, what: str) -> int:
     """The integer option `what`, exactly as given: 2.9 is refused, never
-    rounded."""
+    rounded, and 1_2 is refused, never read as 12."""
     try:
-        return int(str(raw))
+        if "_" not in str(raw):
+            return int(str(raw))
     except ValueError:
-        raise ValueError(f"{what} must be a whole number, got {raw!r}") from None
+        pass
+    raise ValueError(f"{what} must be a whole number, got {raw!r}")
 
 
 def _driving_from_args(args) -> DrivingConfig:
@@ -149,13 +143,10 @@ def cmd_verify(args) -> int:
     tol = _tol(args)
     seed = _whole(_merged(args, "seed"), "seed")
     samples = _whole(_merged(args, "samples", 5), "samples")
-    if args.K is not None:
-        cutoffs = (_whole(args.K, "K"),)
-    else:
-        cutoffs = tuple(_values(args, "cutoffs", (3, 4, 5), _whole))
+    cutoffs = _values(args, "K", (3, 4, 5), _whole)
     if not cutoffs or samples < 1:
         raise ValueError(f"verify needs at least one cutoff and one sample, got "
-                         f"cutoffs {list(cutoffs)} and {samples} samples")
+                         f"cutoffs {cutoffs} and {samples} samples")
     pts = sample_params(samples, seed=seed)
     if args.u is None:
         reports = verify_suite(num_samples=samples, cutoffs=cutoffs, tol=tol, seed=seed)
@@ -167,7 +158,7 @@ def cmd_verify(args) -> int:
     return _emit(args, {
         "seed": seed,
         "tolerance": tol,
-        "cutoffs": list(cutoffs),
+        "cutoffs": cutoffs,
         "reports": [r.as_dict() for r in reports],
         "interaction_blocks": xk,
         "all_passed": ok,
@@ -353,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the operator-identity residual suite")
     p.add_argument("--u", help="fix the interaction")
-    p.add_argument("--K", help="single cutoff instead of 3,4,5")
+    p.add_argument("--K", help="comma-separated cutoffs (default 3,4,5)")
     p.add_argument("--seed")
     p.add_argument("--samples")
     p.add_argument("--tol")
@@ -392,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers")
     p.set_defaults(func=cmd_sweep)
 
-    for name, sp in sub.choices.items():
-        keys = {a.dest for a in sp._actions} - {"help"}
-        sp.set_defaults(config_keys=keys | {"cutoffs"} if name == "verify" else keys)
+    for sp in sub.choices.values():
+        sp.set_defaults(config_keys={a.dest for a in sp._actions} - {"help"})
         sp.add_argument("--out", default="hlx_out",
                         help="output directory for JSON/CSV artifacts")
         sp.add_argument("--config", default=None,

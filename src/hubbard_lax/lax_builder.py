@@ -23,20 +23,20 @@ algebra_verifier (any sign change below makes those residuals O(1)):
   acute-S+ X and X grave-S+ carry X^{-+}_k, the minus partners carry X^{+-}_k;
 - the bra of acute-S- X is the minus half-integer vertex.
 
-assemble_family refuses a family whose L components do not conserve the
-total charge, physical plus vertex (AuxSpace.charges): the sector
-contraction of the steady state would silently drop such entries.
+assemble_family builds each table once. The L components conserve the total
+charge, physical plus vertex (AuxSpace.charges); linalg.sector_chain, the one
+contraction that relies on it, refuses a site tensor that does not.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .aux_space import AuxSpace, AuxVertex, build_aux_space, spin_flip_aux
-from .linalg import SITE_CHARGES, SPIN_LABELS, local4
+from .linalg import SPIN_LABELS
 
 SQRT2 = np.sqrt(2.0)
 
@@ -83,10 +83,6 @@ def xk_matrix(k: int, params: LaxParams) -> np.ndarray:
     in k with steps -u*omega and -u*omega*(1-lambda^2).
     """
     return np.array(xk_entries(k, params.lam, params.omega, params.u), dtype=complex)
-
-
-def xk_blocks(max_k: int, params: LaxParams) -> list:
-    return [xk_matrix(k, params) for k in range(max_k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -151,52 +147,29 @@ def build_S(space: AuxSpace, params: LaxParams) -> dict:
     return S
 
 
-def build_T(space: AuxSpace, S: dict, G: np.ndarray | None = None) -> dict:
-    """T^t = G S^t G with the graph reflection G."""
-    if G is None:
-        G = spin_flip_aux(space)
-    return {t: G @ S[t] @ G for t in SPIN_LABELS}
-
-
 def build_X(space: AuxSpace, params: LaxParams):
     """X = |0+><0+| + sum_k (-1)^k X_k on span{k-, k+} (k >= 1)
     + omega sum over half-integer vertices of (-1)^m on both signs,
-    where m + 1/2 is the half-integer level. Returns (matrix, blocks)."""
-    om = params.omega
-    X = _zeros(space)
-    blocks = xk_blocks(space.cutoff_K, params)
-    X[space.index[AuxVertex(0, +1)], space.index[AuxVertex(0, +1)]] = 1.0
-    for v in space.vertices:
-        i = space.index[v]
-        if not v.is_integer:
-            m = (v.twice_level - 1) // 2
-            X[i, i] = om * (-1) ** m
-    for k in range(1, space.cutoff_K + 1):
-        i = [space.index[AuxVertex(2 * k, sign)] for sign in (-1, +1)]
-        X[np.ix_(i, i)] = (-1) ** k * blocks[k]
-    return X, blocks
-
-
-def x_inverse(space: AuxSpace, params: LaxParams, blocks=None) -> np.ndarray:
-    """Blockwise inverse of X: trivial on 0+ and the half-integer diagonal,
-    2x2 inversion per integer block using det X_k = -omega^2."""
+    where m + 1/2 is the half-integer level. Returns (X, X^{-1}, blocks X_k
+    for k = 0..K); the inverse is blockwise, one 2x2 inversion per integer
+    block using det X_k = -omega^2."""
     params.require_invertible()
     om = params.omega
-    if blocks is None:
-        blocks = xk_blocks(space.cutoff_K, params)
-    Xi = _zeros(space)
-    Xi[space.index[AuxVertex(0, +1)], space.index[AuxVertex(0, +1)]] = 1.0
+    blocks = [xk_matrix(k, params) for k in range(space.cutoff_K + 1)]
+    X, Xi = _zeros(space), _zeros(space)
+    root = space.index[AuxVertex(0, +1)]
+    X[root, root] = Xi[root, root] = 1.0
     for v in space.vertices:
-        i = space.index[v]
         if not v.is_integer:
-            m = (v.twice_level - 1) // 2
-            Xi[i, i] = 1.0 / (om * (-1) ** m)
-    for k in range(1, space.cutoff_K + 1):
-        b = blocks[k]
-        inv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]]) / (-om**2)
+            i = space.index[v]
+            d = om * (-1) ** ((v.twice_level - 1) // 2)
+            X[i, i], Xi[i, i] = d, 1.0 / d
+    for k, b in enumerate(blocks[1:], 1):
         i = [space.index[AuxVertex(2 * k, sign)] for sign in (-1, +1)]
-        Xi[np.ix_(i, i)] = inv * (-1) ** k  # inverse of (-1)^k X_k
-    return Xi
+        adj = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
+        X[np.ix_(i, i)] = (-1) ** k * b
+        Xi[np.ix_(i, i)] = adj / (-om**2) * (-1) ** k  # inverse of (-1)^k X_k
+    return X, Xi, blocks
 
 
 def build_Y(space: AuxSpace, params: LaxParams) -> np.ndarray:
@@ -209,8 +182,9 @@ def build_Y(space: AuxSpace, params: LaxParams) -> np.ndarray:
     return Y
 
 
-def build_hatted(space: AuxSpace, params: LaxParams) -> tuple[dict, dict]:
-    """The products acute-S^s X and X grave-S^s for s in {+,-,0,z}.
+def build_hatted(space: AuxSpace, params: LaxParams, blocks: list) -> tuple[dict, dict]:
+    """The products acute-S^s X and X grave-S^s for s in {+,-,0,z}, from the
+    blocks X_k of build_X (rows and columns (-, +)).
 
     Off-diagonal (s = +,-) terms, k >= 1:
 
@@ -224,7 +198,6 @@ def build_hatted(space: AuxSpace, params: LaxParams) -> tuple[dict, dict]:
     diagonals; lambda multiplies the even/odd partner slots.
     """
     lam, om = params.lam, params.omega
-    blocks = xk_blocks(space.cutoff_K, params)  # rows and columns (-, +)
     SacX = {s: _zeros(space) for s in SPIN_LABELS}
     XSgr = {s: _zeros(space) for s in SPIN_LABELS}
 
@@ -259,10 +232,8 @@ def build_hatted(space: AuxSpace, params: LaxParams) -> tuple[dict, dict]:
             else:
                 d0 = -2.0 * xmm if m % 2 == 1 else 2.0 * lam * xmm
                 dz = 2.0 * xmm if m % 2 == 0 else -2.0 * lam * xmm
-        SacX["0"][i, i] = d0
-        SacX["z"][i, i] = dz
-        XSgr["0"][i, i] = d0
-        XSgr["z"][i, i] = dz
+        SacX["0"][i, i] = XSgr["0"][i, i] = d0
+        SacX["z"][i, i] = XSgr["z"][i, i] = dz
     return SacX, XSgr
 
 
@@ -285,12 +256,12 @@ class LaxFamily:
     TacuteX: dict
     XTgrave: dict
     # bare acute/grave operators (through X_inv)
-    Sacute: dict = field(default_factory=dict)
-    Sgrave: dict = field(default_factory=dict)
-    Tacute: dict = field(default_factory=dict)
-    Tgrave: dict = field(default_factory=dict)
-    L: dict = field(default_factory=dict)
-    Ltilde: dict = field(default_factory=dict)
+    Sacute: dict
+    Sgrave: dict
+    Tacute: dict
+    Tgrave: dict
+    L: dict
+    Ltilde: dict
 
     @property
     def dim(self) -> int:
@@ -300,53 +271,24 @@ class LaxFamily:
 def assemble_family(cutoff_K: int, params: LaxParams) -> LaxFamily:
     """Build every operator of the family at the given cutoff."""
     space = build_aux_space(int(cutoff_K))
-    params.require_invertible()
-    G = spin_flip_aux(space)
+    X, X_inv, blocks = build_X(space, params)
     S = build_S(space, params)
-    T = build_T(space, S, G)
-    X, blocks = build_X(space, params)
-    X_inv = x_inverse(space, params, blocks)
     Y = build_Y(space, params)
-    SacX, XSgr = build_hatted(space, params)
-    TacX = {t: G @ SacX[t] @ G for t in SPIN_LABELS}
-    XTgr = {t: G @ XSgr[t] @ G for t in SPIN_LABELS}
-
-    fam = LaxFamily(
-        params=params, space=space, G=G, S=S, T=T, X=X, X_blocks=blocks,
-        X_inv=X_inv, Y=Y, SacuteX=SacX, XSgrave=XSgr, TacuteX=TacX,
-        XTgrave=XTgr,
-    )
-    fam.Sacute = {s: SacX[s] @ X_inv for s in SPIN_LABELS}
-    fam.Sgrave = {s: X_inv @ XSgr[s] for s in SPIN_LABELS}
-    fam.Tacute = {t: TacX[t] @ X_inv for t in SPIN_LABELS}
-    fam.Tgrave = {t: X_inv @ XTgr[t] for t in SPIN_LABELS}
-
+    SacX, XSgr = build_hatted(space, params, blocks)
+    G = spin_flip_aux(space)
+    # the reflected tables T^t = G S^t G, acute-T X and X grave-T
+    T, TacX, XTgr = ({t: G @ D[t] @ G for t in SPIN_LABELS} for D in (S, SacX, XSgr))
+    Sac, Tac = ({s: D[s] @ X_inv for s in SPIN_LABELS} for D in (SacX, TacX))
+    Sgr, Tgr = ({s: X_inv @ D[s] for s in SPIN_LABELS} for D in (XSgr, XTgr))
+    L, Ltilde = {}, {}
     for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS):
         ST = S[s] @ T[t]
-        fam.L[(s, t)] = ST @ X
-        fam.Ltilde[(s, t)] = 0.5 * (
-            S[s] @ fam.Tacute[t]
-            + T[t] @ fam.Sacute[s]
-            + fam.Sgrave[s] @ T[t]
-            + fam.Tgrave[t] @ S[s]
-            - Y @ ST
-            - ST @ Y
+        L[s, t] = ST @ X
+        Ltilde[s, t] = 0.5 * (
+            S[s] @ Tac[t] + T[t] @ Sac[s] + Sgr[s] @ T[t] + Tgr[t] @ S[s] - Y @ ST - ST @ Y
         ) @ X
-    _check_charges(fam)
-    return fam
-
-
-def _check_charges(fam: LaxFamily) -> None:
-    """Raise ValueError unless every component conserves the total charge:
-    L^{st}[a, b] may be nonzero only where the vertex charge of b less that
-    of a (AuxSpace.charges) is the charge that sigma^s tau^t adds. The
-    sector contraction of the steady state relies on it."""
-    q = fam.space.charges()
-    moved = q[None, :, :] - q[:, None, :]  # [a, b]: charge of b less that of a
-    for (s, t), L in fam.L.items():
-        p, r = np.argwhere(local4(s, t))[0]
-        off = (moved != SITE_CHARGES[p] - SITE_CHARGES[r]).any(axis=2) & (L != 0)
-        if off.any():
-            a, b = np.argwhere(off)[0]
-            raise ValueError(f"L^{s}{t} breaks charge conservation between auxiliary "
-                             f"vertices {fam.space.vertices[a]} and {fam.space.vertices[b]}")
+    return LaxFamily(
+        params=params, space=space, G=G, S=S, T=T, X=X, X_blocks=blocks,
+        X_inv=X_inv, Y=Y, SacuteX=SacX, XSgrave=XSgr, TacuteX=TacX,
+        XTgrave=XTgr, Sacute=Sac, Sgrave=Sgr, Tacute=Tac, Tgrave=Tgr, L=L, Ltilde=Ltilde,
+    )

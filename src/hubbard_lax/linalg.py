@@ -4,8 +4,8 @@ components into a site tensor A[p, q, a, b] (physical row and column, then
 auxiliary row and column), phys_transfer_tensor does so for the 16 transfer
 components of a Lax family, and chain contracts a product of site tensors
 between auxiliary boundary rows. sector_chain contracts the same product one
-charge sector at a time, for site tensors that conserve a charge. Both stand
-behind one peak-memory guard."""
+charge sector at a time, and refuses site tensors that break the charge. Both
+stand behind one peak-memory guard."""
 
 from __future__ import annotations
 
@@ -109,7 +109,9 @@ def sector_chain(tensors, charges, aux_charges, left: int, right: int) -> list:
     """<left| A_1 ... A_n |right>, as chain, one charge sector at a time, for
     site tensors that conserve a charge: A[p, q, a, b] may be nonzero only
     where charges[p] + aux_charges[a] == charges[q] + aux_charges[b], with
-    integer charge vectors. The (P^n, Q^n) matrix is never formed.
+    integer charge vectors; the sectors would drop any other entry, so a
+    nonzero one is refused with ValueError before anything is planned or
+    allocated. The (P^n, Q^n) matrix is never formed.
 
     Returns a list of (rows, cols, block), one per row charge r of the n
     sites that the product reaches: block is the product on the basis
@@ -130,6 +132,12 @@ def sector_chain(tensors, charges, aux_charges, left: int, right: int) -> list:
     weights = (1 << 20) ** np.arange(np.shape(charges)[1])
     pc = [int(x) for x in np.asarray(charges) @ weights]
     ac = np.asarray(aux_charges) @ weights
+    total = np.add.outer(pc, ac)  # [p, a]: the charge of basis state p and vertex a
+    off_charge = total[:, None, :, None] != total[None, :, None, :]
+    for j, A in enumerate(tensors, 1):
+        if (bad := np.argwhere(off_charge & (A != 0))).size:
+            raise ValueError(f"site tensor {j} breaks charge conservation at "
+                             f"A[{', '.join(map(str, bad[0]))}]")
     # live[j]: the auxiliary indices after site j + 1 that still reach `right`
     live = [np.arange(len(ac)) == right]
     for A in tensors[:0:-1]:

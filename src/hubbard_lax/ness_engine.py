@@ -14,7 +14,7 @@ with M the diagonal exp(eta * sum_j (sz_j + tz_j)), eta = log(G_L/G_R)/2.
 Omega conserves the charges (S, T) = (sum_j sz_j, sum_j tz_j): each
 transfer component moves the charge of the auxiliary vertex
 (AuxSpace.charges) by what its physical operator adds, which
-assemble_family asserts. M is a scalar on each sector, so build_ness
+linalg.sector_chain asserts. M is a scalar on each sector, so build_ness
 contracts Omega one (S, T) sector at a time (linalg.sector_chain) and keeps
 rho as the blocks exp(eta (S + T)) Omega_s Omega_s^dag / Z, positive
 semidefinite sector by sector; its positivity diagnostic comes from the

@@ -316,20 +316,16 @@ def apply_gauge(fam: LaxFamily, xi: complex) -> LaxFamily:
     def conj_dict(d):
         return {k: conj(v) for k, v in d.items()}
 
-    out = LaxFamily(
+    return LaxFamily(
         params=fam.params, space=fam.space, G=fam.G.copy(),
         S=conj_dict(fam.S), T=conj_dict(fam.T), X=conj(fam.X),
         X_blocks=fam.X_blocks, X_inv=conj(fam.X_inv), Y=conj(fam.Y),
         SacuteX=conj_dict(fam.SacuteX), XSgrave=conj_dict(fam.XSgrave),
         TacuteX=conj_dict(fam.TacuteX), XTgrave=conj_dict(fam.XTgrave),
+        Sacute=conj_dict(fam.Sacute), Sgrave=conj_dict(fam.Sgrave),
+        Tacute=conj_dict(fam.Tacute), Tgrave=conj_dict(fam.Tgrave),
+        L=conj_dict(fam.L), Ltilde=conj_dict(fam.Ltilde),
     )
-    out.Sacute = conj_dict(fam.Sacute)
-    out.Sgrave = conj_dict(fam.Sgrave)
-    out.Tacute = conj_dict(fam.Tacute)
-    out.Tgrave = conj_dict(fam.Tgrave)
-    out.L = conj_dict(fam.L)
-    out.Ltilde = conj_dict(fam.Ltilde)
-    return out
 
 
 # one line per acceptance criterion, emitted after the test run so the

@@ -300,14 +300,19 @@ def test_config_refuses_keys_no_option_reads(tmp_path):
     assert "K, bogus" in r.stderr
     # verify alone reads a cutoff list, or a single cutoff, from a config file
     for cutoffs in ([3], 3):
-        cfg.write_text(json.dumps({"cutoffs": cutoffs, "samples": 1, "seed": 7}))
+        cfg.write_text(json.dumps({"K": cutoffs, "samples": 1, "seed": 7}))
         r = run("verify", "--config", str(cfg), "--out", str(tmp_path))
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["cutoffs"] == [3]
+    # the cutoffs are set as K, like the flag; the output key stays "cutoffs"
+    cfg.write_text(json.dumps({"cutoffs": [3], "samples": 1}))
+    r = run("verify", "--config", str(cfg), "--out", str(tmp_path / "c"))
+    assert r.returncode == 2
+    assert "keys that verify does not read: cutoffs" in r.stderr
 
 
 @pytest.mark.parametrize("config, flags", [
-    ({"cutoffs": []}, ["--samples", "1"]),
+    ({"K": []}, ["--samples", "1"]),
     ({}, ["--K", "3", "--samples", "0"]),
 ])
 def test_verify_refuses_to_check_nothing(tmp_path, config, flags):
@@ -322,7 +327,7 @@ def test_verify_refuses_to_check_nothing(tmp_path, config, flags):
 
 @pytest.mark.parametrize("cmd, key, value", [
     ("verify", "K", 3.9),
-    ("verify", "cutoffs", [3.5]),
+    ("verify", "K", [3.5]),
     ("verify", "samples", 1.7),
     ("verify", "seed", 7.5),
     ("commute", "pairs", 2.5),
@@ -361,6 +366,10 @@ def test_config_values_of_the_wrong_type(tmp_path, capsys, cmd, config, message)
     (["verify", "--samples", "1"], "K", "3.5", "K must be a whole number, got '3.5'"),
     (["sweep", "--n", "2"], "workers", "1.5", "workers must be a whole number, got '1.5'"),
     (["ness", "--n", "2", "--u", "1"], "tol", "abc", "tol must be a number, got 'abc'"),
+    # Python's digit-group underscores: 1_2 would run a 12-site chain
+    (["observe", "--u", "1"], "n", "1_2", "n must be a whole number, got '1_2'"),
+    (["ness", "--n", "2", "--u", "1"], "tol", "1_0e-10", "tol must be a number, got '1_0e-10'"),
+    (["sweep", "--n", "2"], "u", "1_0", "u must be a number, got '1_0'"),
 ])
 def test_flag_and_config_values_parse_one_way(tmp_path, capsys, argv, key, text, message):
     # a flag's text and the same text in a config file meet one parser: the
@@ -382,7 +391,7 @@ def test_flag_and_config_values_parse_one_way(tmp_path, capsys, argv, key, text,
     flag = refusal(f"--{key}", text)
     assert flag == f"error: {message}\n"
     assert refusal(config={key: text}) == flag
-    if text != "abc":
+    if text != "abc" and "_" not in text:
         assert refusal(config={key: float(text)}) == flag.replace(f"'{text}'", text)
 
 

@@ -14,7 +14,6 @@ from hubbard_lax.lax_builder import (
     SQRT2,
     assemble_family,
     build_X,
-    x_inverse,
     xk_entries,
     xk_matrix,
 )
@@ -111,7 +110,7 @@ def test_x_inverse(fam):
 
 def test_x_inverse_block_determinant():
     space = build_aux_space(3)
-    Xi = x_inverse(space, PARAMS)
+    _, Xi, _ = build_X(space, PARAMS)
     i1, i2 = space.index[parse_label("1-")], space.index[parse_label("1+")]
     blk = np.array([[Xi[i1, i1], Xi[i1, i2]], [Xi[i2, i1], Xi[i2, i2]]])
     det = np.linalg.det(blk)

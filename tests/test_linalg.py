@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hubbard_lax import linalg
 from hubbard_lax.linalg import (PAULI, SITE_CHARGES, SPIN_LABELS, chain, lift, local4,
                                phys_transfer_tensor, sector_chain)
 from hubbard_lax.ness_engine import DrivingConfig, ness_family
@@ -36,16 +37,23 @@ def test_transfer_tensor_matches_kron_reference(n):
     assert np.array_equal(phys_transfer_tensor(fam.L), ref)
 
 
-@pytest.mark.parametrize("left, right", [(0, 0), (1, 2), (3, 0)])
-def test_sector_chain_matches_chain(left, right):
-    # a random site tensor that conserves one integer charge, with distinct
-    # boundary charges too: the sectors hold every entry of the dense product
+def _charged_tensor():
+    """A random site tensor that conserves one integer charge, with its
+    physical and auxiliary charges."""
     rng = np.random.default_rng(5)
     aux = np.array([[0], [1], [-1], [1], [2]])
     phys = np.array([[1], [0], [0], [-1]])
     keep = (phys[:, None, None, None, 0] + aux[None, None, :, None, 0]
             == phys[None, :, None, None, 0] + aux[None, None, None, :, 0])
     A = np.where(keep, rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape), 0)
+    return A, phys, aux
+
+
+@pytest.mark.parametrize("left, right", [(0, 0), (1, 2), (3, 0)])
+def test_sector_chain_matches_chain(left, right):
+    # with distinct boundary charges too, the sectors hold every entry of the
+    # dense product
+    A, phys, aux = _charged_tensor()
     e = np.eye(5)
     for n in (1, 2, 4):
         want = chain([A] * n, e[left], e[right])
@@ -57,6 +65,17 @@ def test_sector_chain_matches_chain(left, right):
             seen += block.size
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
         assert np.count_nonzero(want) <= seen < want.size
+
+
+def test_sector_chain_refuses_off_charge_entry(monkeypatch):
+    # phys 0 + aux 0 = 1 but phys 0 + aux 2 = 0: the sectors would drop this
+    # entry, so it is refused before the contraction plans or allocates
+    A, phys, aux = _charged_tensor()
+    B = A.copy()
+    B[0, 0, 0, 2] = 0.5
+    monkeypatch.setattr(linalg, "guard", lambda *a: pytest.fail("guard reached"))
+    with pytest.raises(ValueError, match=r"tensor 2 breaks charge conservation at A\[0, 0, 0, 2\]$"):
+        sector_chain([A, B, A], phys, aux, 0, 0)
 
 
 def test_site_charges_count_up_spins():

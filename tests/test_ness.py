@@ -185,20 +185,21 @@ def test_positivity_from_sector_singular_values(n):
 
 def test_off_charge_entry_refused_before_contraction(monkeypatch):
     # an X entry between 1/2+ and 1/2-, of charges (1, 0) and (0, 1), moves
-    # L entries off their charge; the family must be refused as it is built
+    # L entries off their charge; the sector contraction must refuse the
+    # tensor before it plans or allocates, and so before its guard
     build_X = lax_builder.build_X
 
     def defective(space, params):
-        X, blocks = build_X(space, params)
+        X, X_inv, blocks = build_X(space, params)
         X[space.index[AuxVertex(1, +1)], space.index[AuxVertex(1, -1)]] = 0.1
-        return X, blocks
+        return X, X_inv, blocks
 
-    def contracted(*args):
-        raise AssertionError("the sector contraction was entered")
+    def guarded(*args):
+        raise AssertionError("the sector contraction reached its guard")
 
     monkeypatch.setattr(lax_builder, "build_X", defective)
-    monkeypatch.setattr(ness_engine, "sector_chain", contracted)
-    with pytest.raises(ValueError, match="breaks charge conservation"):
+    monkeypatch.setattr(linalg, "guard", guarded)
+    with pytest.raises(ValueError, match="site tensor 1 breaks charge conservation"):
         build_ness(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3))
 
 
@@ -370,9 +371,9 @@ def _x_entry_defect(monkeypatch, level):
     build_X = lax_builder.build_X
 
     def defective(space, params):
-        X, blocks = build_X(space, params)
+        X, X_inv, blocks = build_X(space, params)
         X[space.index[AuxVertex(2 * level, -1)], space.index[AuxVertex(2 * level, +1)]] *= 1.01
-        return X, blocks
+        return X, X_inv, blocks
 
     monkeypatch.setattr(lax_builder, "build_X", defective)
 

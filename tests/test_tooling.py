@@ -1,10 +1,13 @@
 """The benchmark's tracer looks up each traced function by name at run time,
-so a renamed function would silently break traced runs; this pins the names.
+and keys some calls by their positional arguments, so a renamed function or
+a reordered signature would silently break traced runs; this pins both.
 The cold-start checks pin which commands pay for importing scipy and the
 process pool: only the ones that use them. No command uses scipy;
 only the tests' cross-checks import it."""
 
 import importlib.util
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +30,24 @@ def test_trace_spans_resolve():
             name = "cmd_" + name
         fn = getattr(sys.modules["hubbard_lax." + module], name, None)
         assert callable(fn), span
+
+
+@pytest.mark.parametrize("argv", [
+    ["commute", "--n", "2", "--pairs", "1"],
+    ["ness", "--n", "2", "--u", "1"],
+])
+def test_traced_run_keys_its_families(tmp_path, argv):
+    # the tracer keys each assemble_family call by calling its key function
+    # with the call's own arguments, so a keyword call or a reordered
+    # signature would break the traced run alone
+    spans = tmp_path / "spans.json"
+    r = subprocess.run([sys.executable, str(TRACE_CHILD), str(spans), "job", *argv,
+                        "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    rows = json.loads(spans.read_text())["spans"]
+    assert not [row for row in rows if row[4]]
+    keys = [row[5] for row in rows if row[0] == "lax_builder.assemble_family"]
+    assert keys and all(re.fullmatch(r"\d+\|LaxParams\(.*\)", k) for k in keys), keys
 
 
 def _heavy_modules_loaded(code: str, *argv: str) -> str:
