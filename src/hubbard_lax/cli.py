@@ -47,12 +47,12 @@ from .observables import (
     cosine_profile_fit,
     current_series,
     current_uniformity,
+    profile_and_currents_mpo,
     scaling_fit,
-    steady_observables,
 )
 from .transfer_commutativity import check_commutativity, sample_pairs
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULTS = {"tol": 1e-10, "seed": 42, "gammaL": 1.0, "gammaR": 1.0, "muL": 0.0, "muR": 0.0}
 RATES = ("gammaL", "gammaR", "muL", "muR")
 
@@ -86,8 +86,8 @@ def _merged(args, key, default=None):
 
 
 # Every option value, a flag's text and a config file's JSON value alike, is
-# parsed by _real or _whole (directly, or through _values and _tol) and
-# refused there as "<key> must be ...": the flags carry no argparse type.
+# parsed by _real, _whole or _switch (directly, or through _values and _tol)
+# and refused there as "<key> must be ...": the flags carry no argparse type.
 
 def _real(raw, what: str) -> float:
     """A real option value; text that is not a number or holds a digit-group
@@ -126,6 +126,16 @@ def _whole(raw, what: str) -> int:
     except ValueError:
         pass
     raise ValueError(f"{what} must be a whole number, got {raw!r}")
+
+
+def _switch(args, key) -> bool:
+    """An on/off option: a given flag or a config true is on, an absent one
+    or a config false off; any other config value, such as "false", is
+    refused."""
+    raw = _merged(args, key, False)
+    if not isinstance(raw, bool):
+        raise ValueError(f"{key} must be true or false, got {raw!r}")
+    return raw
 
 
 def _driving_from_args(args) -> DrivingConfig:
@@ -170,8 +180,9 @@ def cmd_ness(args) -> int:
     tol = _tol(args)
     if args.dump_rho is not None and not isinstance(args.dump_rho, str):
         raise ValueError(f"dump_rho must be a file path, got {args.dump_rho!r}")
+    lindblad = _switch(args, "lindblad_residual")
     # the dense rho that these two read is refused here, before any work
-    dense = bool(args.dump_rho or args.lindblad_residual)
+    dense = bool(args.dump_rho or lindblad)
     if dense:
         require_dense(cfg.n_sites)
     fam = ness_family(cfg)
@@ -187,7 +198,7 @@ def cmd_ness(args) -> int:
     diag["boundary_left_residual"] = bc["left_residual"] / bc["scale"]
     diag["boundary_right_residual"] = bc["right_residual"] / bc["scale"]
     diag["telescoping_residual"] = tele_res / tele_scale
-    if args.lindblad_residual:
+    if lindblad:
         diag["lindblad_residual"] = fixed_point_residual(cfg, rho)
     ok = bool(state_passed(diag) and bc["left_passed"] and bc["right_passed"]
               and diag["telescoping_residual"] <= tol)
@@ -222,9 +233,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_observe(args) -> int:
     cfg = _driving_from_args(args)
+    gnuplot = _switch(args, "gnuplot")
+    ns = _values(args, "scaling", None, _whole) if args.scaling else None
     out = args.out
     os.makedirs(out, exist_ok=True)
-    obs, _ = steady_observables(cfg)
+    obs = profile_and_currents_mpo(cfg)
     uni = current_uniformity(obs)
 
     for name, header, xs, ys in (
@@ -244,14 +257,13 @@ def cmd_observe(args) -> int:
         "current_uniformity": uni,
         "cosine_fit": cosine_profile_fit(obs.densities_sigma),
     }
-    if args.scaling:
-        ns = _values(args, "scaling", None, _whole)
+    if ns:
         series = current_series(cfg, ns)
         doc["scaling"] = {
             "series": [[n, J] for n, J in series],
             "fit": scaling_fit(series),
         }
-    if args.gnuplot:
+    if gnuplot:
         with open(os.path.join(out, "profile.dat"), "w") as fh:
             fh.write("# site sz tz\n")
             for j in range(cfg.n_sites):
@@ -287,10 +299,9 @@ def cmd_commute(args) -> int:
 
 def _sweep_one(kwargs):
     cfg = DrivingConfig(**kwargs)
-    obs, diagnostics = steady_observables(cfg)
+    obs = profile_and_currents_mpo(cfg)
     return cfg.key(), {
         "driving": kwargs,
-        "diagnostics": diagnostics,
         "currents_sigma": obs.currents_sigma,
         "densities_sigma": obs.densities_sigma,
         "current_uniformity": current_uniformity(obs),
@@ -316,9 +327,7 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_one(j) for j in jobs]
     results.sort(key=lambda kv: kv[0])
-    # matrix-free rows carry no state diagnostics
-    ok = all((not v["diagnostics"] or state_passed(v["diagnostics"]))
-             and v["current_uniformity"] <= UNIFORMITY_TOL for _, v in results)
+    ok = all(v["current_uniformity"] <= UNIFORMITY_TOL for _, v in results)
     return _emit(args, {
         "configurations": [{"key": k, **v} for k, v in results],
         "passed": ok,

@@ -22,9 +22,9 @@ singular values of the Omega_s, each released once read. The dense
 4^n x 4^n rho is assembled from the blocks only on demand (NessResult.rho),
 behind the guard: for the oracle, the Lindblad residual and the state dump,
 up to n = 6. contract_omega is the dense chain, for the commutation probe and
-as the tests' reference; contract_omega_factored and omega_apply are named
-cross-checks of it that never split sectors, so the cutoff test (K against
-K + 1) compares different tensors.
+as the tests' reference; its cross-checks, a factored chain and a
+matrix-free product (tests/conftest.py), never split sectors, so the cutoff
+test (K against K + 1) compares different tensors.
 
 Sign convention: the steady-state construction uses the family member at the
 *opposite* sign of the spectral parameter returned by map_driving_to_params.
@@ -71,8 +71,8 @@ from .algebra_verifier import check_gLOD
 from .aux_space import AuxSpace, AuxVertex, build_aux_space
 from .hubbard_model import h_bond, h_end
 from .lax_builder import LaxFamily, LaxParams, assemble_family
-from .linalg import (PAULI, SITE_CHARGES, chain, guard, lift, local4,
-                     phys_transfer_tensor, sector_chain)
+from .linalg import (SITE_CHARGES, chain, guard, local4, phys_transfer_tensor,
+                     sector_chain)
 
 RHO_MAGIC = b"NESSRHO1"
 
@@ -160,43 +160,6 @@ def contract_omega(fam: LaxFamily, n_sites: int) -> np.ndarray:
     for the sector blocks of build_ness."""
     e0 = _basis(fam.dim, _root_index(fam.space))
     return chain([phys_transfer_tensor(fam.L)] * n_sites, e0, e0)
-
-
-def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:
-    """Cross-check route for contract_omega: the same contraction applying
-    the three factors of each transfer component separately (S, then T, then
-    the interaction operator), with its own einsum chain."""
-    da = fam.dim
-    guard(32 * da * 16 ** n_sites, f"{n_sites}-site factored contraction")
-    AS, AT = lift(PAULI, fam.S), lift(PAULI, fam.T)
-    i0 = _root_index(fam.space)
-    cur = _basis(da, i0)[:, None, None]
-    for _ in range(n_sites):
-        for F in (AS, AT):
-            d = cur.shape[1]
-            cur = np.einsum("aij,pqab->bipjq", cur, F).reshape(da, d * 2, d * 2)
-        cur = np.einsum("aij,ab->bij", cur, fam.X)
-    return cur[i0]
-
-
-def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
-    """Cross-check route for contract_omega: matrix-free Omega @ vec, memory
-    O(dim_aux * 4^n). It probes the cutoff exactness (K vs K+1) at n = 7, 8,
-    where the dense Omega is not formed."""
-    da = fam.dim
-    # the partial product, tensordot's transposed copy of it, and the result
-    guard(48 * da * 4 ** n_sites, f"{n_sites}-site matrix-free product")
-    A = phys_transfer_tensor(fam.L)
-    # cur[R, P, a]: remaining input R, whose leading digit is the next site's
-    # input q, then the rows P over the processed sites. Each site is one
-    # tensordot, and its result (r, P, p, b) is already that layout.
-    i0 = _root_index(fam.space)
-    cur = np.zeros((4 ** n_sites, 1, da), dtype=complex)
-    cur[:, 0, i0] = vec
-    for _ in range(n_sites):
-        cur = np.tensordot(cur.reshape(4, -1, cur.shape[1], da), A, axes=([0, 3], [1, 2]))
-        cur = cur.reshape(cur.shape[0], -1, da)
-    return cur[0, :, i0]
 
 
 def m_diag(n_sites: int, eta: float) -> np.ndarray:
@@ -289,8 +252,9 @@ def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None) -> NessResult:
 
 
 def state_passed(diagnostics: dict) -> bool:
-    """The sanity rule for the diagnostics of build_ness: Hermitian to 1e-10,
-    trace one to 1e-12, and no eigenvalue below -1e-10."""
+    """The sanity rule for the diagnostics of build_ness, which gates ness
+    only: Hermitian to 1e-10, trace one to 1e-12, and no eigenvalue below
+    -1e-10."""
     return (diagnostics["hermiticity"] <= 1e-10
             and diagnostics["trace_deviation"] <= 1e-12
             and diagnostics["positivity_min_eig"] >= -1e-10)

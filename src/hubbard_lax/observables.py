@@ -1,12 +1,12 @@
 """Steady-state observables: density profiles, species currents, uniformity,
 and finite-size scaling fits.
 
-Both routes feed one assembly with the local values <O_j> and <O_j P_{j+1}>.
-The dense route (profile_and_currents, n <= 5) reads them off the one- and
-two-site reduced density matrices, summed over the charge-sector blocks in
-which build_ness keeps rho, and builds no 4^n-dimensional operator; the
-matrix-free route (profile_and_currents_mpo) takes them from the environment
-engine, ness_engine.local_expectations.
+Every chain length takes one route: profile_and_currents_mpo reads the
+local values <O_j> and <O_j P_{j+1}> from the environment engine,
+ness_engine.local_expectations, which never builds rho. Its cross-check,
+profile_and_currents, reads the same values off the one- and two-site
+reduced density matrices of a build_ness state, summed over its
+charge-sector blocks; both feed one assembly (_profile).
 
 Current convention. With hopping 2(s+_j s-_{j+1} + s-_j s+_{j+1}) the local
 magnetization obeys d<sz_j>/dt = i<[H, sz_j]> = <J_{j-1,j}> - <J_{j,j+1}>
@@ -28,8 +28,7 @@ import numpy as np
 
 from .hubbard_model import SIGMA, TAU
 from .linalg import local4
-from .ness_engine import (DrivingConfig, NessResult, build_ness, first_bonds,
-                          local_expectations)
+from .ness_engine import DrivingConfig, NessResult, first_bonds, local_expectations
 
 REAL_TOL = 1e-10
 # The largest relative spread of the bond currents along a steady state that
@@ -68,7 +67,7 @@ def _reduced(ness: NessResult, j: int, k: int) -> np.ndarray:
 
 
 def _sector_local_expectations(ness: NessResult, site_ops: dict, bond_ops: dict):
-    """Dense-route counterpart of ness_engine.local_expectations, with the
+    """Cross-check of ness_engine.local_expectations, with the
     same per-site ({name: <O_j>}, {name: <O_j P_{j+1}>}) pairs, read off the
     two-site reduced density matrix rho_{j,j+1} (the one-site matrix at
     j = n) of the sector blocks."""
@@ -121,31 +120,20 @@ def _profile(n: int, sweep) -> ObservableSet:
 
 
 def profile_and_currents(ness: NessResult) -> ObservableSet:
-    """Densities <sz_j>, <tz_j> and bond currents from a steady state of
+    """Cross-check of profile_and_currents_mpo, the engine's route: the
+    densities <sz_j>, <tz_j> and bond currents of a steady state of
     build_ness, read off its one- and two-site reduced density matrices."""
     return _profile(ness.cfg.n_sites, _sector_local_expectations(ness, _SZ_LOC, _CURRENT_TERMS))
 
 
 def profile_and_currents_mpo(cfg: DrivingConfig) -> ObservableSet:
-    """Same observables through the environment engine
-    (ness_engine.local_expectations): one sweep from each end, time and
-    memory growing as n da^2, rescaled so that long chains cannot overflow;
-    never builds rho. Its size guard admits chains up to n = 211; a full
-    profile takes seconds at n = 100."""
+    """Densities <sz_j>, <tz_j> and bond currents through the environment
+    engine (ness_engine.local_expectations), the route of observe and sweep
+    at every chain length: one sweep from each end, time and memory growing
+    as n da^2, rescaled so that long chains cannot overflow; never builds
+    rho. Its size guard admits chains up to n = 211; a full profile takes
+    seconds at n = 100."""
     return _profile(cfg.n_sites, local_expectations(cfg, _SZ_LOC, _CURRENT_TERMS))
-
-
-def steady_observables(cfg: DrivingConfig):
-    """Profile and currents through the steady state of build_ness for
-    n <= 5, else through the environment engine, which never builds rho.
-
-    Returns (observables, diagnostics); the diagnostics are those of
-    build_ness, and empty on the matrix-free route.
-    """
-    if cfg.n_sites <= 5:
-        res = build_ness(cfg)
-        return profile_and_currents(res), res.diagnostics
-    return profile_and_currents_mpo(cfg), {}
 
 
 def current_uniformity(obs: ObservableSet) -> float:

@@ -4,12 +4,13 @@ the bond current and the Lindblad generator, all scipy CSR) that the
 local-term code of the package is checked against, the whole doubled site
 tensors and the global telescoping of the doubled chain that the local
 stationarity certificate is checked against, the CSR pair transfer that the
-environment engine's is checked against, the dense steady state that the
-sector blocks of build_ness are checked against, tr(rho O) for the dense
-reader of observables, the species-swap and total-magnetization operators the
-symmetry tests use, the auxiliary-space gauge the gauge-invariance tests
-apply, and the text labels of auxiliary vertices the operator-table tests
-read.
+environment engine's is checked against, the factored and matrix-free
+contractions of Omega that contract_omega is checked against, the dense
+steady state that the sector blocks of build_ness are checked against,
+tr(rho O) for the dense reader of observables, the species-swap and
+total-magnetization operators the symmetry tests use, the auxiliary-space
+gauge the gauge-invariance tests apply, and the text labels of auxiliary
+vertices the operator-table tests read.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 from hubbard_lax.aux_space import AuxSpace, AuxVertex
 from hubbard_lax.hubbard_model import SIGMA, TAU, h_bond, phys_dim
 from hubbard_lax.lax_builder import LaxFamily
-from hubbard_lax.linalg import PAULI, chain, phys_transfer_tensor
+from hubbard_lax.linalg import PAULI, chain, guard, lift, phys_transfer_tensor
 from hubbard_lax.ness_engine import (DoubleLax, DrivingConfig, contract_omega, m_diag,
                                     map_driving_to_params, ness_family)
 
@@ -226,6 +227,43 @@ class CsrPairSide:
         T = self._second @ np.ascontiguousarray(D.T)         # [(c, r), (p, a)]
         out = ws.reshape(-1, 16) @ T.reshape(da, 16, da)     # [c, w, a]
         return out.transpose(1, 2, 0)
+
+
+def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:
+    """Cross-check of ness_engine.contract_omega: the same contraction
+    applying the three factors of each transfer component separately (S,
+    then T, then the interaction operator), with its own einsum chain."""
+    da = fam.dim
+    guard(32 * da * 16 ** n_sites, f"{n_sites}-site factored contraction")
+    AS, AT = lift(PAULI, fam.S), lift(PAULI, fam.T)
+    i0 = fam.space.index[AuxVertex(0, +1)]
+    cur = np.eye(da)[i0][:, None, None]
+    for _ in range(n_sites):
+        for F in (AS, AT):
+            d = cur.shape[1]
+            cur = np.einsum("aij,pqab->bipjq", cur, F).reshape(da, d * 2, d * 2)
+        cur = np.einsum("aij,ab->bij", cur, fam.X)
+    return cur[i0]
+
+
+def omega_apply(fam: LaxFamily, n_sites: int, vec: np.ndarray) -> np.ndarray:
+    """Cross-check of ness_engine.contract_omega: matrix-free Omega @ vec,
+    memory O(dim_aux * 4^n). It probes the cutoff exactness (K vs K+1) at
+    n = 7, 8, where the dense Omega is not formed."""
+    da = fam.dim
+    # the partial product, tensordot's transposed copy of it, and the result
+    guard(48 * da * 4 ** n_sites, f"{n_sites}-site matrix-free product")
+    A = phys_transfer_tensor(fam.L)
+    # cur[R, P, a]: remaining input R, whose leading digit is the next site's
+    # input q, then the rows P over the processed sites. Each site is one
+    # tensordot, and its result (r, P, p, b) is already that layout.
+    i0 = fam.space.index[AuxVertex(0, +1)]
+    cur = np.zeros((4 ** n_sites, 1, da), dtype=complex)
+    cur[:, 0, i0] = vec
+    for _ in range(n_sites):
+        cur = np.tensordot(cur.reshape(4, -1, cur.shape[1], da), A, axes=([0, 3], [1, 2]))
+        cur = cur.reshape(cur.shape[0], -1, da)
+    return cur[0, :, i0]
 
 
 def dense_reference_rho(cfg: DrivingConfig) -> np.ndarray:

@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from conftest import canonical_configs, record_acceptance
+from conftest import canonical_configs, omega_apply, record_acceptance
 from hubbard_lax.algebra_verifier import (
     check_gLOD,
     check_id1,
@@ -37,7 +37,6 @@ from hubbard_lax.ness_engine import (
     ness_family,
     ness_lax_params,
     contract_omega,
-    omega_apply,
 )
 from hubbard_lax.observables import (
     current_series,

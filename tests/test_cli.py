@@ -22,7 +22,7 @@ def test_ness_contract(tmp_path):
             "--out", str(out))
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["driving"]["gamma_R"] == 0.5
     assert doc["map"]["lambda"] == [1.0 / 3.0, 0.0]
     assert doc["passed"] is True
@@ -349,6 +349,11 @@ def test_config_integers_are_whole_numbers(tmp_path, capsys, cmd, key, value):
     (["ness"], {"gammaL": {"a": 1}, "n": 2, "u": 1}, "gammaL must be a number"),
     (["sweep", "--n", "2"], {"u": [1, True]}, "u must be a number, got True"),
     (["commute", "--n", "2", "--pairs", "1"], {"u": [1.0]}, "u must be a number"),
+    # an on/off option is JSON true or false; the text "false" would turn it on
+    (["ness"], {"n": 3, "u": 1, "lindblad_residual": "false"},
+     "lindblad_residual must be true or false, got 'false'"),
+    (["observe", "--n", "3", "--u", "1"], {"gnuplot": "no"},
+     "gnuplot must be true or false, got 'no'"),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, cmd, config, message):
     # refused where the value is parsed, with exit 2, not a TypeError traceback
@@ -370,6 +375,9 @@ def test_config_values_of_the_wrong_type(tmp_path, capsys, cmd, config, message)
     (["observe", "--u", "1"], "n", "1_2", "n must be a whole number, got '1_2'"),
     (["ness", "--n", "2", "--u", "1"], "tol", "1_0e-10", "tol must be a number, got '1_0e-10'"),
     (["sweep", "--n", "2"], "u", "1_0", "u must be a number, got '1_0'"),
+    # refused before observe writes its CSV files
+    (["observe", "--n", "3", "--u", "1"], "scaling", "abc",
+     "scaling must be a whole number, got 'abc'"),
 ])
 def test_flag_and_config_values_parse_one_way(tmp_path, capsys, argv, key, text, message):
     # a flag's text and the same text in a config file meet one parser: the
@@ -410,28 +418,37 @@ def test_every_command_writes_its_document_one_way(tmp_path, capsys, argv):
     text = (tmp_path / f"{argv[0]}.json").read_text()
     assert capsys.readouterr().out == text
     doc = json.loads(text)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["command"] == argv[0]
 
 
-@pytest.mark.parametrize("argv", [
-    ["ness", "--n", "2", "--u", "1"],
-    ["sweep", "--n", "2", "--u", "1,2"],
-])
-def test_negative_eigenvalue_fails_ness_and_sweep(tmp_path, capsys, monkeypatch, argv):
-    # the state rule of ness gates every dense-route sweep row too
-    from hubbard_lax import cli, observables
+def test_negative_eigenvalue_fails_ness(tmp_path, capsys, monkeypatch):
+    from hubbard_lax import cli
 
     def negative(cfg, fam=None):
         res = build_ness(cfg, fam)
         res.diagnostics["positivity_min_eig"] = -2e-10
         return res
 
-    build_ness = observables.build_ness
+    build_ness = cli.build_ness
     monkeypatch.setattr(cli, "build_ness", negative)
-    monkeypatch.setattr(observables, "build_ness", negative)
-    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    assert cli.main(["ness", "--n", "2", "--u", "1", "--out", str(tmp_path)]) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_observe_and_sweep_never_build_the_dense_state(tmp_path, capsys, monkeypatch):
+    # every chain length is read from the environment engine, the short ones too
+    from hubbard_lax import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_ness called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hubbard_lax") and hasattr(module, "build_ness"):
+            monkeypatch.setattr(module, "build_ness", refuse)
+    assert cli.main(["observe", "--n", "5", "--u", "2", "--out", str(tmp_path / "o")]) == 0
+    assert cli.main(["sweep", "--n", "2,3", "--u", "1", "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
 
 
 def test_sweep_pool_is_bounded(tmp_path, monkeypatch, capsys):
@@ -524,11 +541,15 @@ def test_sweep_refuses_fractional_chain_length(tmp_path):
 
 
 def test_sweep_matrix_free_rows(tmp_path):
-    r = run("sweep", "--n", "7", "--u", "2", "--out", str(tmp_path))
+    # one route at every length: short and long rows carry the same keys
+    r = run("sweep", "--n", "3,7", "--u", "2", "--out", str(tmp_path))
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["passed"] is True
-    assert doc["configurations"][0]["diagnostics"] == {}
+    short, long = doc["configurations"]
+    assert [short["driving"]["n_sites"], long["driving"]["n_sites"]] == [3, 7]
+    assert short.keys() == long.keys()
+    assert "diagnostics" not in short
 
 
 def test_unwritable_output(tmp_path):

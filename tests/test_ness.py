@@ -6,10 +6,12 @@ import pytest
 
 from conftest import (
     canonical_configs,
+    contract_omega_factored,
     dense_reference_rho,
     doubled_tensors,
     global_telescoping,
     off_root_ltilde_defect,
+    omega_apply,
     spin_flip_G,
     telescoping_terms,
     total_magnetization,
@@ -26,7 +28,6 @@ from hubbard_lax.ness_engine import (
     check_boundary_conditions,
     check_telescoping,
     contract_omega,
-    contract_omega_factored,
     double_contract,
     dump_rho,
     k_exact,
@@ -35,7 +36,6 @@ from hubbard_lax.ness_engine import (
     map_driving_to_params,
     ness_family,
     ness_lax_params,
-    omega_apply,
 )
 
 REL_TOL = 1e-12

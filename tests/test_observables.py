@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     CANONICAL_DRIVINGS,
     CsrPairSide,
+    canonical_configs,
     current_operator,
     expectation,
     kron_hamiltonian,
@@ -128,13 +129,13 @@ def test_dense_reader_checks_imaginary_parts():
 
 
 def test_engine_matches_dense():
-    for n in (3, 4):
-        cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
-        od = profile_and_currents(build_ness(cfg))
-        om = profile_and_currents_mpo(cfg)
-        assert np.allclose(od.densities_sigma, om.densities_sigma, atol=1e-12)
-        assert np.allclose(od.currents_sigma, om.currents_sigma, atol=1e-12)
-        assert np.allclose(od.densities_tau, om.densities_tau, atol=1e-12)
+    # the short chains that observe and sweep once read off the dense state
+    for n in (2, 3, 4, 5):
+        for cfg in canonical_configs(n):
+            od = profile_and_currents(build_ness(cfg))
+            om = profile_and_currents_mpo(cfg)
+            for field in ("densities_sigma", "densities_tau", "currents_sigma", "currents_tau"):
+                assert np.allclose(getattr(od, field), getattr(om, field), atol=1e-12)
 
 
 def _cross_check_current(cfg, j, sp):
