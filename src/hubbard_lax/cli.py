@@ -32,15 +32,13 @@ from .algebra_verifier import check_xk_structure, sample_params, verify_family, 
 from .lindblad_oracle import fixed_point_oracle, fixed_point_residual
 from .ness_engine import (
     DrivingConfig,
-    build_double_lax,
     build_ness,
-    check_boundary_conditions,
-    check_telescoping,
     dump_rho,
     map_driving_to_params,
     ness_family,
-    require_dense,
+    require_state,
     state_passed,
+    stationarity_certificate,
 )
 from .observables import (
     UNIFORMITY_TOL,
@@ -181,27 +179,19 @@ def cmd_ness(args) -> int:
     if args.dump_rho is not None and not isinstance(args.dump_rho, str):
         raise ValueError(f"dump_rho must be a file path, got {args.dump_rho!r}")
     lindblad = _switch(args, "lindblad_residual")
-    # the dense rho that these two read is refused here, before any work
+    # the sector blocks, and the dense rho that these two read, are refused
+    # here, before any work
     dense = bool(args.dump_rho or lindblad)
-    if dense:
-        require_dense(cfg.n_sites)
+    require_state(cfg.n_sites, dense)
     fam = ness_family(cfg)
-    # the local certificate contracts no chain; a chain too long for the
-    # sector blocks is refused by build_ness's guard, before allocating
-    dlax = build_double_lax(cfg, fam)
-    bc = check_boundary_conditions(dlax, tol=tol)
-    tele_res, tele_scale = check_telescoping(dlax)
     res = build_ness(cfg, fam)
     rho = res.rho if dense else None
     lam, om, eta = map_driving_to_params(cfg)
-    diag = dict(res.diagnostics)
-    diag["boundary_left_residual"] = bc["left_residual"] / bc["scale"]
-    diag["boundary_right_residual"] = bc["right_residual"] / bc["scale"]
-    diag["telescoping_residual"] = tele_res / tele_scale
+    cert = stationarity_certificate(cfg, fam)
+    diag = {**res.diagnostics, **cert}
     if lindblad:
         diag["lindblad_residual"] = fixed_point_residual(cfg, rho)
-    ok = bool(state_passed(diag) and bc["left_passed"] and bc["right_passed"]
-              and diag["telescoping_residual"] <= tol)
+    ok = bool(state_passed(diag) and max(cert.values()) <= tol)
     doc = {
         "driving": dataclasses.asdict(cfg),
         "cutoff_K": fam.space.cutoff_K,
@@ -235,19 +225,10 @@ def cmd_observe(args) -> int:
     cfg = _driving_from_args(args)
     gnuplot = _switch(args, "gnuplot")
     ns = _values(args, "scaling", None, _whole) if args.scaling else None
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    if ns and len(set(ns)) < 3:
+        raise ValueError(f"scaling needs at least 3 distinct chain lengths, got {ns}")
     obs = profile_and_currents_mpo(cfg)
     uni = current_uniformity(obs)
-
-    for name, header, xs, ys in (
-            ("densities.csv", ["site", "sz", "tz"], obs.densities_sigma, obs.densities_tau),
-            ("currents.csv", ["bond", "J_sigma", "J_tau"], obs.currents_sigma, obs.currents_tau)):
-        with open(os.path.join(out, name), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows([j, repr(x), repr(y)] for j, (x, y) in enumerate(zip(xs, ys), 1))
-
     doc = {
         "driving": dataclasses.asdict(cfg),
         "densities_sigma": obs.densities_sigma,
@@ -263,13 +244,22 @@ def cmd_observe(args) -> int:
             "series": [[n, J] for n, J in series],
             "fit": scaling_fit(series),
         }
+    # every value is computed, and so every refusal made, before any file is written
+    os.makedirs(args.out, exist_ok=True)
+    for name, header, xs, ys in (
+            ("densities.csv", ["site", "sz", "tz"], obs.densities_sigma, obs.densities_tau),
+            ("currents.csv", ["bond", "J_sigma", "J_tau"], obs.currents_sigma, obs.currents_tau)):
+        with open(os.path.join(args.out, name), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([j, repr(x), repr(y)] for j, (x, y) in enumerate(zip(xs, ys), 1))
     if gnuplot:
-        with open(os.path.join(out, "profile.dat"), "w") as fh:
+        with open(os.path.join(args.out, "profile.dat"), "w") as fh:
             fh.write("# site sz tz\n")
             for j in range(cfg.n_sites):
                 fh.write(f"{j + 1} {obs.densities_sigma[j]:.16e} {obs.densities_tau[j]:.16e}\n")
         if "scaling" in doc:
-            with open(os.path.join(out, "scaling.dat"), "w") as fh:
+            with open(os.path.join(args.out, "scaling.dat"), "w") as fh:
                 fh.write("# n J\n")
                 for n, J in doc["scaling"]["series"]:
                     fh.write(f"{n} {J:.16e}\n")
@@ -422,6 +412,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as e:
         print(f"error: problem size exceeds the memory limits: {e}", file=sys.stderr)
+        return 2
+    except ArithmeticError as e:
+        print(f"error: the computation failed numerically: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)

@@ -60,7 +60,7 @@ def guard(nbytes: int, what: str) -> None:
     """Refuse a contraction whose peak allocation would exceed MAX_CHAIN_BYTES."""
     if nbytes > MAX_CHAIN_BYTES:
         raise MemoryError(
-            f"{what} needs about {nbytes / 2**30:.1f} GiB, over the "
+            f"{what} needs about {nbytes / 2**30:.3g} GiB, over the "
             f"{MAX_CHAIN_BYTES / 2**30:g} GiB limit"
         )
 

@@ -35,12 +35,14 @@ the choice, which is what makes the convention easy to get wrong.
 
 Stationarity is certified from local identities, as in the paper, so no
 n-site chain is contracted for it and its cost grows with the cutoff alone,
-not as 16^n: in the bulk, the two-site divergence of the transfer components
-(algebra_verifier.check_gLOD) on the family the state is built from, between
-the auxiliary levels that the interior cuts of the chain reach, together with
-the charge conservation of the bond Hamiltonian (check_telescoping); at the
-ends, one dissipative equation each, read off the root row and root column
-slabs of the doubled (bra-ket) site tensors (build_double_lax,
+not as 16^n. stationarity_certificate takes the (cfg, fam) of build_ness and
+returns three relative residuals: in the bulk, the two-site divergence of
+the transfer components (algebra_verifier.check_gLOD) on that family,
+between the auxiliary levels that the interior cuts of the chain reach,
+together with the charge conservation of the bond Hamiltonian
+(check_telescoping); at the ends, one dissipative equation each, read off
+the root row and root column slabs of the doubled (bra-ket) site tensors on
+the levels <= 1 that a single site reaches (build_double_lax,
 check_boundary_conditions). Omega and the cross-check chains are all
 contracted by the one contraction core in linalg: site tensors built by
 linalg.lift, contracted whole by linalg.chain or sector by sector by
@@ -174,15 +176,18 @@ def m_diag(n_sites: int, eta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the steady state
 
-def require_dense(n_sites: int) -> None:
-    """Refuse, before allocating, a dense 4^n x 4^n state that would pass
-    linalg.MAX_CHAIN_BYTES."""
-    guard(16 * 16 ** n_sites, f"a dense {n_sites}-site state")
+def require_state(n_sites: int, dense: bool = False) -> None:
+    """Refuse, before any family is built, an n-site state that would pass
+    linalg.MAX_CHAIN_BYTES: its charge-sector blocks hold C(2n, n)^2 entries
+    at every driving, and its dense 4^n x 4^n matrix, when asked for, 16^n."""
+    guard(16 * math.comb(2 * n_sites, n_sites) ** 2, f"{n_sites}-site sector blocks")
+    if dense:
+        guard(16 * 16 ** n_sites, f"a dense {n_sites}-site state")
 
 
 def _dense(n_sites: int, rows: list, blocks: list) -> np.ndarray:
     """The 4^n x 4^n matrix that holds each block on its sector rows."""
-    require_dense(n_sites)
+    require_state(n_sites, dense=True)
     out = np.zeros((4 ** n_sites,) * 2, dtype=complex)
     for r, b in zip(rows, blocks):
         out[np.ix_(r, r)] = b
@@ -261,20 +266,9 @@ def state_passed(diagnostics: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# doubled operators (bra and ket copies of the auxiliary space)
+# stationarity certificate: bulk and boundary identities
 
-@dataclass
-class DoubleLax:
-    cfg: DrivingConfig
-    fam: LaxFamily
-    row: np.ndarray      # LL[p, q, (root, root), (x, y)], laid out [x, y, p, q]
-    row_t: np.ndarray    # the same slab of LLt
-    col: np.ndarray      # LL[p, q, (x, y), (root, root)], laid out [x, y, p, q]
-    col_t: np.ndarray    # the same slab of LLt
-    root: int            # index of 0+ in the single-layer auxiliary space
-
-
-def build_double_lax(cfg: DrivingConfig, fam: LaxFamily | None = None) -> DoubleLax:
+def build_double_lax(cfg: DrivingConfig, fam: LaxFamily):
     """Root slabs of the doubled site tensors, which pair the ket and bra
     auxiliary indices, (ac) and (bd):
 
@@ -283,18 +277,23 @@ def build_double_lax(cfg: DrivingConfig, fam: LaxFamily | None = None) -> Double
     i.e. L Lbar M, where A is the transfer tensor of the components L and m
     the single-site diagonal of M. LLt = (Lt Lbar - L Lbar_t) M is the same
     pairing with the tensor of Ltilde in place of A in one factor, then the
-    other. The boundary equations read only the slabs at the doubled root, so
-    they are built from A[:, :, root, :] and A[:, :, :, root], 16 da^2
-    entries each; the da^4-entry tensors are never formed.
+    other. fam is the driving's ness_family, or, in the necessity probes, a
+    family at perturbed parameters.
 
-    fam is the driving's ness_family, built here when not given; the
-    necessity probes pass a family at perturbed parameters instead.
+    Returns (row, row_t, col, col_t): the slab LL[p, q, (root, root), (x, y)]
+    and that of LLt, then LL[p, q, (x, y), (root, root)] and that of LLt,
+    each laid out [x, y, p, q] over the vertices x, y of level <= 1
+    (AuxSpace.level_prefix(1)). A site moves the level by at most one, so
+    from the root A and At reach no further at any cutoff; a root entry of
+    either past level 1 is refused with ValueError, so the cut drops nothing,
+    and the slabs cost the same at every n.
     """
-    fam = ness_family(cfg) if fam is None else fam
-    _, _, eta = map_driving_to_params(cfg)
-    m = m_diag(1, eta)
+    m = m_diag(1, map_driving_to_params(cfg)[2])
     A, At = phys_transfer_tensor(fam.L), phys_transfer_tensor(fam.Ltilde)
-    i0 = _root_index(fam.space)
+    i0, near = _root_index(fam.space), fam.space.level_prefix(1)
+    for name, T in (("L", A), ("Ltilde", At)):
+        if T[:, :, i0, near:].any() or T[:, :, near:, i0].any():
+            raise ValueError(f"the root slab of {name} reaches past level 1")
 
     def pair(X, Z):
         # X, Z are root slabs [p, r, x] of two site tensors
@@ -303,29 +302,23 @@ def build_double_lax(cfg: DrivingConfig, fam: LaxFamily | None = None) -> Double
     def slabs(X, Xt):
         return pair(X, X), pair(Xt, X) - pair(X, Xt)
 
-    row, row_t = slabs(A[:, :, i0, :], At[:, :, i0, :])
-    col, col_t = slabs(A[:, :, :, i0], At[:, :, :, i0])
-    return DoubleLax(cfg=cfg, fam=fam, row=row, row_t=row_t, col=col, col_t=col_t, root=i0)
+    return (*slabs(A[:, :, i0, :near], At[:, :, i0, :near]),
+            *slabs(A[:, :, :near, i0], At[:, :, :near, i0]))
 
 
-def double_contract(dlax: DoubleLax, n_sites: int) -> np.ndarray:
+def double_contract(cfg: DrivingConfig, fam: LaxFamily, n_sites: int) -> np.ndarray:
     """Cross-check route for R = Omega Omega^dag M: <00| LL_1 ... LL_n |00>
     through the whole doubled site tensor LL of build_double_lax, built here."""
-    fam = dlax.fam
     da = fam.dim
     # the largest partial product, refused before the da^4-entry LL is built
     guard(16 * 16 ** (n_sites - 1) * da * da, f"{n_sites}-site doubled contraction")
-    _, _, eta = map_driving_to_params(dlax.cfg)
     A = phys_transfer_tensor(fam.L)
-    LL = np.einsum("prab,qrcd,q->pqacbd", A, np.conj(A), m_diag(1, eta))
-    e0 = _basis(da * da, dlax.root * da + dlax.root)
+    LL = np.einsum("prab,qrcd,q->pqacbd", A, np.conj(A), m_diag(1, map_driving_to_params(cfg)[2]))
+    e0 = _basis(da * da, _root_index(fam.space) * (da + 1))  # (root, root)
     return chain([LL.reshape(4, 4, da * da, da * da)] * n_sites, e0, e0)
 
 
-# ---------------------------------------------------------------------------
-# stationarity certificate: bulk and boundary identities
-
-def check_telescoping(dlax: DoubleLax):
+def check_telescoping(cfg: DrivingConfig, fam: LaxFamily):
     """Bulk certificate of stationarity from two local identities:
 
     1. the bond divergence of check_gLOD, with L = sum_st sigma^s tau^t L^st,
@@ -347,12 +340,11 @@ def check_telescoping(dlax: DoubleLax):
     the summed middle index stays inside the family: one check of the family
     itself between outer levels <= K - 1 covers every cut.
 
-    Returns (residual_fro, scale): the larger relative residual of the two,
-    on the scale of the bond divergence.
+    Returns (residual_fro, scale): the larger residual of the two, on the
+    scale of the bond divergence.
     """
-    fam = dlax.fam
     r = check_gLOD(fam, target_K=fam.space.cutoff_K - 1)
-    _, _, eta = map_driving_to_params(dlax.cfg)
+    _, _, eta = map_driving_to_params(cfg)
     h, mm = h_bond(fam.params.u), m_diag(2, eta)
     commutator = np.linalg.norm(h * mm - mm[:, None] * h) / (
         np.linalg.norm(h) * np.linalg.norm(mm))
@@ -373,7 +365,7 @@ def _yy(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.einsum("xz,zypq->xypq", Y, X) - np.einsum("xzpq,yz->xypq", X, np.conj(Y))
 
 
-def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
+def check_boundary_conditions(cfg: DrivingConfig, fam: LaxFamily) -> tuple:
     """Residuals of the two single-site boundary identities.
 
     Left:  i G_L (D_{s+} + D_{t+}) LL + LLt + LL YY + [h_L, LL]  -> row slab
@@ -381,33 +373,40 @@ def check_boundary_conditions(dlax: DoubleLax, tol: float = 1e-10):
     Right: i G_R (D_{s-} + D_{t-}) LL - LLt - YY LL + [h_R, LL]  -> column
            slab at the doubled root vanishes.
 
-    The dissipators and h_L, h_R act on the physical indices of the slabs,
-    YY on the doubled auxiliary index the slab leaves free. Each slab is
-    checked whole: a single-site tensor reaches from the root only pair
-    levels <= 2, at every cutoff. Returns dict with residuals and the common
+    The dissipators and h_L, h_R act on the physical indices of the slabs of
+    build_double_lax, YY on the doubled auxiliary index the slab leaves free.
+    Each slab is checked whole, on the levels <= 1 that it reaches; an entry
+    of Y that would carry it past them is refused with ValueError. Returns
+    (left_residual, right_residual, scale), the residuals and their common
     scale.
     """
-    cfg, Y = dlax.cfg, dlax.fam.Y
+    row, row_t, col, col_t = build_double_lax(cfg, fam)
+    near = len(row)
+    if fam.Y[:near, near:].any() or fam.Y[near:, :near].any():
+        raise ValueError("Y couples the levels <= 1 to higher ones")
+    Y = fam.Y[:near, :near]
 
     def local(gamma, jumps, h, X):
         return 1j * gamma * sum(_dissipator(a, X) for a in jumps) + h @ X - X @ h
 
     OL = (local(cfg.gamma_L, (local4("+", "0"), local4("0", "+")),
-                h_end(cfg.u, cfg.mu_L), dlax.row)
-          + dlax.row_t + _yy(Y.T, dlax.row))
+                h_end(cfg.u, cfg.mu_L), row) + row_t + _yy(Y.T, row))
     OR = (local(cfg.gamma_R, (local4("-", "0"), local4("0", "-")),
-                h_end(cfg.u, cfg.mu_R), dlax.col)
-          - dlax.col_t - _yy(Y, dlax.col))
-    left = float(np.linalg.norm(OL))
-    right = float(np.linalg.norm(OR))
-    scale = float(max(np.linalg.norm(dlax.row_t), np.linalg.norm(dlax.col_t), 1.0))
-    return {
-        "left_residual": left,
-        "right_residual": right,
-        "scale": scale,
-        "left_passed": left <= tol * scale,
-        "right_passed": right <= tol * scale,
-    }
+                h_end(cfg.u, cfg.mu_R), col) - col_t - _yy(Y, col))
+    scale = max(np.linalg.norm(row_t), np.linalg.norm(col_t), 1.0)
+    return float(np.linalg.norm(OL)), float(np.linalg.norm(OR)), float(scale)
+
+
+def stationarity_certificate(cfg: DrivingConfig, fam: LaxFamily) -> dict:
+    """The local stationarity certificate of the steady state that
+    build_ness makes of cfg and fam, as relative residuals under the keys of
+    the ness document: the two boundary equations (check_boundary_conditions)
+    and the bulk (check_telescoping), each over its scale. It contracts no
+    chain, so its cost grows with the cutoff alone."""
+    left, right, scale = check_boundary_conditions(cfg, fam)
+    bulk, bulk_scale = check_telescoping(cfg, fam)
+    return {"boundary_left_residual": left / scale, "boundary_right_residual": right / scale,
+            "telescoping_residual": bulk / bulk_scale}
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,9 @@ class ObservableSet:
 
 
 def _real(z: complex, what: str) -> float:
+    """The real part of z, refused if not finite or not real to REAL_TOL."""
+    if not np.isfinite(z):
+        raise ValueError(f"{what} is not finite, got {z}")
     if abs(z.imag) > REAL_TOL * max(1.0, abs(z)):
         raise ValueError(f"{what} has non-negligible imaginary part {z.imag:g}")
     return float(z.real)

@@ -20,7 +20,7 @@ from hubbard_lax.aux_space import AuxSpace, AuxVertex
 from hubbard_lax.hubbard_model import SIGMA, TAU, h_bond, phys_dim
 from hubbard_lax.lax_builder import LaxFamily
 from hubbard_lax.linalg import PAULI, chain, guard, lift, phys_transfer_tensor
-from hubbard_lax.ness_engine import (DoubleLax, DrivingConfig, contract_omega, m_diag,
+from hubbard_lax.ness_engine import (DrivingConfig, contract_omega, m_diag,
                                     map_driving_to_params, ness_family)
 
 # asymmetric rates, asymmetric potentials, and a symmetric-rate control
@@ -109,7 +109,7 @@ def kron_superoperator(cfg: DrivingConfig) -> sp.csr_matrix:
     return S.tocsr()
 
 
-def doubled_tensors(dlax: DoubleLax):
+def doubled_tensors(cfg: DrivingConfig, fam: LaxFamily):
     """Reference: the whole doubled site tensors whose root slabs
     build_double_lax keeps, as (LL, LLt, YY, root):
 
@@ -118,9 +118,8 @@ def doubled_tensors(dlax: DoubleLax):
     LLt the same pairing with the tensor of Ltilde in one factor, then the
     other, YY = Y (x) 1 - 1 (x) conj(Y) as a da^2 x da^2 matrix, and root the
     doubled index of (0+, 0+)."""
-    fam = dlax.fam
     da = fam.dim
-    _, _, eta = map_driving_to_params(dlax.cfg)
+    _, _, eta = map_driving_to_params(cfg)
     m = m_diag(1, eta)
     A, At = phys_transfer_tensor(fam.L), phys_transfer_tensor(fam.Ltilde)
 
@@ -130,10 +129,11 @@ def doubled_tensors(dlax: DoubleLax):
 
     eye = np.eye(da)
     YY = np.kron(fam.Y, eye) - np.kron(eye, np.conj(fam.Y))
-    return pair(A, A), pair(At, A) - pair(A, At), YY, dlax.root * da + dlax.root
+    i0 = fam.space.index[AuxVertex(0, +1)]
+    return pair(A, A), pair(At, A) - pair(A, At), YY, i0 * da + i0
 
 
-def telescoping_terms(dlax: DoubleLax, n_sites: int, rows: np.ndarray):
+def telescoping_terms(cfg: DrivingConfig, fam: LaxFamily, n_sites: int, rows: np.ndarray):
     """Reference: the two sides of the telescoping identity of the doubled
     chain between boundary rows `rows` of the doubled auxiliary space (one
     vector, or a block of them taken at both ends), as (lhs, rhs):
@@ -143,12 +143,12 @@ def telescoping_terms(dlax: DoubleLax, n_sites: int, rows: np.ndarray):
 
     with the boundary leftover E = LLt + {YY, LL}.
     """
-    LL, LLt, YY, _ = doubled_tensors(dlax)
+    LL, LLt, YY, _ = doubled_tensors(cfg, fam)
     R = chain([LL] * n_sites, rows, rows)
     # the literal bond sum sum_j h_{j,j+1} (u/2 on the two boundary sites,
     # unlike the full Hamiltonian), each bond term applied to its two sites
     # of the physical row and column indices of R
-    h = h_bond(dlax.cfg.u).reshape(4, 4, 4, 4)
+    h = h_bond(cfg.u).reshape(4, 4, 4, 4)
     lead = R.ndim - 2
     Rs = R.reshape(R.shape[:lead] + (4,) * (2 * n_sites))
     lhs = np.zeros_like(Rs)
@@ -164,22 +164,21 @@ def telescoping_terms(dlax: DoubleLax, n_sites: int, rows: np.ndarray):
     return lhs, rhs
 
 
-def global_telescoping(dlax: DoubleLax, n_sites: int):
+def global_telescoping(cfg: DrivingConfig, fam: LaxFamily, n_sites: int):
     """Global witness for the local certificate (ness_engine.check_telescoping
     with check_boundary_conditions): the telescoping of the whole doubled
     n-site chain, contracted at the doubled root, and at n = 2 also open
     between every pair of interior doubled levels (pair level <= K - 1), that
     residual put on the root scale. Returns (residual_fro, scale); it holds
     16^n da^2 entries, so use it on short chains."""
-    da = dlax.fam.dim
-    da2 = da * da
-    lhs, rhs = telescoping_terms(dlax, n_sites, np.eye(da2)[dlax.root * da + dlax.root])
+    i0, da2 = fam.space.index[AuxVertex(0, +1)], fam.dim ** 2
+    lhs, rhs = telescoping_terms(cfg, fam, n_sites, np.eye(da2)[i0 * fam.dim + i0])
     res = float(np.linalg.norm(lhs - rhs))
     scale = float(max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0))
     if n_sites == 2:
-        lv = dlax.fam.space.levels()
-        interior = (lv[:, None] + lv[None, :]).ravel() <= dlax.fam.space.cutoff_K - 1 + 1e-9
-        lhs, rhs = telescoping_terms(dlax, 2, np.eye(da2)[interior])
+        lv = fam.space.levels()
+        interior = (lv[:, None] + lv[None, :]).ravel() <= fam.space.cutoff_K - 1 + 1e-9
+        lhs, rhs = telescoping_terms(cfg, fam, 2, np.eye(da2)[interior])
         open_scale = max(np.linalg.norm(rhs), 1.0)
         res = max(res, float(np.linalg.norm(lhs - rhs)) * scale / open_scale)
     return res, scale

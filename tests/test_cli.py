@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -56,6 +57,11 @@ def test_zero_rate_rejected(tmp_path):
             "--u", "1", "--out", str(tmp_path))
     assert r.returncode == 2
     assert "mu_R must be finite, got inf" in r.stderr
+    # a finite rate whose family overflows
+    r = run("observe", "--n", "6", "--gammaL", "1e300", "--u", "1", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "error: the computation failed numerically" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def _cap_address_space():
@@ -115,6 +121,34 @@ def test_ness_eight_sites_refused_before_sector_build(tmp_path, capsys):
     assert not (tmp_path / "ness.json").exists()
 
 
+def test_ness_refuses_a_long_chain_before_any_work(tmp_path, capsys, monkeypatch):
+    # the sector blocks of an n-site state hold C(2n, n)^2 entries at every
+    # driving, so n = 100 is refused from that bound before the family is built
+    from hubbard_lax import cli
+
+    def built(cfg):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(cli, "ness_family", built)
+    start = time.perf_counter()
+    rc = cli.main(["ness", "--n", "100", "--u", "2", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 2
+    assert rc == 2
+    assert "100-site sector blocks" in capsys.readouterr().err
+    assert not (tmp_path / "ness.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["observe", "--n", "6"], ["sweep", "--n", "6,8"]])
+def test_non_finite_observables_are_refused(tmp_path, capsys, argv):
+    # at u = 1e200 the family overflows and every density and current reads nan
+    from hubbard_lax import cli
+
+    assert cli.main([*argv, "--u", "1e200", "--out", str(tmp_path)]) == 2
+    assert "<sz_1> is not finite, got (nan+nanj)" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--dump-rho", "--lindblad-residual"])
 def test_ness_refuses_a_dense_state_past_six_sites(tmp_path, capsys, monkeypatch, flag):
     # both read the dense rho, 4 GiB at n = 7: refused before any family is built
@@ -161,17 +195,19 @@ def test_observe_refusal_names_the_environment_store(tmp_path, capsys):
 @pytest.mark.parametrize("scaling, message", [
     ("1,4,8", "n_sites >= 2"),
     ("8,400,12", "400-site environment store"),
+    ("4,6", "scaling needs at least 3 distinct chain lengths, got [4, 6]"),
+    ("4,4,4", "scaling needs at least 3 distinct chain lengths, got [4, 4, 4]"),
 ])
 def test_observe_scaling_refusals(tmp_path, capsys, scaling, message):
     # the whole series is checked, and its one sweep sized from the longest
-    # chain, before any of it is computed
+    # chain, before any of it is computed, and no file is written
     from hubbard_lax import cli
 
     rc = cli.main(["observe", "--n", "6", "--u", "1", "--scaling", scaling,
                    "--out", str(tmp_path)])
     assert rc == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "observe.json").exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_oracle_size_refusal(tmp_path):

@@ -36,6 +36,7 @@ from hubbard_lax.ness_engine import (
     map_driving_to_params,
     ness_family,
     ness_lax_params,
+    stationarity_certificate,
 )
 
 REL_TOL = 1e-12
@@ -249,17 +250,18 @@ def test_double_route_reproduces_r():
         om = contract_omega(ness_family(cfg), n)
         _, _, eta = map_driving_to_params(cfg)
         R = (om @ om.conj().T) * m_diag(n, eta)[None, :]
-        R2 = double_contract(build_double_lax(cfg), n)
+        R2 = double_contract(cfg, ness_family(cfg), n)
         assert np.linalg.norm(R - R2) < 1e-12 * np.linalg.norm(R)
 
 
 def test_double_contract_refused_before_allocation():
     # n=6 would hold 16^5 partial rows of dimension dim_aux^2 (about 5 GB)
-    dl = build_double_lax(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 6))
+    cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 6)
+    fam = ness_family(cfg)
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError):
-            double_contract(dl, 6)
+            double_contract(cfg, fam, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,58 +279,69 @@ def test_interaction_operator_fixes_root():
 
 
 def test_doubled_spectral_operator_root_entry():
-    cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 2)
-    dl = build_double_lax(cfg)
-    lam, u = dl.fam.params.lam, dl.fam.params.u
+    fam = ness_family(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 2))
+    lam, u = fam.params.lam, fam.params.u
     want = -2.0 * u * (lam - np.conj(lam))
-    unit = np.zeros((dl.fam.dim, dl.fam.dim, 1, 1))
-    unit[dl.root, dl.root] = 1.0
-    assert abs(_yy(dl.fam.Y, unit)[dl.root, dl.root, 0, 0] - want) < 1e-14
+    root = fam.space.index[AuxVertex(0, +1)]
+    unit = np.zeros((fam.dim, fam.dim, 1, 1))
+    unit[root, root] = 1.0
+    assert abs(_yy(fam.Y, unit)[root, root, 0, 0] - want) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_root_slabs_match_whole_doubled_tensors(n):
-    # build_double_lax keeps the root slabs of LL and LLt, and applies YY to
-    # them as Y X - X Y^dag; the whole tensors and the da^2 x da^2 YY of
-    # conftest are the reference
+    # build_double_lax keeps the root slabs of LL and LLt on the levels
+    # <= 1, the only ones they reach, and YY acts on them as Y X - X Y^dag;
+    # the whole tensors and the da^2 x da^2 YY of conftest are the reference
     for cfg in canonical_configs(n):
-        dl = build_double_lax(cfg)
-        LL, LLt, YY, root = doubled_tensors(dl)
-        da = dl.fam.dim
+        fam = ness_family(cfg)
+        slabs = build_double_lax(cfg, fam)
+        LL, LLt, YY, root = doubled_tensors(cfg, fam)
+        da, near = fam.dim, fam.space.level_prefix(1)
 
         def as_slab(T):
             return T.transpose(2, 0, 1).reshape(da, da, 4, 4)
 
-        assert np.array_equal(dl.row, as_slab(LL[:, :, root, :]))
-        assert np.array_equal(dl.row_t, as_slab(LLt[:, :, root, :]))
-        assert np.array_equal(dl.col, as_slab(LL[:, :, :, root]))
-        assert np.array_equal(dl.col_t, as_slab(LLt[:, :, :, root]))
+        padded = []
+        for got, T in zip(slabs, (LL[:, :, root, :], LLt[:, :, root, :],
+                                  LL[:, :, :, root], LLt[:, :, :, root])):
+            want = as_slab(T)
+            assert np.array_equal(got, want[:near, :near])
+            assert not want[near:].any() and not want[:, near:].any()
+            padded.append(want)
+        row, _, col, _ = padded
         # a row slab is acted on from the right, a column slab from the left
-        left = (YY.T @ dl.row.reshape(da * da, 16)).reshape(dl.row.shape)
-        right = (YY @ dl.col.reshape(da * da, 16)).reshape(dl.col.shape)
-        assert np.linalg.norm(_yy(dl.fam.Y.T, dl.row) - left) <= 1e-14 * np.linalg.norm(left)
-        assert np.linalg.norm(_yy(dl.fam.Y, dl.col) - right) <= 1e-14 * np.linalg.norm(right)
+        left = (YY.T @ row.reshape(da * da, 16)).reshape(row.shape)
+        right = (YY @ col.reshape(da * da, 16)).reshape(col.shape)
+        assert np.linalg.norm(_yy(fam.Y.T, row) - left) <= 1e-14 * np.linalg.norm(left)
+        assert np.linalg.norm(_yy(fam.Y, col) - right) <= 1e-14 * np.linalg.norm(right)
 
 
-def _certificate(cfg, fam=None):
-    """Relative residuals of the local stationarity certificate: the bulk
-    (check_telescoping) and the two boundary equations."""
-    dl = build_double_lax(cfg, fam)
-    res, scale = check_telescoping(dl)
-    bc = check_boundary_conditions(dl)
-    return {"bulk": res / scale, "left": bc["left_residual"] / bc["scale"],
-            "right": bc["right_residual"] / bc["scale"]}
+def test_root_entry_past_level_one_refused():
+    # the root slabs are cut to the levels <= 1; an entry that would reach
+    # past them is refused, not dropped
+    cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 4)
+    far = ness_family(cfg).space.index[AuxVertex(3, +1)]  # level 3/2
+    root = ness_family(cfg).space.index[AuxVertex(0, +1)]
+    for comps, a, b in (("L", root, far), ("Ltilde", far, root)):
+        fam = ness_family(cfg)
+        getattr(fam, comps)["+", "0"][a, b] = 0.1
+        with pytest.raises(ValueError, match=f"root slab of {comps} reaches past level 1"):
+            build_double_lax(cfg, fam)
+    fam = ness_family(cfg)
+    fam.Y[root, far] = 0.1
+    with pytest.raises(ValueError, match="Y couples the levels <= 1 to higher ones"):
+        check_boundary_conditions(cfg, fam)
 
 
 def test_telescoping_two_and_three_sites():
     cfg2 = DrivingConfig(1.4, 0.6, 0.2, -0.3, 1.2, 2)
-    res, scale = check_telescoping(build_double_lax(cfg2))
+    res, scale = check_telescoping(cfg2, ness_family(cfg2))
     assert res <= 1e-10 * scale
 
     # on a family one level above the exact cutoff as well
     cfg3 = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3)
-    dl3 = build_double_lax(cfg3, assemble_family(3, ness_lax_params(cfg3)))
-    res3, scale3 = check_telescoping(dl3)
+    res3, scale3 = check_telescoping(cfg3, assemble_family(3, ness_lax_params(cfg3)))
     assert res3 <= 1e-10 * scale3
 
 
@@ -339,8 +352,8 @@ def test_bond_commutator_matches_kron_reference(n):
     from hubbard_lax.hubbard_model import h_bond
 
     for cfg in canonical_configs(n):
-        dl = build_double_lax(cfg)
-        LL, _, _, root = doubled_tensors(dl)
+        fam = ness_family(cfg)
+        LL, _, _, root = doubled_tensors(cfg, fam)
         hb = h_bond(cfg.u)
         Hbulk = sum(np.kron(np.kron(np.eye(4 ** (j - 1)), hb), np.eye(4 ** (n - j - 1)))
                     for j in range(1, n))
@@ -348,7 +361,7 @@ def test_bond_commutator_matches_kron_reference(n):
         if n == 2:
             blocks.append(np.eye(LL.shape[2])[:5])
         for rows in blocks:
-            lhs, _ = telescoping_terms(dl, n, rows)
+            lhs, _ = telescoping_terms(cfg, fam, n, rows)
             R = chain([LL] * n, rows, rows)
             want = Hbulk @ R - R @ Hbulk
             assert np.linalg.norm(lhs - want) <= 1e-13 * np.linalg.norm(want)
@@ -359,9 +372,9 @@ def test_certificate_agrees_with_global_witness(n):
     # the local certificate and the telescoping of the whole doubled chain
     # both hold on the canonical drivings
     for cfg in canonical_configs(n):
-        res, scale = global_telescoping(build_double_lax(cfg), n)
+        res, scale = global_telescoping(cfg, ness_family(cfg), n)
         assert res <= 1e-13 * scale
-        cert = _certificate(cfg)
+        cert = stationarity_certificate(cfg, ness_family(cfg))
         assert max(cert.values()) <= 1e-13, cert
 
 
@@ -378,28 +391,32 @@ def _x_entry_defect(monkeypatch, level):
     monkeypatch.setattr(lax_builder, "build_X", defective)
 
 
+def _boundary(cert):
+    return max(cert["boundary_left_residual"], cert["boundary_right_residual"])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_certificate_detects_seeded_defects(n, monkeypatch):
     cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
-    assert max(_certificate(cfg).values()) <= 1e-13
+    assert max(stationarity_certificate(cfg, ness_family(cfg)).values()) <= 1e-13
 
     # the boundary equations pin the driving: a 5% spectral-parameter shift
     # keeps the bulk identity, which holds at every parameter point
     lp = ness_lax_params(cfg)
     shifted = assemble_family(k_exact(n), dataclasses.replace(lp, lam=lp.lam * 1.05))
-    cert = _certificate(cfg, shifted)
-    assert cert["bulk"] <= 1e-13
-    assert max(cert["left"], cert["right"]) > 1e-4, cert
+    cert = stationarity_certificate(cfg, shifted)
+    assert cert["telescoping_residual"] <= 1e-13
+    assert _boundary(cert) > 1e-4, cert
 
     # Y scaled by 1.01 on the state's own family
     fam = ness_family(cfg)
     fam.Y *= 1.01
-    assert _certificate(cfg, fam)["bulk"] > 1e-4
+    assert stationarity_certificate(cfg, fam)["telescoping_residual"] > 1e-4
 
     # an X entry at level 1 <= K - 1 feeds L and Ltilde alike
     with monkeypatch.context() as m:
         _x_entry_defect(m, 1)
-        assert _certificate(cfg)["bulk"] > 1e-4
+        assert stationarity_certificate(cfg, ness_family(cfg))["telescoping_residual"] > 1e-4
 
     # at level K the same defect reaches neither Omega nor the certificate:
     # no cut of the chain reaches level K
@@ -407,15 +424,15 @@ def test_certificate_detects_seeded_defects(n, monkeypatch):
         _x_entry_defect(m, k_exact(n))
         assert np.array_equal(contract_omega(ness_family(cfg), n),
                               contract_omega(assemble_family(k_exact(n), lp), n))
-        assert max(_certificate(cfg).values()) <= 1e-13
+        assert max(stationarity_certificate(cfg, ness_family(cfg)).values()) <= 1e-13
 
     # eta * 1.1 through the map: only the boundary equations see the filter
     lam, om, eta = ness_engine.map_driving_to_params(cfg)
     monkeypatch.setattr(ness_engine, "map_driving_to_params",
                         lambda c: (lam, om, 1.1 * eta))
-    cert = _certificate(cfg)
-    assert cert["bulk"] <= 1e-13
-    assert max(cert["left"], cert["right"]) > 1e-4, cert
+    cert = stationarity_certificate(cfg, ness_family(cfg))
+    assert cert["telescoping_residual"] <= 1e-13
+    assert _boundary(cert) > 1e-4, cert
 
 
 def test_bulk_certificate_checks_charge_conservation(monkeypatch):
@@ -423,7 +440,8 @@ def test_bulk_certificate_checks_charge_conservation(monkeypatch):
     h_bond = ness_engine.h_bond
     flip = np.kron(local4("+", "0") + local4("-", "0"), np.eye(4))
     monkeypatch.setattr(ness_engine, "h_bond", lambda u: h_bond(u) + flip)
-    assert _certificate(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3))["bulk"] > 1e-4
+    cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3)
+    assert stationarity_certificate(cfg, ness_family(cfg))["telescoping_residual"] > 1e-4
 
 
 def test_open_telescoping_detects_off_root_defect():
@@ -431,37 +449,40 @@ def test_open_telescoping_detects_off_root_defect():
     # Omega, only the bulk divergence between interior levels
     for n in (2, 3, 4, 5):
         cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
-        dl = build_double_lax(cfg, off_root_ltilde_defect(ness_family(cfg)))
-        bc = check_boundary_conditions(dl)
-        assert bc["left_passed"] and bc["right_passed"], bc
-        res, scale = check_telescoping(dl)
-        assert res > 1e-4 * scale, n
+        cert = stationarity_certificate(cfg, off_root_ltilde_defect(ness_family(cfg)))
+        assert _boundary(cert) <= 1e-10, cert
+        assert cert["telescoping_residual"] > 1e-4, n
 
 
 def test_boundary_conditions_hold_at_map():
     for tup in [(1.5, 0.7, 0.3, -0.4, 2.0), (1.0, 1.0, 0.0, 0.0, 1.0)]:
         cfg = DrivingConfig(*tup, 3)
-        fam = assemble_family(3, ness_lax_params(cfg))
-        bc = check_boundary_conditions(build_double_lax(cfg, fam))
-        assert bc["left_passed"] and bc["right_passed"], bc
+        cert = stationarity_certificate(cfg, assemble_family(3, ness_lax_params(cfg)))
+        assert _boundary(cert) <= 1e-10, cert
 
 
-def test_boundary_check_reads_whole_root_slabs():
+def test_boundary_check_reads_whole_root_slabs(monkeypatch):
     # at the n = 2, 3 cutoff K = 2 the root slabs reach pair level 2, above
     # the interior levels (pair level <= K - 1) of the bulk certificate
-    dl = build_double_lax(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3))
-    assert dl.fam.space.cutoff_K - 1 < 2
-    lv = dl.fam.space.levels()
+    cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3)
+    fam = ness_family(cfg)
+    assert fam.space.cutoff_K - 1 < 2
+    slabs = build_double_lax(cfg, fam)
+    lv = fam.space.levels()[:len(slabs[0])]
     pair = lv[:, None] + lv[None, :]
-    clean = check_boundary_conditions(dl)
-    assert clean["left_passed"] and clean["right_passed"], clean
-    for side, name in (("left", "row_t"), ("right", "col_t")):
-        slab = getattr(dl, name)
-        x, y = max(zip(*np.nonzero(pair == 2)), key=lambda xy: np.linalg.norm(slab[xy]))
-        bad = build_double_lax(dl.cfg, dl.fam)
-        getattr(bad, name)[x, y] *= 1.01
-        bc = check_boundary_conditions(bad)
-        assert bc[f"{side}_residual"] > 1e-4 * bc["scale"], (side, bc)
+    assert _boundary(stationarity_certificate(cfg, fam)) <= 1e-10
+    for side, k in ((0, 1), (1, 3)):  # each equation, and its slab of LLt
+        x, y = max(zip(*np.nonzero(pair == 2)), key=lambda xy: np.linalg.norm(slabs[k][xy]))
+
+        def defective(cfg, fam, k=k, xy=(x, y)):
+            out = build_double_lax(cfg, fam)
+            out[k][xy] *= 1.01
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(ness_engine, "build_double_lax", defective)
+            bc = check_boundary_conditions(cfg, fam)
+        assert bc[side] > 1e-4 * bc[2], (side, bc)
 
 
 # ---------------------------------------------------------------------------
