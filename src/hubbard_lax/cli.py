@@ -273,8 +273,8 @@ def cmd_commute(args) -> int:
     npairs = _whole(_merged(args, "pairs", 20), "pairs")
     ns = _values(args, "n", "2,3,4", _whole)
     pairs = sample_pairs(npairs, seed=seed)
-    all_reports = {str(n): [r.as_dict() for r in check_commutativity(n, u, pairs)]
-                   for n in ns}
+    all_reports = {str(n): [r.as_dict() for r in reps]
+                   for n, reps in check_commutativity(ns, u, pairs).items()}
     # conjecture tier never gates
     return _emit(args, {
         "tier": "conjecture",

@@ -269,26 +269,37 @@ class LaxFamily:
 
 
 def assemble_family(cutoff_K: int, params: LaxParams) -> LaxFamily:
-    """Build every operator of the family at the given cutoff."""
+    """Build every operator of the family at the given cutoff. Parameters
+    whose tables overflow (u = 1e200 does) are refused with ValueError
+    before any contraction reads them."""
     space = build_aux_space(int(cutoff_K))
-    X, X_inv, blocks = build_X(space, params)
-    S = build_S(space, params)
-    Y = build_Y(space, params)
-    SacX, XSgr = build_hatted(space, params, blocks)
-    G = spin_flip_aux(space)
-    # the reflected tables T^t = G S^t G, acute-T X and X grave-T
-    T, TacX, XTgr = ({t: G @ D[t] @ G for t in SPIN_LABELS} for D in (S, SacX, XSgr))
-    Sac, Tac = ({s: D[s] @ X_inv for s in SPIN_LABELS} for D in (SacX, TacX))
-    Sgr, Tgr = ({s: X_inv @ D[s] for s in SPIN_LABELS} for D in (XSgr, XTgr))
-    L, Ltilde = {}, {}
-    for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS):
-        ST = S[s] @ T[t]
-        L[s, t] = ST @ X
-        Ltilde[s, t] = 0.5 * (
-            S[s] @ Tac[t] + T[t] @ Sac[s] + Sgr[s] @ T[t] + Tgr[t] @ S[s] - Y @ ST - ST @ Y
-        ) @ X
-    return LaxFamily(
+    # an overflow shows as inf or nan in a table, refused below by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, X_inv, blocks = build_X(space, params)
+        S = build_S(space, params)
+        Y = build_Y(space, params)
+        SacX, XSgr = build_hatted(space, params, blocks)
+        G = spin_flip_aux(space)
+        # the reflected tables T^t = G S^t G, acute-T X and X grave-T
+        T, TacX, XTgr = ({t: G @ D[t] @ G for t in SPIN_LABELS} for D in (S, SacX, XSgr))
+        Sac, Tac = ({s: D[s] @ X_inv for s in SPIN_LABELS} for D in (SacX, TacX))
+        Sgr, Tgr = ({s: X_inv @ D[s] for s in SPIN_LABELS} for D in (XSgr, XTgr))
+        L, Ltilde = {}, {}
+        for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS):
+            ST = S[s] @ T[t]
+            L[s, t] = ST @ X
+            Ltilde[s, t] = 0.5 * (
+                S[s] @ Tac[t] + T[t] @ Sac[s] + Sgr[s] @ T[t] + Tgr[t] @ S[s] - Y @ ST - ST @ Y
+            ) @ X
+    fam = LaxFamily(
         params=params, space=space, G=G, S=S, T=T, X=X, X_blocks=blocks,
         X_inv=X_inv, Y=Y, SacuteX=SacX, XSgrave=XSgr, TacuteX=TacX,
         XTgrave=XTgr, Sacute=Sac, Sgrave=Sgr, Tacute=Tac, Tgrave=Tgr, L=L, Ltilde=Ltilde,
     )
+    for name, value in vars(fam).items():
+        if isinstance(value, dict):
+            value = list(value.values())
+        for table in value if isinstance(value, list) else [value]:
+            if isinstance(table, np.ndarray) and not np.isfinite(table).all():
+                raise ValueError(f"the Lax family at {params} is not finite: {name} overflows")
+    return fam

@@ -5,9 +5,14 @@ auxiliary row and column), phys_transfer_tensor does so for the 16 transfer
 components of a Lax family, and chain contracts a product of site tensors
 between auxiliary boundary rows. sector_chain contracts the same product one
 charge sector at a time, and refuses site tensors that break the charge. Both
-stand behind one peak-memory guard."""
+stand behind one peak-memory guard. basis_charges labels the (S, T) sector of
+each product basis state, for the callers that split a dense operator into
+its sector blocks."""
 
 from __future__ import annotations
+
+import functools
+from decimal import Decimal
 
 import numpy as np
 
@@ -36,6 +41,13 @@ for _op in _LOCAL4.values():
     _op.flags.writeable = False
 
 
+def basis_charges(n_sites: int) -> np.ndarray:
+    """The (S, T) sector of each of the 4^n product basis states of n sites,
+    as the integer (up sigma spins) * (2n + 1) + (up tau spins): equal codes
+    mean equal charges, and a difference of codes fixes both differences."""
+    return functools.reduce(np.add.outer, [SITE_CHARGES @ [2 * n_sites + 1, 1]] * n_sites).ravel()
+
+
 def local4(s: str, t: str) -> np.ndarray:
     """Dense 4x4 operator sigma^s tau^t on one ladder site (sigma qubit
     first): a shared read-only array, so copy it before writing."""
@@ -56,11 +68,20 @@ def phys_transfer_tensor(components: dict) -> np.ndarray:
     return lift({st: local4(*st) for st in components}, components)
 
 
+def _gib(nbytes: int) -> str:
+    """nbytes in GiB to 3 significant digits. Past about 2^1054 bytes the
+    float quotient overflows, so the top 64 bits are scaled in Decimal."""
+    if nbytes < 1 << 1000:
+        return f"{nbytes / 2**30:.3g}"
+    k = nbytes.bit_length() - 64
+    return f"{Decimal(nbytes >> k) * Decimal(2) ** (k - 30):.2e}"
+
+
 def guard(nbytes: int, what: str) -> None:
     """Refuse a contraction whose peak allocation would exceed MAX_CHAIN_BYTES."""
     if nbytes > MAX_CHAIN_BYTES:
         raise MemoryError(
-            f"{what} needs about {nbytes / 2**30:.3g} GiB, over the "
+            f"{what} needs about {_gib(nbytes)} GiB, over the "
             f"{MAX_CHAIN_BYTES / 2**30:g} GiB limit"
         )
 

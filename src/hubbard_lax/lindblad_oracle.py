@@ -28,13 +28,12 @@ full-space SVD confirms it at n = 2.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hubbard_model import build_hamiltonian, phys_dim, site_operator
-from .linalg import SITE_CHARGES, local4
+from .linalg import basis_charges, local4
 from .ness_engine import DrivingConfig
 
 NULL_SPACE_RTOL = 1e-10
@@ -111,9 +110,7 @@ def superoperator(spec: LindbladSpec) -> list:
     n = spec.cfg.n_sites
     if n > ORACLE_MAX_SITES:
         raise ValueError(f"the Lindblad oracle is limited to n <= {ORACLE_MAX_SITES}, got n={n}")
-    # (up sigma spins) * (2n + 1) + (up tau spins) of each basis state, from
-    # the site charges: a difference of codes fixes both charge differences
-    code = functools.reduce(np.add.outer, [SITE_CHARGES @ [2 * n + 1, 1]] * n).ravel()
+    code = basis_charges(n)
     H = sum(site_operator(n, j, h) for h, j in spec.H)
     Ls = [site_operator(n, j, L) for L, j in spec.jumps]
     for what, op in [("H", H)] + [(f"jump {k}", L) for k, L in enumerate(Ls)]:

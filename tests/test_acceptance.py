@@ -215,9 +215,8 @@ def test_criterion_09_commuting_family():
     # Conjecture tier: the verdict is recorded but does not gate the
     # battery -- only report integrity is asserted.
     pairs = sample_pairs(20, seed=42)
-    reports = []
-    for n in (2, 3, 4):
-        reports.extend(check_commutativity(n, u=1.0, pairs=pairs))
+    reports = [r for reps in check_commutativity((2, 3, 4), u=1.0, pairs=pairs).values()
+               for r in reps]
     worst = _worst_rel(reports)
     conjecture_holds = all(r.passed for r in reports)
     tag = "PASS" if conjecture_holds else "FAIL"

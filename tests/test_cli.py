@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -138,15 +139,56 @@ def test_ness_refuses_a_long_chain_before_any_work(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "ness.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("argv", [["observe", "--n", "6"], ["sweep", "--n", "6,8"]])
-def test_non_finite_observables_are_refused(tmp_path, capsys, argv):
-    # at u = 1e200 the family overflows and every density and current reads nan
+def _refused_without_warnings(argv, capsys) -> str:
+    """cli.main(argv) exits 2 and warns nothing; its stderr."""
     from hubbard_lax import cli
 
-    assert cli.main([*argv, "--u", "1e200", "--out", str(tmp_path)]) == 2
-    assert "<sz_1> is not finite, got (nan+nanj)" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv", [["observe", "--n", "6"], ["sweep", "--n", "6,8"]])
+def test_non_finite_observables_are_refused(tmp_path, capsys, argv):
+    # at u = 1e200 the Ltilde tables overflow: the family is refused before
+    # the environment sweep reads it, where every density read nan
+    err = _refused_without_warnings([*argv, "--u", "1e200", "--out", str(tmp_path)], capsys)
+    assert "is not finite: Ltilde overflows" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("u, message", [
+    # the Ltilde tables overflow, so the family is refused
+    ("1e200", "is not finite: Ltilde overflows"),
+    # the family is finite, but the norms of Omega overflow
+    ("1e150", "3-site commutator at LaxParams("),
+])
+def test_commute_refuses_an_overflow(tmp_path, capsys, u, message):
+    # either would otherwise reach commute.json as an inf or NaN
+    # residual_fro and operand_scale, with exit status 0
+    err = _refused_without_warnings(["commute", "--n", "3", "--pairs", "1", "--u", u,
+                                     "--out", str(tmp_path)], capsys)
+    assert message in err
+    assert not (tmp_path / "commute.json").exists()
+
+
+@pytest.mark.parametrize("n", ["300", "100000"])
+def test_ness_names_the_sector_blocks_of_a_huge_chain(tmp_path, capsys, n):
+    # the size, past the float range, is formatted without a float quotient,
+    # and the exact C(2n, n) is not paid for at n = 10^5
+    from hubbard_lax import cli
+
+    start = time.perf_counter()
+    rc = cli.main(["ness", "--n", n, "--u", "2", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 2
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{n}-site sector blocks needs about" in err
+    assert {"300": "2.72e+350", "100000": "4.72e+120398"}[n] in err
 
 
 @pytest.mark.parametrize("flag", ["--dump-rho", "--lindblad-residual"])

@@ -5,23 +5,87 @@ checks are kept separate from the identity tier.
 """
 
 import numpy as np
+import pytest
 
+from hubbard_lax import transfer_commutativity
+from hubbard_lax.algebra_verifier import residual_report
 from hubbard_lax.lax_builder import LaxParams, assemble_family
 from hubbard_lax.ness_engine import contract_omega, k_exact
-from hubbard_lax.transfer_commutativity import check_commutativity, sample_pairs
+from hubbard_lax.transfer_commutativity import (CONJECTURE_TOL, check_commutativity,
+                                                sample_pairs)
+
+
+def _dense_reports(n, u, pairs):
+    """The reference: the commutator of the dense Omegas, each pair from its
+    own families at k_exact(n)."""
+    K = k_exact(n)
+    reports = []
+    for (l1, o1), (l2, o2) in pairs:
+        p1, p2 = LaxParams(l1, o1, u), LaxParams(l2, o2, u)
+        O1 = contract_omega(assemble_family(K, p1), n)
+        O2 = contract_omega(assemble_family(K, p2), n)
+        reports.append(residual_report(
+            "transfer_commutation", p1, K, O1 @ O2 - O2 @ O1,
+            np.linalg.norm(O1) * np.linalg.norm(O2), CONJECTURE_TOL))
+    return reports
 
 
 def test_self_commutation_exact():
     pairs = [((0.4 + 0.1j, 0.7 - 0.2j), (0.4 + 0.1j, 0.7 - 0.2j))]
-    rep = check_commutativity(2, 1.0, pairs)[0]
+    rep = check_commutativity([2], 1.0, pairs)[2][0]
     assert rep.residual_fro < 1e-14 * rep.operand_scale
 
 
 def test_random_pairs_small_chains():
     pairs = sample_pairs(6, seed=13)
-    for n in (2, 3):
-        for rep in check_commutativity(n, 1.0, pairs):
+    for n, reps in check_commutativity((2, 3), 1.0, pairs).items():
+        for rep in reps:
             assert rep.passed, f"n={n}: {rep.residual_fro / rep.operand_scale:.2e}"
+
+
+def test_sector_blocks_match_dense_commutator():
+    pairs = sample_pairs(6, seed=13)
+    got = check_commutativity((2, 3, 4), 1.0, pairs)
+    assert list(got) == [2, 3, 4]
+    for n, reps in got.items():
+        ref = _dense_reports(n, 1.0, pairs)
+        assert len(reps) == len(ref) == 6
+        for r, d in zip(reps, ref):
+            assert (r.identity_name, r.params, r.cutoff_K, r.tol) == \
+                   (d.identity_name, d.params, d.cutoff_K, d.tol)
+            assert abs(r.residual_fro - d.residual_fro) <= 1e-14 * d.operand_scale
+            assert abs(r.residual_max - d.residual_max) <= 1e-14 * d.operand_scale
+            assert abs(r.operand_scale - d.operand_scale) <= 1e-13 * d.operand_scale
+            assert r.passed == d.passed
+
+
+def test_family_nested_in_cutoff():
+    # Omega of every shorter chain from the family at the longest chain's
+    # cutoff is bitwise the one from its own k_exact(n) family
+    K = k_exact(4)
+    for pair in sample_pairs(5, seed=42):
+        for lam, om in pair:
+            p = LaxParams(lam, om, 1.0)
+            fam = assemble_family(K, p)
+            for n in range(1, 5):
+                assert np.array_equal(contract_omega(fam, n),
+                                      contract_omega(assemble_family(k_exact(n), p), n))
+
+
+def test_off_sector_entry_refused(monkeypatch):
+    def broken(fam, n):
+        omega = contract_omega(fam, n)
+        omega[0, -1] += 1e-3  # between the all-up and the all-down basis states
+        return omega
+
+    monkeypatch.setattr(transfer_commutativity, "contract_omega", broken)
+    with pytest.raises(ValueError, match=r"off its \(S, T\) blocks"):
+        check_commutativity([2], 1.0, sample_pairs(1))
+
+
+def test_chain_lengths_below_one_refused():
+    with pytest.raises(ValueError, match="at least 1 site"):
+        check_commutativity([2, 0], 1.0, sample_pairs(1))
 
 
 def test_one_parameter_slice():
@@ -31,14 +95,14 @@ def test_one_parameter_slice():
     for _ in range(4):
         o1, o2 = (0.3 + 1.2 * rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
         pairs.append(((0.0, o1), (0.0, o2)))
-    for rep in check_commutativity(3, 1.0, pairs):
+    for rep in check_commutativity([3], 1.0, pairs)[3]:
         assert rep.passed
 
 
 def test_interaction_values():
     pairs = sample_pairs(3, seed=17)
     for u in (0.5, 2.0):
-        for rep in check_commutativity(2, u, pairs):
+        for rep in check_commutativity([2], u, pairs)[2]:
             assert rep.passed
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,7 @@ from hubbard_lax.ness_engine import (
     map_driving_to_params,
     ness_family,
     ness_lax_params,
+    require_state,
     stationarity_certificate,
 )
 
@@ -71,6 +73,20 @@ def test_map_potential_bias():
 
 def test_k_exact():
     assert [k_exact(n) for n in range(1, 9)] == [1, 2, 2, 3, 3, 4, 4, 5]
+
+
+def test_sector_bound_is_a_tight_lower_bound(monkeypatch):
+    # require_state refuses first on a cheap bound of the C(2n, n)^2 sector
+    # entries, then on the exact count: the bound must never pass the count,
+    # or a chain that fits would be refused
+    sizes = []
+    monkeypatch.setattr(ness_engine, "guard", lambda nbytes, what: sizes.append(nbytes))
+    for n in range(1, 400):
+        sizes.clear()
+        require_state(n)
+        bound, exact = sizes
+        assert bound <= exact == 16 * math.comb(2 * n, n) ** 2
+        assert n < 30 or 100 * bound >= 99 * exact
 
 
 def test_zero_rate_rejected():

@@ -50,6 +50,19 @@ def test_traced_run_keys_its_families(tmp_path, argv):
     assert keys and all(re.fullmatch(r"\d+\|LaxParams\(.*\)", k) for k in keys), keys
 
 
+def test_traced_commute_builds_one_family_per_point(tmp_path):
+    # one pair is two parameter points: one family each, at the cutoff of
+    # the longest chain, and one Omega per point and chain length
+    spans = tmp_path / "spans.json"
+    r = subprocess.run([sys.executable, str(TRACE_CHILD), str(spans), "job", "commute",
+                        "--n", "2,3", "--pairs", "1", "--out", str(tmp_path / "out")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    names = [row[0] for row in json.loads(spans.read_text())["spans"]]
+    assert names.count("lax_builder.assemble_family") == 2
+    assert names.count("ness_engine.contract_omega") == 4
+
+
 def _heavy_modules_loaded(code: str, *argv: str) -> str:
     """The sorted list, as printed, of the packages among scipy and
     multiprocessing that a fresh interpreter holds after running code."""
