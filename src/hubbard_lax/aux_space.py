@@ -102,11 +102,14 @@ def build_aux_space(cutoff_K: int) -> AuxSpace:
     return space
 
 
+def spin_flip_index(space: AuxSpace) -> np.ndarray:
+    """The graph reflection as a permutation g of the basis: it fixes
+    integer-level vertices and swaps the sign of half-integer ones, so g is
+    its own inverse."""
+    return np.array([space.index[v if v.is_integer else AuxVertex(v.twice_level, -v.sign)]
+                     for v in space.vertices])
+
+
 def spin_flip_aux(space: AuxSpace) -> np.ndarray:
-    """The graph reflection: fixes integer-level vertices, swaps the sign of
-    half-integer ones. A symmetric permutation matrix, its own inverse."""
-    G = np.zeros((space.dim, space.dim))
-    for v in space.vertices:
-        w = v if v.is_integer else AuxVertex(v.twice_level, -v.sign)
-        G[space.index[w], space.index[v]] = 1.0
-    return G
+    """The graph reflection as a symmetric permutation matrix."""
+    return np.eye(space.dim)[spin_flip_index(space)]

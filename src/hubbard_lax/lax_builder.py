@@ -11,8 +11,11 @@ transfer components
                    - Y S^s T^t - S^s T^t Y) X
 
 where primes/backticks denote the acute/grave operators recovered through
-X^{-1}. All matrices are dense numpy arrays (the auxiliary space is tiny);
-they are built from explicit sparse triplets first.
+X^{-1}. S and X are built as their rows, one entry per row of S^s at most
+and two per row of X, so L^{st} has at most two per row: build_L forms the
+transfer components alone from those rows, as their nonzeros, in O(dim)
+time and memory, for the environment engine. assemble_family lays every
+table out as a dense numpy array for the dense routes, L from build_L.
 
 Conventions that matter and are pinned by the residual checks in
 algebra_verifier (any sign change below makes those residuals O(1)):
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aux_space import AuxSpace, AuxVertex, build_aux_space, spin_flip_aux
+from .aux_space import AuxSpace, AuxVertex, build_aux_space, spin_flip_aux, spin_flip_index
 from .linalg import SPIN_LABELS
 
 SQRT2 = np.sqrt(2.0)
@@ -113,63 +116,70 @@ def _put(space: AuxSpace, mat: np.ndarray, bra: AuxVertex, ket: AuxVertex, val):
 # ---------------------------------------------------------------------------
 # component tables
 
+def _dense(space: AuxSpace, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The matrix whose row a holds vals[a] (or each vals[a, i]) at column
+    cols[a] (cols[a, i]); the columns of a row are distinct."""
+    mat = _zeros(space)
+    np.put_along_axis(mat, cols.reshape(space.dim, -1), vals.reshape(space.dim, -1), axis=1)
+    return mat
+
+
 def build_S(space: AuxSpace, params: LaxParams) -> dict:
-    """The four S components. S+ and S- realize two disjoint fermionic
-    raising/lowering pairs per plaquette with amplitude sqrt(2) and the
-    staggered (-1)^k sign on S-; S0 and Sz are the diagonal tables with
+    """The four S components, each as its rows (cols, vals): row a holds
+    vals[a] at column cols[a] alone. S+ and S- realize two disjoint
+    fermionic raising/lowering pairs per plaquette with amplitude sqrt(2)
+    and the staggered (-1)^k sign on S-; S0 and Sz are diagonal, with
     entries in {0, 1, lambda} depending on level parity and sign."""
     lam = params.lam
-    S = {s: _zeros(space) for s in SPIN_LABELS}
-    for k in range(space.cutoff_K + 1):
-        kp, khp, khm, k1m = _plaquette(k)
-        _put(space, S["+"], kp, khp, SQRT2)
-        _put(space, S["+"], khm, k1m, SQRT2)
-        _put(space, S["-"], khp, kp, SQRT2 * (-1) ** k)
-        _put(space, S["-"], k1m, khm, SQRT2 * (-1) ** k)
-    for v in space.vertices:
-        i = space.index[v]
-        if v.is_integer:
-            m = v.twice_level // 2
-            if v.sign > 0:
-                S["0"][i, i] = 1.0 if m % 2 == 0 else 0.0
-                S["z"][i, i] = 1.0 if m % 2 == 1 else 0.0
-            else:
-                S["0"][i, i] = 1.0 if m % 2 == 1 else lam
-                S["z"][i, i] = lam if m % 2 == 1 else 1.0
-        else:
-            m = (v.twice_level - 1) // 2  # level is m + 1/2
-            if v.sign > 0:
-                S["0"][i, i] = 1.0 if m % 2 == 0 else lam
-                S["z"][i, i] = lam if m % 2 == 0 else 1.0
-            else:
-                S["0"][i, i] = 1.0 if m % 2 == 0 else 0.0
-                S["z"][i, i] = 1.0 if m % 2 == 1 else 0.0
+    S = {s: (np.arange(space.dim), np.zeros(space.dim, dtype=complex)) for s in SPIN_LABELS}
+    for k in range(space.cutoff_K):  # plaquette K lies past the cutoff
+        kp, khp, khm, k1m = (space.index[v] for v in _plaquette(k))
+        S["+"][0][[kp, khm]], S["+"][1][[kp, khm]] = [khp, k1m], SQRT2
+        S["-"][0][[khp, k1m]], S["-"][1][[khp, k1m]] = [kp, khm], SQRT2 * (-1) ** k
+    # (S0, Sz) by (integer level?, sign, parity of the integer part m of the level)
+    diag = {(True, +1, 0): (1.0, 0.0), (True, +1, 1): (0.0, 1.0),
+            (True, -1, 0): (lam, 1.0), (True, -1, 1): (1.0, lam),
+            (False, +1, 0): (1.0, lam), (False, +1, 1): (lam, 1.0),
+            (False, -1, 0): (1.0, 0.0), (False, -1, 1): (0.0, 1.0)}
+    for i, v in enumerate(space.vertices):
+        S["0"][1][i], S["z"][1][i] = diag[v.is_integer, v.sign, v.twice_level // 2 % 2]
     return S
 
 
-def build_X(space: AuxSpace, params: LaxParams):
+def x_rows(space: AuxSpace, params: LaxParams, blocks: list):
     """X = |0+><0+| + sum_k (-1)^k X_k on span{k-, k+} (k >= 1)
-    + omega sum over half-integer vertices of (-1)^m on both signs,
-    where m + 1/2 is the half-integer level. Returns (X, X^{-1}, blocks X_k
-    for k = 0..K); the inverse is blockwise, one 2x2 inversion per integer
-    block using det X_k = -omega^2."""
+    + omega sum over half-integer vertices of (-1)^m on both signs, where
+    m + 1/2 is the half-integer level, as its rows (cols, vals), each
+    (dim, 2): row a holds vals[a, i] at column cols[a, i]; a row with one
+    entry holds a zero at the next column."""
+    idx = np.arange(space.dim)
+    cols, vals = np.stack([idx, (idx + 1) % space.dim], axis=1), np.zeros((space.dim, 2), complex)
+    vals[space.index[AuxVertex(0, +1)], 0] = 1.0
+    for i, v in enumerate(space.vertices):
+        if not v.is_integer:
+            vals[i, 0] = params.omega * (-1) ** (v.twice_level // 2)
+    for k, b in enumerate(blocks[1:], 1):
+        i = [space.index[AuxVertex(2 * k, sign)] for sign in (-1, +1)]
+        cols[i], vals[i] = i, (-1) ** k * b
+    return cols, vals
+
+
+def build_X(space: AuxSpace, params: LaxParams):
+    """X of x_rows, dense. Returns (X, X^{-1}, blocks X_k for k = 0..K); the
+    inverse is blockwise, one 2x2 inversion per integer block using
+    det X_k = -omega^2."""
     params.require_invertible()
     om = params.omega
     blocks = [xk_matrix(k, params) for k in range(space.cutoff_K + 1)]
-    X, Xi = _zeros(space), _zeros(space)
-    root = space.index[AuxVertex(0, +1)]
-    X[root, root] = Xi[root, root] = 1.0
-    for v in space.vertices:
-        if not v.is_integer:
-            i = space.index[v]
-            d = om * (-1) ** ((v.twice_level - 1) // 2)
-            X[i, i], Xi[i, i] = d, 1.0 / d
+    cols, vals = x_rows(space, params, blocks)
+    inv = vals.copy()  # the root row is its own inverse
+    half = [i for i, v in enumerate(space.vertices) if not v.is_integer]
+    inv[half, 0] = [1.0 / complex(d) for d in vals[half, 0]]
     for k, b in enumerate(blocks[1:], 1):
         i = [space.index[AuxVertex(2 * k, sign)] for sign in (-1, +1)]
         adj = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
-        X[np.ix_(i, i)] = (-1) ** k * b
-        Xi[np.ix_(i, i)] = adj / (-om**2) * (-1) ** k  # inverse of (-1)^k X_k
-    return X, Xi, blocks
+        inv[i] = adj / (-om**2) * (-1) ** k  # inverse of (-1)^k X_k
+    return _dense(space, cols, vals), _dense(space, cols, inv), blocks
 
 
 def build_Y(space: AuxSpace, params: LaxParams) -> np.ndarray:
@@ -268,15 +278,34 @@ class LaxFamily:
         return self.space.dim
 
 
+def build_L(space: AuxSpace, params: LaxParams) -> dict:
+    """The transfer components L^{st} = S^s T^t X as their nonzeros,
+    {(s, t): (rows, cols, vals)}, in O(dim) time and memory: a row of S^s or
+    of T^t = G S^t G holds one entry at most and a row of X two, so a row of
+    L^{st} two. Non-finite entries are kept, for the caller to refuse."""
+    S, g = build_S(space, params), spin_flip_index(space)
+    rows, L = np.repeat(np.arange(space.dim), 2), {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc, xv = x_rows(space, params, [xk_matrix(k, params) for k in range(space.cutoff_K + 1)])
+        for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS):
+            (cs, vs), (ct, vt) = S[s], S[t]
+            # row a of S^s T^t: vs[a] vt[g[cs[a]]] at column g[ct[g[cs[a]]]]
+            j = g[ct[g[cs]]]
+            vals = ((vs * vt[g[cs]])[:, None] * xv[j]).ravel()
+            keep = vals != 0
+            L[s, t] = rows[keep], xc[j].ravel()[keep], vals[keep]
+    return L
+
+
 def assemble_family(cutoff_K: int, params: LaxParams) -> LaxFamily:
-    """Build every operator of the family at the given cutoff. Parameters
-    whose tables overflow (u = 1e200 does) are refused with ValueError
-    before any contraction reads them."""
+    """Build every operator of the family at the given cutoff, L from
+    build_L. Parameters whose tables overflow (u = 1e200 does) are refused
+    with ValueError before any contraction reads them."""
     space = build_aux_space(int(cutoff_K))
     # an overflow shows as inf or nan in a table, refused below by name
     with np.errstate(over="ignore", invalid="ignore"):
         X, X_inv, blocks = build_X(space, params)
-        S = build_S(space, params)
+        S = {s: _dense(space, *rows) for s, rows in build_S(space, params).items()}
         Y = build_Y(space, params)
         SacX, XSgr = build_hatted(space, params, blocks)
         G = spin_flip_aux(space)
@@ -285,9 +314,10 @@ def assemble_family(cutoff_K: int, params: LaxParams) -> LaxFamily:
         Sac, Tac = ({s: D[s] @ X_inv for s in SPIN_LABELS} for D in (SacX, TacX))
         Sgr, Tgr = ({s: X_inv @ D[s] for s in SPIN_LABELS} for D in (XSgr, XTgr))
         L, Ltilde = {}, {}
-        for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS):
+        for (s, t), (r, c, v) in build_L(space, params).items():
             ST = S[s] @ T[t]
-            L[s, t] = ST @ X
+            L[s, t] = _zeros(space)
+            L[s, t][r, c] = v
             Ltilde[s, t] = 0.5 * (
                 S[s] @ Tac[t] + T[t] @ Sac[s] + Sgr[s] @ T[t] + Tgr[t] @ S[s] - Y @ ST - ST @ Y
             ) @ X

@@ -5,9 +5,11 @@ auxiliary row and column), phys_transfer_tensor does so for the 16 transfer
 components of a Lax family, and chain contracts a product of site tensors
 between auxiliary boundary rows. sector_chain contracts the same product one
 charge sector at a time, and refuses site tensors that break the charge. Both
-stand behind one peak-memory guard. basis_charges labels the (S, T) sector of
-each product basis state, for the callers that split a dense operator into
-its sector blocks."""
+stand behind one peak-memory guard. transfer_entries gives the nonzeros of
+the transfer tensor from those of its components, without the dense tensor.
+basis_charges labels the (S, T) sector of each product basis state, and
+sectors groups the states by it, for the callers that split a dense operator
+into its sector blocks."""
 
 from __future__ import annotations
 
@@ -48,6 +50,16 @@ def basis_charges(n_sites: int) -> np.ndarray:
     return functools.reduce(np.add.outer, [SITE_CHARGES @ [2 * n_sites + 1, 1]] * n_sites).ravel()
 
 
+@functools.lru_cache
+def sectors(n_sites: int) -> tuple:
+    """The 4^n basis states of n sites ordered by (S, T) sector
+    (basis_charges), read-only, and the bounds of each sector in that order."""
+    code = basis_charges(n_sites)
+    order = np.argsort(code, kind="stable")
+    order.flags.writeable = False
+    return order, [0, *np.flatnonzero(np.diff(code[order])) + 1, len(code)]
+
+
 def local4(s: str, t: str) -> np.ndarray:
     """Dense 4x4 operator sigma^s tau^t on one ladder site (sigma qubit
     first): a shared read-only array, so copy it before writing."""
@@ -66,6 +78,20 @@ def phys_transfer_tensor(components: dict) -> np.ndarray:
     """A[p, q, a, b] = sum_st (sigma^s tau^t)[p, q] * C^{st}[a, b] for the
     components C of a family (fam.L, or fam.Ltilde)."""
     return lift({st: local4(*st) for st in components}, components)
+
+
+def transfer_entries(band: dict, dim: int):
+    """The nonzeros of phys_transfer_tensor(L) from those of the components,
+    band = {(s, t): (rows, cols, vals)} (lax_builder.build_L) on a dim-vertex
+    space, with no dense tensor: arrays (p, q, a, b, val), each (p, q, a, b)
+    once, in lexicographic order. The components that meet at an entry are
+    summed in the order of band, as phys_transfer_tensor sums them."""
+    parts = [(((p * 4 + q) * dim + a) * dim + b, local4(*st)[p, q] * v)
+             for st, (a, b, v) in band.items() for p, q in zip(*np.nonzero(local4(*st)))]
+    key, val = (np.concatenate(x) for x in zip(*parts))
+    key, slot = np.unique(key, return_inverse=True)
+    val = np.bincount(slot, val.real) + 1j * np.bincount(slot, val.imag)
+    return (*np.unravel_index(key[val != 0], (4, 4, dim, dim)), val[val != 0])
 
 
 def _gib(nbytes: int) -> str:

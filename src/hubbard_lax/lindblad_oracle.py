@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hubbard_model import build_hamiltonian, phys_dim, site_operator
-from .linalg import basis_charges, local4
+from .linalg import basis_charges, local4, sectors
 from .ness_engine import DrivingConfig
 
 NULL_SPACE_RTOL = 1e-10
@@ -115,12 +115,14 @@ def superoperator(spec: LindbladSpec) -> list:
     Ls = [site_operator(n, j, L) for L, j in spec.jumps]
     for what, op in [("H", H)] + [(f"jump {k}", L) for k, L in enumerate(Ls)]:
         rows, cols = np.nonzero(op)
-        if np.unique(code[rows] - code[cols]).size > 1:
+        shift = code[rows] - code[cols]
+        if shift.size and shift.min() < shift.max():
             raise ValueError(f"{what} breaks the charge selection rule: it shifts "
                              "(S, T) by more than one amount")
     K = -1j * H - sum(L.conj().T @ L for L in Ls)
     terms = [(K, np.eye(len(K))), (np.eye(len(K)), K.conj())] + [(2.0 * L, L.conj()) for L in Ls]
-    groups = {c: np.flatnonzero(code == c) for c in np.unique(code)}
+    order, bounds = sectors(n)
+    groups = {code[order[a]]: order[a:b] for a, b in zip(bounds, bounds[1:])}
     blocks = []
     for delta in sorted({a - b for a in groups for b in groups}, key=abs):
         pairs = [(groups[c], groups[c - delta]) for c in groups if c - delta in groups]

@@ -53,11 +53,13 @@ Local expectation values in the steady state come from an environment
 engine (local_expectations) that never materializes rho: one sweep from each
 end of the chain over the doubled auxiliary space, each environment
 rescaled, with the pair transfer applied in numpy from the nonzeros of the
-environments, which are block diagonal in the auxiliary charge. Memory grows
-as n da^2 (da = 4K + 1, about 2n + 5), and the store is guarded like
-linalg.chain, which admits chains up to n = 211. One sweep of the longest
-chain serves a whole series of lengths (first_bonds). mpo_expectation, with
-dense pair transfer matrices, is kept as its cross-check for short chains.
+environments, which are block diagonal in the auxiliary charge, and from
+the O(da) nonzeros of the transfer components (lax_builder.build_L), with
+no dense family. Memory grows as n da^2 (da = 4K + 1, about 2n + 5), and
+the store is guarded like linalg.chain, which admits chains up to n = 243.
+One sweep of the longest chain serves a whole series of lengths
+(first_bonds). mpo_expectation, with dense pair transfer matrices, is kept
+as its cross-check for short chains.
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ import numpy as np
 from .algebra_verifier import check_gLOD
 from .aux_space import AuxSpace, AuxVertex, build_aux_space
 from .hubbard_model import h_bond, h_end
-from .lax_builder import LaxFamily, LaxParams, assemble_family
+from .lax_builder import LaxFamily, LaxParams, assemble_family, build_L
 from .linalg import (SITE_CHARGES, chain, guard, local4, phys_transfer_tensor,
-                     sector_chain)
+                     sector_chain, transfer_entries)
 
 RHO_MAGIC = b"NESSRHO1"
 
@@ -425,8 +427,9 @@ def stationarity_certificate(cfg: DrivingConfig, fam: LaxFamily) -> dict:
 
 class _PairSide:
     """F(w) X for many w at once, summed over the nonzeros of X alone: from
-    the right when built from A[p, q, a, b], from the left when built from A
-    with its two auxiliary indices swapped.
+    the right when built from the nonzeros A[p, q, a, b] = val of the
+    transfer tensor (linalg.transfer_entries), from the left when built from
+    them with a and b swapped. A itself is never formed.
 
     Each column A[p, q, :, b] holds at most two nonzeros, and F(w) conserves
     the auxiliary charge, so the environments are block diagonal in it, with
@@ -435,12 +438,15 @@ class _PairSide:
     is one bincount over the nonzeros of X, and one product contracts every
     w. It is exact for a dense X too."""
 
-    def __init__(self, A: np.ndarray):
-        da = A.shape[2]
-        # per (b, q), the nonzeros of A[:, q, :, b] as flat (p, a), zero-padded to one width
-        cols = A.transpose(3, 1, 0, 2).reshape(da, 4, 4 * da)
-        pa = np.argsort(cols == 0, axis=2, kind="stable")[:, :, :(cols != 0).sum(axis=2).max()]
-        self.val = np.take_along_axis(cols, pa, axis=2)
+    def __init__(self, da: int, p, q, a, b, val):
+        # per (b, q), the nonzeros of A[:, q, :, b] in (p, a) order, zero-padded to one width
+        order = np.lexsort((a, p, q, b))
+        col = (b * 4 + q)[order]
+        slot = np.arange(len(col)) - np.searchsorted(col, col)
+        self.val = np.zeros((da, 4, slot.max() + 1), dtype=complex)
+        pa = np.zeros(self.val.shape, dtype=np.int64)
+        self.val.reshape(4 * da, -1)[col, slot] = val[order]
+        pa.reshape(4 * da, -1)[col, slot] = (p * da + a)[order]
         p, a = np.divmod(pa, da)
         # where an entry lands in T as the factor (p, a) and as the conjugate (r, c)
         self.first, self.second = (p * da + a) * da, p * 4 * da * da + a
@@ -464,15 +470,32 @@ class _PairSide:
 
 class _Environments:
     """The environment engine of one chain: its pair transfer from either
-    side, its sweep from the right and the values read off it. Refused before
-    the family is built if the environment store would not fit beside the
-    family, A and one site's intermediates."""
+    side, its sweep from the right and the values read off it. The pair
+    transfer comes from the nonzeros of the transfer components
+    (lax_builder.build_L), O(da) of them; no dense Lax family or transfer
+    tensor is formed. Refused before anything is built if the environment
+    store would not fit, and before the sweep if a pair product could
+    overflow."""
 
     def __init__(self, cfg: DrivingConfig):
         n, space = cfg.n_sites, build_aux_space(k_exact(cfg.n_sites))
-        guard(16 * space.dim ** 2 * (n + 160), f"{n}-site environment store")
-        A = phys_transfer_tensor(ness_family(cfg).L)
-        self.right, self.left = _PairSide(A), _PairSide(A.swapaxes(2, 3))
+        # n environments of da^2 entries, and beside them at one site 32 more:
+        # F(w) X for the 7 left and 5 right weights of a profile, a temporary
+        # of each and their products; 1 MiB for the O(da) tables
+        guard(16 * space.dim ** 2 * (n + 32) + (1 << 20), f"{n}-site environment store")
+        params = ness_lax_params(cfg)
+        band = build_L(space, params)
+        # |A| <= 4 max|L|, an entry of T in _PairSide.apply sums 16 products
+        # of two entries of A and one of a unit-norm X, and the rescaling
+        # sums the squares of F(w) X, 16 such entries each
+        big = 4 * float(np.abs(np.concatenate([v for *_, v in band.values()])).max())
+        entry = 16 * 16 * big * big
+        if not entry * entry * space.dim ** 2 < math.inf:
+            raise OverflowError(f"the pair transfer of the {n}-site chain at {params} "
+                                f"overflows: 4 max|L| = {big:.3g}")
+        p, q, a, b, val = transfer_entries(band, space.dim)
+        self.right = _PairSide(space.dim, p, q, a, b, val)
+        self.left = _PairSide(space.dim, p, q, b, a, val)
         self.m = m_diag(1, map_driving_to_params(cfg)[2])
         self.root = np.diag(_basis(space.dim, _root_index(space))).astype(complex)  # |00>
 

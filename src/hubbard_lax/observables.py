@@ -134,7 +134,7 @@ def profile_and_currents_mpo(cfg: DrivingConfig) -> ObservableSet:
     engine (ness_engine.local_expectations), the route of observe and sweep
     at every chain length: one sweep from each end, time and memory growing
     as n da^2, rescaled so that long chains cannot overflow; never builds
-    rho. Its size guard admits chains up to n = 211; a full profile takes
+    rho. Its size guard admits chains up to n = 243; a full profile takes
     seconds at n = 100."""
     return _profile(cfg.n_sites, local_expectations(cfg, _SZ_LOC, _CURRENT_TERMS))
 

@@ -18,13 +18,11 @@ the commutator and both Frobenius norms are formed block by block.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .algebra_verifier import annulus_points, residual_report
 from .lax_builder import LaxParams, assemble_family
-from .linalg import basis_charges
+from .linalg import sectors
 from .ness_engine import contract_omega, k_exact
 
 CONJECTURE_TOL = 1e-10
@@ -41,21 +39,12 @@ def sample_pairs(num: int, seed: int = 42) -> list:
     return pairs
 
 
-@functools.lru_cache
-def _sectors(n_sites: int) -> tuple:
-    """The 4^n basis states of n sites ordered by (S, T) sector, and the
-    bounds of each sector in that order."""
-    code = basis_charges(n_sites)
-    order = np.argsort(code, kind="stable")
-    return order, [0, *np.flatnonzero(np.diff(code[order])) + 1, len(code)]
-
-
 def _sector_blocks(omega: np.ndarray, n_sites: int) -> list:
     """The diagonal (S, T) blocks of the n-site omega, as copies; ValueError
     if any nonzero entry lies off them, which the blocks would drop. Called
     on a contracted omega, whose guard has refused a chain too long for the
-    4^n basis labels of _sectors."""
-    order, bounds = _sectors(n_sites)
+    4^n basis labels of linalg.sectors."""
+    order, bounds = sectors(n_sites)
     omega = omega[np.ix_(order, order)]
     blocks = [omega[a:b, a:b].copy() for a, b in zip(bounds, bounds[1:])]
     if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(omega):

@@ -154,10 +154,22 @@ def _refused_without_warnings(argv, capsys) -> str:
 
 @pytest.mark.parametrize("argv", [["observe", "--n", "6"], ["sweep", "--n", "6,8"]])
 def test_non_finite_observables_are_refused(tmp_path, capsys, argv):
-    # at u = 1e200 the Ltilde tables overflow: the family is refused before
-    # the environment sweep reads it, where every density read nan
+    # at u = 1e200 the transfer components are finite, but the products of
+    # two of them overflow: the engine refuses before its sweep, where every
+    # density read nan
     err = _refused_without_warnings([*argv, "--u", "1e200", "--out", str(tmp_path)], capsys)
-    assert "is not finite: Ltilde overflows" in err
+    assert "the pair transfer of the 6-site chain at LaxParams(" in err
+    assert "overflows: 4 max|L| = 1.6e+201" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_observe_refuses_an_environment_that_would_overflow(tmp_path, capsys):
+    # at u = 1e100 the pair products are finite, but the norm that rescales
+    # each environment squares them past the float range: every density read
+    # nan after numpy warnings
+    err = _refused_without_warnings(["observe", "--n", "6", "--u", "1e100",
+                                     "--out", str(tmp_path)], capsys)
+    assert "the pair transfer of the 6-site chain at LaxParams(" in err
     assert not any(tmp_path.iterdir())
 
 
@@ -526,6 +538,24 @@ def test_observe_and_sweep_never_build_the_dense_state(tmp_path, capsys, monkeyp
             monkeypatch.setattr(module, "build_ness", refuse)
     assert cli.main(["observe", "--n", "5", "--u", "2", "--out", str(tmp_path / "o")]) == 0
     assert cli.main(["sweep", "--n", "2,3", "--u", "1", "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+
+
+def test_observe_and_sweep_never_build_the_dense_family(tmp_path, capsys, monkeypatch):
+    # the environment engine builds the transfer components alone, from the
+    # level band (lax_builder.build_L)
+    from hubbard_lax import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense family was built")
+
+    for name, module in list(sys.modules.items()):
+        for attr in ("assemble_family", "ness_family"):
+            if name.startswith("hubbard_lax") and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    assert cli.main(["sweep", "--n", "2,3", "--u", "1", "--out", str(tmp_path / "s")]) == 0
+    assert cli.main(["observe", "--n", "5", "--u", "2", "--scaling", "4,5,6",
+                     "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
 
 

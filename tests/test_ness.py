@@ -204,17 +204,19 @@ def test_off_charge_entry_refused_before_contraction(monkeypatch):
     # an X entry between 1/2+ and 1/2-, of charges (1, 0) and (0, 1), moves
     # L entries off their charge; the sector contraction must refuse the
     # tensor before it plans or allocates, and so before its guard
-    build_X = lax_builder.build_X
+    x_rows = lax_builder.x_rows
 
-    def defective(space, params):
-        X, X_inv, blocks = build_X(space, params)
-        X[space.index[AuxVertex(1, +1)], space.index[AuxVertex(1, -1)]] = 0.1
-        return X, X_inv, blocks
+    def defective(space, params, blocks):
+        cols, vals = x_rows(space, params, blocks)
+        i = space.index[AuxVertex(1, +1)]
+        assert cols[i, 1] == space.index[AuxVertex(1, -1)] and vals[i, 1] == 0
+        vals[i, 1] = 0.1
+        return cols, vals
 
     def guarded(*args):
         raise AssertionError("the sector contraction reached its guard")
 
-    monkeypatch.setattr(lax_builder, "build_X", defective)
+    monkeypatch.setattr(lax_builder, "x_rows", defective)
     monkeypatch.setattr(linalg, "guard", guarded)
     with pytest.raises(ValueError, match="site tensor 1 breaks charge conservation"):
         build_ness(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3))
@@ -396,15 +398,17 @@ def test_certificate_agrees_with_global_witness(n):
 
 def _x_entry_defect(monkeypatch, level):
     """Scale by 1.01 the X^{-+} entry of the integer block at `level` in every
-    family assembled from here on."""
-    build_X = lax_builder.build_X
+    family assembled from here on, in the rows of X that L and the dense X
+    (so Ltilde) are both built from."""
+    x_rows = lax_builder.x_rows
 
-    def defective(space, params):
-        X, X_inv, blocks = build_X(space, params)
-        X[space.index[AuxVertex(2 * level, -1)], space.index[AuxVertex(2 * level, +1)]] *= 1.01
-        return X, X_inv, blocks
+    def defective(space, params, blocks):
+        cols, vals = x_rows(space, params, blocks)
+        i = space.index[AuxVertex(2 * level, -1)]
+        vals[i, cols[i] == space.index[AuxVertex(2 * level, +1)]] *= 1.01
+        return cols, vals
 
-    monkeypatch.setattr(lax_builder, "build_X", defective)
+    monkeypatch.setattr(lax_builder, "x_rows", defective)
 
 
 def _boundary(cert):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,17 +19,21 @@ from hubbard_lax.linalg import local4, phys_transfer_tensor
 from hubbard_lax.ness_engine import (
     DrivingConfig,
     _Environments,
+    _PairSide,
     build_ness,
+    k_exact,
     local_expectations,
     mpo_expectation,
     ness_family,
 )
 from hubbard_lax.observables import (
+    _CURRENT_TERMS,
     _MINUS_LOC,
     _PLUS_LOC,
     _SZ_LOC,
     _current,
     _current_terms,
+    _profile,
     cosine_profile_fit,
     current_series,
     current_uniformity,
@@ -182,6 +187,43 @@ def test_pair_transfer_matches_csr_cross_check(driving, n):
             assert np.abs(got - want).max() <= TOL * np.abs(want).max()
 
 
+@pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
+def test_engine_matches_dense_transfer_tensor(driving):
+    """Every density and current of the engine, whose pair transfer is
+    built from the nonzeros of the transfer components, against the same
+    sweep with the pair transfer read off the dense A of the dense family,
+    at n = 2..40. (The CSR cross-check below checks the pair transfer
+    itself against A.)"""
+    for n in range(2, 41):
+        cfg = DrivingConfig(*driving, n)
+        got = profile_and_currents_mpo(cfg)
+        ref = _Environments(cfg)
+        A = phys_transfer_tensor(ness_family(cfg).L)
+        p, q, a, b = np.nonzero(A)
+        ref.right = _PairSide(A.shape[2], p, q, a, b, A[p, q, a, b])
+        ref.left = _PairSide(A.shape[2], p, q, b, a, A[p, q, a, b])
+        want = _profile(n, ref.expectations(list(ref.sweep(n)), _SZ_LOC, _CURRENT_TERMS))
+        for field in ("densities_sigma", "densities_tau", "currents_sigma", "currents_tau"):
+            assert _rel_dev(getattr(got, field), getattr(want, field)) <= TOL, (n, field)
+
+
+@pytest.mark.parametrize("n", [24, 60])
+def test_environment_guard_bounds_the_peak(n, monkeypatch):
+    # the estimate the environment store is guarded on bounds what a whole
+    # profile allocates, environments, intermediates and transfer tables
+    estimates = []
+    guard = ness_engine.guard
+    monkeypatch.setattr(ness_engine, "guard", lambda nbytes, what: estimates.append(nbytes)
+                        or guard(nbytes, what))
+    tracemalloc.start()
+    try:
+        profile_and_currents_mpo(DrivingConfig(*CANONICAL_DRIVINGS[0], n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1 and peak <= estimates[0]
+
+
 def _per_length_current(driving, n):
     """The first-bond current of an n-site chain from its own family and
     sweep: the route current_series took one length at a time."""
@@ -199,19 +241,20 @@ def test_current_series_matches_per_length_route(driving):
         assert abs(J - want) <= TOL * abs(want)
 
 
-def _record_families(monkeypatch):
-    """The chain lengths of the families the engine builds from here on."""
+def _record_transfer_builds(monkeypatch):
+    """The cutoffs of the transfer components the engine builds from here on."""
     calls = []
-    monkeypatch.setattr(ness_engine, "ness_family",
-                        lambda cfg: calls.append(cfg.n_sites) or ness_family(cfg))
+    build_L = ness_engine.build_L
+    monkeypatch.setattr(ness_engine, "build_L", lambda space, params:
+                        calls.append(space.cutoff_K) or build_L(space, params))
     return calls
 
 
 def test_current_series_keeps_input_order(monkeypatch):
-    calls = _record_families(monkeypatch)
+    calls = _record_transfer_builds(monkeypatch)
     driving = CANONICAL_DRIVINGS[0]
     series = current_series(DrivingConfig(*driving, 4), [12, 4, 12, 8, 2])
-    assert calls == [12]  # one family, at the longest chain
+    assert calls == [k_exact(12)]  # one build, at the cutoff of the longest chain
     assert [n for n, _ in series] == [12, 4, 12, 8, 2]
     assert series[0] == series[2]
     for n, J in series:
@@ -232,10 +275,10 @@ def test_environments_rescaled_on_long_chains(monkeypatch):
     grows by about e^11 per site near n = 70: it is e^705 at n = 70 and
     e^822 at n = 80, past the float64 limit of e^709.8 from n = 71 on. Both
     lengths are read from one sweep, of the 80-site chain."""
-    calls = _record_families(monkeypatch)
+    calls = _record_transfer_builds(monkeypatch)
     base = DrivingConfig(50.0, 1.0, 0.0, 0.0, 1.0, 80)
     series = current_series(base, [70, 80])
-    assert calls == [80]
+    assert calls == [k_exact(80)]
     assert [n for n, _ in series] == [70, 80]
     assert all(np.isfinite(J) and J > 0 for _, J in series)
     obs = profile_and_currents_mpo(base)
@@ -245,17 +288,17 @@ def test_environments_rescaled_on_long_chains(monkeypatch):
 
 
 def test_environment_store_guarded(monkeypatch):
-    # refused from the longest chain length alone, before any family is built
-    def no_family(cfg):
-        raise AssertionError("family built before the size check")
+    # refused from the longest chain length alone, before any transfer is built
+    def no_build(space, params):
+        raise AssertionError("transfer built before the size check")
 
-    monkeypatch.setattr(ness_engine, "ness_family", no_family)
+    monkeypatch.setattr(ness_engine, "build_L", no_build)
     with pytest.raises(MemoryError, match="400-site environment store"):
         current_series(DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 4), [8, 400, 12])
 
 
 def test_current_series_refuses_short_chains_first(monkeypatch):
-    monkeypatch.setattr(ness_engine, "ness_family", None)
+    monkeypatch.setattr(ness_engine, "build_L", None)
     with pytest.raises(ValueError, match="n_sites >= 2"):
         current_series(DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 4), [4, 1, 8])
 

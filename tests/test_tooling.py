@@ -63,6 +63,30 @@ def test_traced_commute_builds_one_family_per_point(tmp_path):
     assert names.count("ness_engine.contract_omega") == 4
 
 
+def test_traced_observe_builds_no_family(tmp_path):
+    # the environment engine reads the transfer components from the level
+    # band: no dense family at any length of a scaling series
+    spans = tmp_path / "spans.json"
+    r = subprocess.run([sys.executable, str(TRACE_CHILD), str(spans), "job", "observe",
+                        "--n", "8", "--u", "1", "--scaling", "4,6,8",
+                        "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    names = [row[0] for row in json.loads(spans.read_text())["spans"]]
+    assert "observables.current_series" in names
+    assert names.count("lax_builder.assemble_family") == 0
+
+
+def test_oracle_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique without return_inverse imports numpy.ma on its first call;
+    # the oracle groups its sectors without it
+    probe = ("import sys\nfrom hubbard_lax.cli import main\n"
+             "assert main(sys.argv[1:]) == 0\nprint('numpy.ma' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", probe, "oracle", "--n", "2", "--u", "1",
+                        "--out", str(tmp_path)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
+
+
 def _heavy_modules_loaded(code: str, *argv: str) -> str:
     """The sorted list, as printed, of the packages among scipy and
     multiprocessing that a fresh interpreter holds after running code."""
