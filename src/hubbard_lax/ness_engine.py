@@ -345,7 +345,8 @@ def check_telescoping(cfg: DrivingConfig, fam: LaxFamily):
     Every factor moves the level by at most one from the root at both ends,
     so cut j carries levels <= min(j, n - j) <= K - 1 at K = k_exact(n), and
     the summed middle index stays inside the family: one check of the family
-    itself between outer levels <= K - 1 covers every cut.
+    itself between outer levels <= K - 1 covers every cut. check_gLOD skips
+    only outer levels more than two apart, where its asserted band zeroes every term.
 
     Returns (residual_fro, scale): the larger residual of the two, on the
     scale of the bond divergence.

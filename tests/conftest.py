@@ -3,7 +3,8 @@ reference operators (site operators, the Hamiltonian from its global formula,
 the bond current and the Lindblad generator, all scipy CSR) that the
 local-term code of the package is checked against, the whole doubled site
 tensors and the global telescoping of the doubled chain that the local
-stationarity certificate is checked against, the CSR pair transfer that the
+stationarity certificate is checked against, the dense bond divergence that
+the level-windowed check_gLOD is checked against, the CSR pair transfer that the
 environment engine's is checked against, the factored and matrix-free
 contractions of Omega that contract_omega is checked against, the dense
 steady state that the sector blocks of build_ness are checked against,
@@ -16,6 +17,7 @@ vertices the operator-table tests read.
 import numpy as np
 import scipy.sparse as sp
 
+from hubbard_lax.algebra_verifier import _cut, residual_report
 from hubbard_lax.aux_space import AuxSpace, AuxVertex
 from hubbard_lax.hubbard_model import SIGMA, TAU, h_bond, phys_dim
 from hubbard_lax.lax_builder import LaxFamily
@@ -182,6 +184,23 @@ def global_telescoping(cfg: DrivingConfig, fam: LaxFamily, n_sites: int):
         open_scale = max(np.linalg.norm(rhs), 1.0)
         res = max(res, float(np.linalg.norm(lhs - rhs)) * scale / open_scale)
     return res, scale
+
+
+def dense_gLOD(fam: LaxFamily, target_K=None, tol=1e-10):
+    """Cross-check for algebra_verifier.check_gLOD, which sums the bond
+    divergence one level window at a time: the same residual formed whole,
+    as the dense (m, m, 16, 16) chain over every pair of outer vertices of
+    the level <= K prefix, the middle index over the whole family."""
+    K, m = _cut(fam, target_K)
+    E = np.eye(fam.dim)[:m]
+    A, At = phys_transfer_tensor(fam.L), phys_transfer_tensor(fam.Ltilde)
+    h = h_bond(fam.params.u)
+    L12 = chain([A, A], E, E)
+    hL12 = h @ L12
+    rhs = chain([At + fam.Y @ A, A], E, E) - chain([A, At + A @ fam.Y], E, E)
+    diff = hL12 - L12 @ h - rhs
+    return residual_report("bond_divergence", fam.params, K, diff,
+                           max(np.linalg.norm(hL12), np.linalg.norm(rhs)), tol)
 
 
 def off_root_ltilde_defect(fam: LaxFamily):

@@ -1,6 +1,7 @@
 """Residual checks of the defining operator identities at random parameters."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from hubbard_lax.algebra_verifier import (
     verify_family,
     verify_suite,
 )
-from conftest import apply_gauge
+import hubbard_lax.algebra_verifier as algebra_verifier
+from conftest import apply_gauge, canonical_configs, dense_gLOD, off_root_ltilde_defect
+from hubbard_lax.aux_space import AuxVertex
 from hubbard_lax.lax_builder import LaxParams, assemble_family
 from hubbard_lax.hubbard_model import h_bond
 from hubbard_lax.linalg import PAULI, SPIN_LABELS, local4
-from hubbard_lax.ness_engine import contract_omega
+from hubbard_lax.ness_engine import contract_omega, ness_family
 
 REL_TOL = 1e-10
 
@@ -143,3 +146,69 @@ def test_site_tensor_checks_match_kron_reference(K):
             assert abs(r.residual_fro - res) <= 1e-14 * scale, (chk.__name__, p)
             assert abs(r.operand_scale - scale) <= 1e-12 * scale, (chk.__name__, p)
             assert r.passed == (res <= r.tol * scale)
+
+
+# ---------------------------------------------------------------------------
+# check_gLOD sums the bond divergence one outer level at a time; the dense
+# chain over every pair of outer vertices (conftest.dense_gLOD) is its
+# reference
+
+SPECIAL_POINTS = [LaxParams(0.0, 0.9 + 0.35j, 1.0), LaxParams(0.45 - 0.6j, 0.8 + 0.25j, 0.0)]
+
+
+def _assert_matches_dense(fam, K):
+    # a passing residual is rounding noise, which a different summation
+    # order redraws, so residuals are compared on the operand scale
+    got, want = check_gLOD(fam, target_K=K), dense_gLOD(fam, target_K=K)
+    scale = want.operand_scale
+    assert abs(got.operand_scale - scale) <= 1e-14 * scale
+    assert abs(got.residual_fro - want.residual_fro) <= 1e-14 * scale
+    assert abs(got.residual_max - want.residual_max) <= 1e-14 * scale
+    assert got.passed == want.passed
+    return got
+
+
+@pytest.mark.parametrize("K", range(1, 14))
+def test_windowed_bond_divergence_matches_dense(K):
+    for p in sample_params(2, seed=K) + SPECIAL_POINTS:
+        assert _assert_matches_dense(assemble_family(K + EDGE_MARGIN, p), K).passed
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_windowed_bond_divergence_matches_dense_on_ness_families(n):
+    # at the certificate's outer levels <= K - 1, on the state's family and
+    # on two defects: Y scaled, and an Ltilde entry at the top level K - 1
+    for cfg in canonical_configs(n):
+        K = ness_family(cfg).space.cutoff_K - 1
+        assert _assert_matches_dense(ness_family(cfg), K).passed
+        fam = ness_family(cfg)
+        fam.Y *= 1.01
+        assert not _assert_matches_dense(fam, K).passed
+        assert not _assert_matches_dense(off_root_ltilde_defect(ness_family(cfg)), K).passed
+
+
+@pytest.mark.parametrize("table, twice_levels", [
+    ("L", (2, 6)), ("Ltilde", (6, 2)), ("Y", (2, 6)), ("Y", (2, 4)), ("Y", (3, 2)),
+])
+def test_bond_divergence_refuses_entries_past_the_band(table, twice_levels, monkeypatch):
+    # L and Ltilde may move the level by one and Y by none; an entry past
+    # that would fall outside the level windows, so it is refused, not dropped
+    fam = assemble_family(5, sample_params(1, seed=3)[0])
+    a, b = (fam.space.index[AuxVertex(tl, +1)] for tl in twice_levels)
+    T = getattr(fam, table)
+    (T["+", "0"] if isinstance(T, dict) else T)[a, b] = 0.1
+    monkeypatch.setattr(algebra_verifier, "chain", lambda *args: pytest.fail("contracted"))
+    with pytest.raises(ValueError, match=f"^{table} moves the auxiliary level by more than"):
+        check_gLOD(fam, target_K=3)
+
+
+def test_bond_divergence_traced_peak():
+    # at K = 20 the dense chain over every outer pair peaks at 134 MB
+    fam = assemble_family(20 + EDGE_MARGIN, sample_params(1)[0])
+    tracemalloc.start()
+    try:
+        check_gLOD(fam, target_K=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

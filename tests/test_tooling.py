@@ -87,11 +87,12 @@ def test_oracle_leaves_numpy_ma_unloaded(tmp_path):
     assert r.stdout.splitlines()[-1] == "False"
 
 
-def _heavy_modules_loaded(code: str, *argv: str) -> str:
-    """The sorted list, as printed, of the packages among scipy and
-    multiprocessing that a fresh interpreter holds after running code."""
+def _heavy_modules_loaded(code: str, *argv: str,
+                          packages=("scipy", "multiprocessing")) -> str:
+    """The sorted list, as printed, of the packages among `packages` that a
+    fresh interpreter holds after running code."""
     probe = (code + "\nprint(sorted({m.partition('.')[0] for m in sys.modules}"
-             " & {'scipy', 'multiprocessing'}))")
+             f" & {set(packages)!r}))")
     r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     return r.stdout.splitlines()[-1]
@@ -99,6 +100,11 @@ def _heavy_modules_loaded(code: str, *argv: str) -> str:
 
 def test_cli_import_loads_no_scipy_or_process_pool():
     assert _heavy_modules_loaded("import sys, hubbard_lax.cli") == "[]"
+
+
+def test_cli_import_loads_no_fractions():
+    # the X-block structure is checked exactly on integers, not on Fraction
+    assert _heavy_modules_loaded("import sys, hubbard_lax.cli", packages=("fractions",)) == "[]"
 
 
 @pytest.mark.parametrize("argv, loaded", [
