@@ -52,14 +52,14 @@ estimate exceeds linalg.MAX_CHAIN_BYTES.
 Local expectation values in the steady state come from an environment
 engine (local_expectations) that never materializes rho: one sweep from each
 end of the chain over the doubled auxiliary space, each environment
-rescaled, with the pair transfer applied in numpy from the nonzeros of the
-environments, which are block diagonal in the auxiliary charge, and from
-the O(da) nonzeros of the transfer components (lax_builder.build_L), with
-no dense family. Memory grows as n da^2 (da = 4K + 1, about 2n + 5), and
-the store is guarded like linalg.chain, which admits chains up to n = 243.
+rescaled and held as its values on the 1 + 6k entries of equal auxiliary
+charge at the levels k <= min(j, n - j) that cut j reaches, with the pair
+transfer built from the O(da) nonzeros of lax_builder.build_L and no dense
+family. Time and memory grow as n da (da = 4K + 1, about 2n + 5); the store
+is guarded like linalg.chain, which admits whole profiles up to n = 5976.
 One sweep of the longest chain serves a whole series of lengths
-(first_bonds). mpo_expectation, with dense pair transfer matrices, is kept
-as its cross-check for short chains.
+(first_bonds), guarded on its own store. mpo_expectation, with dense pair
+transfer matrices, is kept as its cross-check for short chains.
 """
 
 from __future__ import annotations
@@ -424,118 +424,148 @@ def stationarity_certificate(cfg: DrivingConfig, fam: LaxFamily) -> dict:
 # diagonal of M), is <00| F(w_1) ... F(w_n) |00> with the pair transfer F(w)
 # of pair_transfer. Holding a doubled-space vector as a da x da matrix
 # X[a, c], F(w) acts from the right as X -> sum w[r,p] A_pq X A_rq^dag and
-# from the left as X -> sum w[r,p] A_pq^T X conj(A_rq).
+# from the left as X -> sum w[r,p] A_pq^T X conj(A_rq). A conserves the total
+# charge, so every environment F_id^k |00> lies where a and c have equal charge.
+
+def _doubled_layout(space: AuxSpace):
+    """The 36K - 11 entries (a, c) whose charges differ by at most one per
+    species, c within two plaquettes of a, as (a, c, pos): the 6K + 1 of
+    equal charge first, each part row-major, so that the 1 + 6k at levels
+    <= k lead, (root, root) first; pos[a, c - a + 8] is the place of (a, c)."""
+    da, ch = space.dim, space.charges()
+    a, c = np.divmod(np.arange(17 * da), 17)
+    c += a - 8
+    a, c = a[(c >= 0) & (c < da)], c[(c >= 0) & (c < da)]
+    d = ((ch[a] - ch[c]) * (ch[a] - ch[c])).max(axis=1)
+    order = np.lexsort((c, a, d))[:np.count_nonzero(d <= 1)]
+    pos = np.zeros((da, 17), dtype=np.int64)
+    pos[a[order], c[order] - a[order] + 8] = np.arange(len(order))
+    return a[order], c[order], pos
+
 
 class _PairSide:
-    """F(w) X for many w at once, summed over the nonzeros of X alone: from
-    the right when built from the nonzeros A[p, q, a, b] = val of the
-    transfer tensor (linalg.transfer_entries), from the left when built from
-    them with a and b swapped. A itself is never formed.
+    """F(w) X for many w at once, on the entries of _doubled_layout, from
+    the values X on its first len(X) entries: from the right when built from
+    the nonzeros A[p, q, a, b] = val of the transfer tensor
+    (linalg.transfer_entries), from the left with a and b swapped. The part
+    T[r, p, a, c] = sum_q sum_{b,d} A[p,q,a,b] X[b,d] conj(A[r,q,c,d]) that
+    does not depend on w is held as its terms ((b, d), (r, p), (a, c),
+    coefficient), merged, in the order of (b, d), so that an X at levels
+    <= k meets a prefix of them: one bincount forms T, one product
+    contracts every w. reach[(a, c)] counts the products that meet in T."""
 
-    Each column A[p, q, :, b] holds at most two nonzeros, and F(w) conserves
-    the auxiliary charge, so the environments are block diagonal in it, with
-    about 3 da nonzeros of da^2. The part that does not depend on w,
-    T[r, p, a, c] = sum_q sum_{X[b,d] != 0} A[p,q,a,b] X[b,d] conj(A[r,q,c,d]),
-    is one bincount over the nonzeros of X, and one product contracts every
-    w. It is exact for a dense X too."""
-
-    def __init__(self, da: int, p, q, a, b, val):
-        # per (b, q), the nonzeros of A[:, q, :, b] in (p, a) order, zero-padded to one width
-        order = np.lexsort((a, p, q, b))
-        col = (b * 4 + q)[order]
-        slot = np.arange(len(col)) - np.searchsorted(col, col)
-        self.val = np.zeros((da, 4, slot.max() + 1), dtype=complex)
-        pa = np.zeros(self.val.shape, dtype=np.int64)
-        self.val.reshape(4 * da, -1)[col, slot] = val[order]
-        pa.reshape(4 * da, -1)[col, slot] = (p * da + a)[order]
-        p, a = np.divmod(pa, da)
-        # where an entry lands in T as the factor (p, a) and as the conjugate (r, c)
-        self.first, self.second = (p * da + a) * da, p * 4 * da * da + a
+    def __init__(self, layout, p, q, a, b, val):
+        ua, uc, pos = layout
+        n0, self.size = 6 * (len(pos) // 4) + 1, len(ua)  # 6K + 1 of equal charge
+        # the entries of each column (b, q) of A, padded with -1 to one width
+        col = 4 * b + q
+        order = np.lexsort((a, p, col))
+        rank = np.arange(len(col)) - np.searchsorted(col[order], col[order])
+        cols = np.full((4 * len(pos), rank.max() + 1), -1)
+        cols[col[order], rank] = order
+        # every pair of entries of columns (b, q) and (d, q), each (b, d) of equal charge
+        i, j, src = np.broadcast_arrays(cols[4 * ua[:n0, None] + np.arange(4)][..., :, None],
+                                        cols[4 * uc[:n0, None] + np.arange(4)][..., None, :],
+                                        np.arange(n0)[:, None, None, None])
+        keep = (i >= 0) & (j >= 0)
+        i, j, src = i[keep], j[keep], src[keep]
+        at = pos[a[i], a[j] - a[i] + 8]
+        self.reach = np.bincount(at, minlength=self.size)
+        key, slot = np.unique((src * 16 + 4 * p[j] + p[i]) * self.size + at, return_inverse=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = val[i] * np.conj(val[j])
+            self.coef = np.bincount(slot, coef.real) + 1j * np.bincount(slot, coef.imag)
+        self.src, at = np.divmod(key, 16 * self.size)
+        self.slot = (2 * at[:, None] + [0, 1]).ravel()
 
     def apply(self, X: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """F(w) X for each w of the (m, 4, 4) stack ws, as [w, a, c]."""
-        b, d = np.nonzero(X)
-        idx = (self.first[b][..., :, None] + self.second[d][..., None, :]).ravel()
-        val = (X[b, d, None, None, None] * self.val[b][..., :, None]
-               * np.conj(self.val[d])[..., None, :]).ravel()
-        # T[r, p] only at the (a, c) that the sum reaches, and the complex sum
-        # as one real one, over interleaved (re, im) pairs
-        rp, ac = np.divmod(idx, X.size)
-        reached, slot = np.unique(ac, return_inverse=True)
-        T = np.bincount((2 * (rp * len(reached) + slot)[:, None] + [0, 1]).ravel(),
-                        val.view(float), minlength=32 * len(reached)).view(complex)
-        out = np.zeros((len(ws), X.size), dtype=complex)
-        out[:, reached] = ws.reshape(-1, 16) @ T.reshape(16, -1)
-        return out.reshape(len(ws), *X.shape)
+        """F(w) X for each w of the (m, 4, 4) stack ws, as [w, entry]."""
+        k = np.searchsorted(self.src, len(X))
+        T = np.bincount(self.slot[:2 * k], (self.coef[:k] * X[self.src[:k]]).view(float),
+                        minlength=32 * self.size).view(complex)
+        return ws.reshape(-1, 16) @ T.reshape(16, -1)
 
 
 class _Environments:
     """The environment engine of one chain: its pair transfer from either
-    side, its sweep from the right and the values read off it. The pair
-    transfer comes from the nonzeros of the transfer components
-    (lax_builder.build_L), O(da) of them; no dense Lax family or transfer
-    tensor is formed. Refused before anything is built if the environment
-    store would not fit, and before the sweep if a pair product could
-    overflow."""
+    side, from the O(da) nonzeros of build_L, its sweep from the right, each
+    environment held as its values on the entries of equal charge that its
+    cut reaches, and the values read off them. Refused before anything is
+    built if the environments kept at the cuts `stored` would not fit, and
+    before the sweep if a transfer entry leaves the level band or breaks
+    the charge, or if a pair product could overflow."""
 
-    def __init__(self, cfg: DrivingConfig):
-        n, space = cfg.n_sites, build_aux_space(k_exact(cfg.n_sites))
-        # n environments of da^2 entries, and beside them at one site 32 more:
-        # F(w) X for the 7 left and 5 right weights of a profile, a temporary
-        # of each and their products; 1 MiB for the O(da) tables
-        guard(16 * space.dim ** 2 * (n + 32) + (1 << 20), f"{n}-site environment store")
-        params = ness_lax_params(cfg)
+    def __init__(self, cfg: DrivingConfig, stored):
+        n, self.K = cfg.n_sites, k_exact(cfg.n_sites)
+        # the kept environments and one in flight; per layout entry, the terms of both
+        # sides (10.5 each at 40 bytes) and what two applies hold; 1 MiB for the rest
+        guard(16 * sum(self.level(min(k, n - k)) for k in [*stored, n // 2])
+              + 1600 * (36 * self.K - 11) + (1 << 20), f"{n}-site environment store")
+        space, params = build_aux_space(self.K), ness_lax_params(cfg)
         band = build_L(space, params)
-        # |A| <= 4 max|L|, an entry of T in _PairSide.apply sums 16 products
-        # of two entries of A and one of a unit-norm X, and the rescaling
-        # sums the squares of F(w) X, 16 such entries each
-        big = 4 * float(np.abs(np.concatenate([v for *_, v in band.values()])).max())
-        entry = 16 * 16 * big * big
-        if not entry * entry * space.dim ** 2 < math.inf:
-            raise OverflowError(f"the pair transfer of the {n}-site chain at {params} "
-                                f"overflows: 4 max|L| = {big:.3g}")
         p, q, a, b, val = transfer_entries(band, space.dim)
-        self.right = _PairSide(space.dim, p, q, a, b, val)
-        self.left = _PairSide(space.dim, p, q, b, a, val)
+        big = 4 * float(np.abs(np.concatenate([v for *_, v in band.values()])).max())
+        overflow = OverflowError(f"the pair transfer of the {n}-site chain at {params} "
+                                 f"overflows: 4 max|L| = {big:.3g}")
+        if not math.isfinite(amax := float(np.abs(val).max())):
+            raise overflow
+        ch, lv = space.charges(), space.charges().sum(axis=1)  # lv: twice the level
+        for bad, what in (((lv[a] - lv[b]) * (lv[a] - lv[b]) > 4, "moves the level by more than one"),
+                          ((SITE_CHARGES[p] + ch[a] != SITE_CHARGES[q] + ch[b]).any(axis=1),
+                           "breaks charge conservation")):
+            if bad.any():
+                e = np.argmax(bad)
+                raise ValueError(f"the transfer entry A[{p[e]}, {q[e]}, {a[e]}, {b[e]}] {what}")
+        layout = _doubled_layout(space)
+        self.right, self.left = _PairSide(layout, p, q, a, b, val), _PairSide(layout, p, q, b, a, val)
         self.m = m_diag(1, map_driving_to_params(cfg)[2])
-        self.root = np.diag(_basis(space.dim, _root_index(space))).astype(complex)  # |00>
+        # an entry of F(w) X, X of unit norm and w = m O with |O| <= 1, is at
+        # most max m max|A|^2 times its reach; the rescaling and the overlaps
+        # sum squares of such entries
+        big = amax * amax * float(self.m.max())
+        if not big * big * max(float((s.reach * s.reach).sum()) for s in (self.left, self.right)) < math.inf:
+            raise overflow
+
+    def level(self, k: int) -> int:
+        """The number of entries of equal charge at levels <= k."""
+        return 1 + 6 * min(k, self.K)
 
     def weights(self, ops) -> np.ndarray:
         """The stack of m O for the identity and each local operator O."""
         return np.array([self.m[:, None] * np.asarray(op) for op in [np.eye(4), *ops]])
 
     def sweep(self, n: int):
-        """Yields env[k] ~ F_id^k |00> for k < n, each rescaled to unit norm,
-        so that long chains cannot overflow."""
-        X, w_id = self.root, self.weights([])
+        """Yields env[k] ~ F_id^k |00> for k < n at unit norm, so that long chains
+        cannot overflow, on the levels <= min(k, n - k) that cut k reaches."""
+        X, w_id = np.ones(1, dtype=complex), self.weights([])
         yield X
-        for _ in range(n - 1):
-            X = self.right.apply(X, w_id)[0]
+        for k in range(1, n):
+            X = self.right.apply(X, w_id)[0, :self.level(min(k, n - k))]
             X = X / np.linalg.norm(X)
             yield X
 
     def expectations(self, env: list, site_ops: dict, bond_ops: dict):
         """local_expectations of the len(env)-site chain, read off its
         environments env from the right."""
-        n, n_site, L = len(env), len(site_ops), self.root
+        n, n_site, L = len(env), len(site_ops), np.ones(1, dtype=complex)
         w_left = self.weights([*site_ops.values(), *(op for op, _ in bond_ops.values())])
         w_right = self.weights([op for _, op in bond_ops.values()])
         for j in range(1, n + 1):
-            V = self.left.apply(L, w_left)
-            site = np.einsum("wac,ac->w", V[:n_site + 1], env[n - j])
+            V = self.left.apply(L / np.linalg.norm(L), w_left)
+            site = np.einsum("wx,x->w", V[:n_site + 1, :len(env[n - j])], env[n - j])
             bond = {}
             if j < n:
                 RV = self.right.apply(env[n - j - 1], w_right)
-                pairs = np.einsum("wac,wac->w", V[[0, *range(n_site + 1, len(V))]], RV)
+                pairs = np.einsum("wx,wx->w", V[[0, *range(n_site + 1, len(V))]], RV)
                 bond = dict(zip(bond_ops, pairs[1:] / pairs[0]))
             yield dict(zip(site_ops, site[1:] / site[0])), bond
-            L = V[0] / np.linalg.norm(V[0])
+            L = V[0, :self.level(min(j, n - j))]
 
 
 def local_expectations(cfg: DrivingConfig, site_ops: dict, bond_ops: dict):
     """Steady-state expectation values of one-site and two-site operators at
     every position of the chain, without rho, in one sweep each way: time
-    and memory grow as n da^2, not as the da^4 of a dense pair transfer.
+    and memory grow as n da, not as the da^4 of a dense pair transfer.
 
     site_ops maps a name to a 4x4 operator O, bond_ops a name to a pair
     (O, P) of them. Yields, for j = 1..n, the pair of dicts
@@ -546,7 +576,7 @@ def local_expectations(cfg: DrivingConfig, site_ops: dict, bond_ops: dict):
     at the same cut, <left| F(w_j) (F(w_{j+1})) |right> over <left| F_id
     (F_id) |right>, in which the rescaling of the environments cancels.
     """
-    eng = _Environments(cfg)
+    eng = _Environments(cfg, range(cfg.n_sites))
     yield from eng.expectations(list(eng.sweep(cfg.n_sites)), site_ops, bond_ops)
 
 
@@ -557,8 +587,8 @@ def first_bonds(base: DrivingConfig, lengths, bond_ops: dict) -> list:
     and env[n - 2] that they read. Its cutoff k_exact is exact for every
     shorter chain: cut j of an n-site chain reaches only levels <= min(j, n - j)."""
     cfg = max((replace(base, n_sites=n) for n in lengths), key=lambda c: c.n_sites)
-    eng = _Environments(cfg)
     keep = {n - i for n in lengths for i in (1, 2)}
+    eng = _Environments(cfg, keep)
     env = [X if k in keep else None for k, X in enumerate(eng.sweep(cfg.n_sites))]
     return [next(eng.expectations(env[:n], {}, bond_ops))[1] for n in lengths]
 

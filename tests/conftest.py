@@ -5,7 +5,8 @@ local-term code of the package is checked against, the whole doubled site
 tensors and the global telescoping of the doubled chain that the local
 stationarity certificate is checked against, the dense bond divergence that
 the level-windowed check_gLOD is checked against, the CSR pair transfer that the
-environment engine's is checked against, the factored and matrix-free
+environment engine's is checked against, the dense-environment engine that
+the charge-block one is checked against, the factored and matrix-free
 contractions of Omega that contract_omega is checked against, the dense
 steady state that the sector blocks of build_ness are checked against,
 tr(rho O) for the dense reader of observables, the species-swap and
@@ -18,12 +19,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from hubbard_lax.algebra_verifier import _cut, residual_report
-from hubbard_lax.aux_space import AuxSpace, AuxVertex
+from hubbard_lax.aux_space import AuxSpace, AuxVertex, build_aux_space
 from hubbard_lax.hubbard_model import SIGMA, TAU, h_bond, phys_dim
-from hubbard_lax.lax_builder import LaxFamily
-from hubbard_lax.linalg import PAULI, chain, guard, lift, phys_transfer_tensor
-from hubbard_lax.ness_engine import (DrivingConfig, contract_omega, m_diag,
-                                    map_driving_to_params, ness_family)
+from hubbard_lax.lax_builder import LaxFamily, build_L
+from hubbard_lax.linalg import PAULI, chain, guard, lift, phys_transfer_tensor, transfer_entries
+from hubbard_lax.ness_engine import (DrivingConfig, contract_omega, k_exact, m_diag,
+                                    map_driving_to_params, ness_family, ness_lax_params)
 
 # asymmetric rates, asymmetric potentials, and a symmetric-rate control
 CANONICAL_DRIVINGS = (
@@ -245,6 +246,98 @@ class CsrPairSide:
         T = self._second @ np.ascontiguousarray(D.T)         # [(c, r), (p, a)]
         out = ws.reshape(-1, 16) @ T.reshape(da, 16, da)     # [c, w, a]
         return out.transpose(1, 2, 0)
+
+
+class DensePairSide:
+    """Cross-check of the environment engine's pair transfer
+    (ness_engine._PairSide), as the engine held it before it kept each
+    environment as its charge-block values: F(w) X on a dense da x da X,
+    summed over the nonzeros of X, with each column A[p, q, :, b] zero-padded
+    to the widest one and a dense da x da result. Built from the nonzeros
+    A[p, q, a, b] = val it applies F(w) from the right, and with a and b
+    swapped, from the left."""
+
+    def __init__(self, da: int, p, q, a, b, val):
+        # per (b, q), the nonzeros of A[:, q, :, b] in (p, a) order, zero-padded to one width
+        order = np.lexsort((a, p, q, b))
+        col = (b * 4 + q)[order]
+        slot = np.arange(len(col)) - np.searchsorted(col, col)
+        self.val = np.zeros((da, 4, slot.max() + 1), dtype=complex)
+        pa = np.zeros(self.val.shape, dtype=np.int64)
+        self.val.reshape(4 * da, -1)[col, slot] = val[order]
+        pa.reshape(4 * da, -1)[col, slot] = (p * da + a)[order]
+        p, a = np.divmod(pa, da)
+        # where an entry lands in T as the factor (p, a) and as the conjugate (r, c)
+        self.first, self.second = (p * da + a) * da, p * 4 * da * da + a
+
+    def apply(self, X: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """F(w) X for each w of the (m, 4, 4) stack ws, as [w, a, c]."""
+        b, d = np.nonzero(X)
+        idx = (self.first[b][..., :, None] + self.second[d][..., None, :]).ravel()
+        val = (X[b, d, None, None, None] * self.val[b][..., :, None]
+               * np.conj(self.val[d])[..., None, :]).ravel()
+        rp, ac = np.divmod(idx, X.size)
+        reached, slot = np.unique(ac, return_inverse=True)
+        T = np.bincount((2 * (rp * len(reached) + slot)[:, None] + [0, 1]).ravel(),
+                        val.view(float), minlength=32 * len(reached)).view(complex)
+        out = np.zeros((len(ws), X.size), dtype=complex)
+        out[:, reached] = ws.reshape(-1, 16) @ T.reshape(16, -1)
+        return out.reshape(len(ws), *X.shape)
+
+
+class DenseEnvironments:
+    """Cross-check of the environment engine (ness_engine._Environments) as
+    it was before it kept each environment as its charge-block values:
+    dense da x da environments, swept and read with DensePairSide. Its pair
+    transfer comes from the nonzeros of build_L, or from those of a given
+    dense transfer tensor A."""
+
+    def __init__(self, cfg: DrivingConfig, A=None):
+        space = build_aux_space(k_exact(cfg.n_sites))
+        guard(16 * space.dim ** 2 * (cfg.n_sites + 32) + (1 << 20),
+              f"{cfg.n_sites}-site dense environment store")
+        if A is None:
+            p, q, a, b, val = transfer_entries(build_L(space, ness_lax_params(cfg)), space.dim)
+        else:
+            p, q, a, b = np.nonzero(A)
+            val = A[p, q, a, b]
+        self.right = DensePairSide(space.dim, p, q, a, b, val)
+        self.left = DensePairSide(space.dim, p, q, b, a, val)
+        self.m = m_diag(1, map_driving_to_params(cfg)[2])
+        self.root = np.zeros((space.dim, space.dim), dtype=complex)
+        self.root[0, 0] = 1.0  # |00>, the root vertex 0+ first
+
+    def weights(self, ops) -> np.ndarray:
+        return np.array([self.m[:, None] * np.asarray(op) for op in [np.eye(4), *ops]])
+
+    def sweep(self, n: int):
+        X, w_id = self.root, self.weights([])
+        yield X
+        for _ in range(n - 1):
+            X = self.right.apply(X, w_id)[0]
+            X = X / np.linalg.norm(X)
+            yield X
+
+    def expectations(self, env: list, site_ops: dict, bond_ops: dict):
+        n, n_site, L = len(env), len(site_ops), self.root
+        w_left = self.weights([*site_ops.values(), *(op for op, _ in bond_ops.values())])
+        w_right = self.weights([op for _, op in bond_ops.values()])
+        for j in range(1, n + 1):
+            V = self.left.apply(L, w_left)
+            site = np.einsum("wac,ac->w", V[:n_site + 1], env[n - j])
+            bond = {}
+            if j < n:
+                RV = self.right.apply(env[n - j - 1], w_right)
+                pairs = np.einsum("wac,wac->w", V[[0, *range(n_site + 1, len(V))]], RV)
+                bond = dict(zip(bond_ops, pairs[1:] / pairs[0]))
+            yield dict(zip(site_ops, site[1:] / site[0])), bond
+            L = V[0] / np.linalg.norm(V[0])
+
+    def first_bonds(self, lengths, bond_ops: dict) -> list:
+        """The first bond of each chain length, from one sweep of this chain."""
+        keep = {n - i for n in lengths for i in (1, 2)}
+        env = [X if k in keep else None for k, X in enumerate(self.sweep(max(lengths)))]
+        return [next(self.expectations(env[:n], {}, bond_ops))[1] for n in lengths]
 
 
 def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import resource
 import subprocess
@@ -163,6 +164,34 @@ def test_non_finite_observables_are_refused(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+def test_observe_completes_where_the_pair_products_stay_finite(tmp_path, capsys):
+    # at u = 1e75 the products that meet in one entry, counted from the
+    # tables, stay finite, and so does every value read
+    from hubbard_lax import cli
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["observe", "--n", "6", "--u", "1e75", "--out", str(tmp_path)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    doc = json.loads((tmp_path / "observe.json").read_text())
+    values = [*doc["densities_sigma"], *doc["densities_tau"], *doc["currents_sigma"],
+              *doc["currents_tau"]]
+    assert len(values) == 22 and all(math.isfinite(x) for x in values)
+    capsys.readouterr()
+
+
+def test_observe_scaling_reads_a_series_past_the_profile_store(tmp_path, capsys):
+    # the series keeps two environments per length, and is guarded on that
+    # store alone, not on the n environments of a whole 300-site profile
+    from hubbard_lax import cli
+
+    assert cli.main(["observe", "--n", "8", "--u", "1", "--scaling", "100,200,300",
+                     "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "observe.json").read_text())
+    assert [n for n, _ in doc["scaling"]["series"]] == [100, 200, 300]
+    capsys.readouterr()
+
+
 def test_observe_refuses_an_environment_that_would_overflow(tmp_path, capsys):
     # at u = 1e100 the pair products are finite, but the norm that rescales
     # each environment squares them past the float range: every density read
@@ -239,16 +268,16 @@ def test_observe_refusal_names_the_environment_store(tmp_path, capsys):
     # dense route
     from hubbard_lax import cli
 
-    rc = cli.main(["observe", "--n", "300", "--u", "1", "--out", str(tmp_path)])
+    rc = cli.main(["observe", "--n", "10000", "--u", "1", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "environment store" in err
+    assert "10000-site environment store" in err
     assert "dense-route" not in err
 
 
 @pytest.mark.parametrize("scaling, message", [
     ("1,4,8", "n_sites >= 2"),
-    ("8,400,12", "400-site environment store"),
+    ("8,40000,12", "40000-site environment store"),
     ("4,6", "scaling needs at least 3 distinct chain lengths, got [4, 6]"),
     ("4,4,4", "scaling needs at least 3 distinct chain lengths, got [4, 4, 4]"),
 ])

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     CANONICAL_DRIVINGS,
     CsrPairSide,
+    DenseEnvironments,
     canonical_configs,
     current_operator,
     expectation,
@@ -18,8 +19,9 @@ from hubbard_lax import ness_engine
 from hubbard_lax.linalg import local4, phys_transfer_tensor
 from hubbard_lax.ness_engine import (
     DrivingConfig,
+    _doubled_layout,
     _Environments,
-    _PairSide,
+    build_aux_space,
     build_ness,
     k_exact,
     local_expectations,
@@ -172,56 +174,148 @@ def test_environment_engine_matches_cross_check(driving, n):
 @pytest.mark.parametrize("n", [6, 12, 24, 40])
 @pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
 def test_pair_transfer_matches_csr_cross_check(driving, n):
-    """The nonzero-driven pair transfer against the CSR cross-check, from
-    both sides, on every environment of the sweep and on a dense X."""
+    """The charge-block pair transfer against the CSR cross-check, from
+    both sides, on every environment of the sweep and on random values at
+    every entry of equal charge, the widest input it takes. The CSR product
+    spans the whole da x da output, so it also shows that F(w) X vanishes
+    off the layout."""
     cfg = DrivingConfig(*driving, n)
-    eng = _Environments(cfg)
+    eng = _Environments(cfg, [])
     A = phys_transfer_tensor(ness_family(cfg).L)
+    da = A.shape[2]
+    a, c, _ = _doubled_layout(build_aux_space(k_exact(n)))
     sides = ((eng.right, CsrPairSide(A)), (eng.left, CsrPairSide(A.swapaxes(2, 3))))
     ws = eng.weights([local4(s, t) for s, t in ("z0", "+0", "-0", "0+", "zz", "+-")])
     rng = np.random.default_rng(n)
-    dense = rng.normal(size=eng.root.shape) + 1j * rng.normal(size=eng.root.shape)
-    for X in [*eng.sweep(n), dense]:
+    full = rng.normal(size=6 * k_exact(n) + 1) + 1j * rng.normal(size=6 * k_exact(n) + 1)
+    for X in [*eng.sweep(n), full]:
+        dense = np.zeros((da, da), dtype=complex)
+        dense[a[:len(X)], c[:len(X)]] = X
         for side, reference in sides:
-            got, want = side.apply(X, ws), reference.apply(X, ws)
+            got, want = np.zeros((len(ws), da, da), dtype=complex), reference.apply(dense, ws)
+            got[:, a, c] = side.apply(X, ws)
             assert np.abs(got - want).max() <= TOL * np.abs(want).max()
 
 
 @pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
 def test_engine_matches_dense_transfer_tensor(driving):
     """Every density and current of the engine, whose pair transfer is
-    built from the nonzeros of the transfer components, against the same
-    sweep with the pair transfer read off the dense A of the dense family,
-    at n = 2..40. (The CSR cross-check below checks the pair transfer
+    built from the nonzeros of the transfer components and whose
+    environments are their charge-block values, against the dense-environment
+    engine with the pair transfer read off the dense A of the dense family,
+    at n = 2..40. (The CSR cross-check above checks the pair transfer
     itself against A.)"""
     for n in range(2, 41):
         cfg = DrivingConfig(*driving, n)
         got = profile_and_currents_mpo(cfg)
-        ref = _Environments(cfg)
-        A = phys_transfer_tensor(ness_family(cfg).L)
-        p, q, a, b = np.nonzero(A)
-        ref.right = _PairSide(A.shape[2], p, q, a, b, A[p, q, a, b])
-        ref.left = _PairSide(A.shape[2], p, q, b, a, A[p, q, a, b])
+        ref = DenseEnvironments(cfg, phys_transfer_tensor(ness_family(cfg).L))
         want = _profile(n, ref.expectations(list(ref.sweep(n)), _SZ_LOC, _CURRENT_TERMS))
         for field in ("densities_sigma", "densities_tau", "currents_sigma", "currents_tau"):
             assert _rel_dev(getattr(got, field), getattr(want, field)) <= TOL, (n, field)
 
 
-@pytest.mark.parametrize("n", [24, 60])
+@pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
+def test_engine_matches_dense_environments_on_long_chains(driving):
+    """The charge-block engine against the dense-environment engine, both
+    built from build_L: every density and current at n = 100, and the
+    first-bond current of a series to n = 200 read from one sweep."""
+    cfg = DrivingConfig(*driving, 100)
+    got = profile_and_currents_mpo(cfg)
+    ref = DenseEnvironments(cfg)
+    want = _profile(100, ref.expectations(list(ref.sweep(100)), _SZ_LOC, _CURRENT_TERMS))
+    for field in ("densities_sigma", "densities_tau", "currents_sigma", "currents_tau"):
+        assert _rel_dev(getattr(got, field), getattr(want, field)) <= TOL, field
+    ns = list(range(20, 201, 20))
+    series = current_series(DrivingConfig(*driving, 4), ns)
+    bonds = DenseEnvironments(DrivingConfig(*driving, 200)).first_bonds(ns, _current_terms(0))
+    for (n, J), bond in zip(series, bonds):
+        want = _current(bond, 0, "J")
+        assert abs(J - want) <= TOL * abs(want), n
+
+
+@pytest.mark.parametrize("K", range(1, 14))
+def test_doubled_layout(K):
+    """The entries the engine holds: every (a, c) whose charges differ by at
+    most one per species, once; first the 6K + 1 of equal charge, of which
+    the 1 + 6k at levels <= k come first, (root, root) first of all."""
+    space = build_aux_space(K)
+    ch, lev = space.charges(), space.levels()
+    a, c, pos = _doubled_layout(space)
+    d = ch[a] - ch[c]
+    assert len(a) == 36 * K - 11 == (np.abs(ch[:, None] - ch[None]) <= 1).all(axis=2).sum()
+    assert (np.abs(d) <= 1).all() and len(set(zip(a, c))) == len(a)
+    assert not d[:6 * K + 1].any() and d[6 * K + 1:].any(axis=1).all()
+    assert a[0] == c[0] == 0
+    assert [np.count_nonzero(lev[a[:6 * K + 1]] <= k) for k in range(K + 1)] == \
+        [1 + 6 * k for k in range(K + 1)]
+    assert (np.diff(lev[a[:6 * K + 1]]) >= 0).all()
+    assert (pos[a, c - a + 8] == np.arange(len(a))).all()
+
+
+def test_environments_hold_only_the_levels_their_cut_reaches(monkeypatch):
+    """Cut k of an n-site chain reaches levels <= min(k, n - k) from either
+    end, and each environment keeps the 1 + 6 l entries of equal charge at
+    levels <= l for that l alone. Rescaled with the levels past it, whose
+    weight grows along the chain, an uncut env[k] of the first canonical
+    driving reads about 1e-79 at the levels <= 1 that site 1 meets at
+    k = 199, and 0 past k = 750, which leaves 0/0 for every value there."""
+    n = 30
+    seen = []
+    apply = ness_engine._PairSide.apply
+    monkeypatch.setattr(ness_engine._PairSide, "apply",
+                        lambda side, X, ws: seen.append((side, len(X))) or apply(side, X, ws))
+    eng = _Environments(DrivingConfig(*CANONICAL_DRIVINGS[0], n), range(n))
+    env = list(eng.sweep(n))
+    assert [len(X) for X in env] == [1 + 6 * min(k, n - k) for k in range(n)]
+    seen.clear()
+    list(eng.expectations(env, _SZ_LOC, _CURRENT_TERMS))
+    assert [m for side, m in seen if side is eng.left] == [1 + 6 * min(j, n - j) for j in range(n)]
+    assert [m for side, m in seen if side is eng.right] == [len(env[n - j - 1]) for j in range(1, n)]
+
+
+@pytest.mark.parametrize("entry, message", [
+    # from the root to a vertex of level 2
+    ((0, 0, 0, 8, 1.0), "A\\[0, 0, 0, 8\\] moves the level by more than one"),
+    # from the root to 1/2+ at an operator that keeps the physical charge
+    ((0, 0, 0, 1, 1.0), "A\\[0, 0, 0, 1\\] breaks charge conservation"),
+])
+def test_transfer_entry_off_the_band_refused_before_the_sweep(monkeypatch, entry, message):
+    entries = ness_engine.transfer_entries
+
+    def seeded(band, dim):
+        return tuple(np.append(x, y) for x, y in zip(entries(band, dim), entry))
+
+    def built(*args):
+        raise AssertionError("a pair transfer was built")
+
+    monkeypatch.setattr(ness_engine, "transfer_entries", seeded)
+    monkeypatch.setattr(ness_engine, "_PairSide", built)
+    for route in (lambda cfg: list(local_expectations(cfg, _SZ_LOC, {})),
+                  lambda cfg: current_series(cfg, [4, 8, 6])):
+        with pytest.raises(ValueError, match=message):
+            route(DrivingConfig(*CANONICAL_DRIVINGS[0], 8))
+
+
+@pytest.mark.parametrize("n", [24, 60, 200])
 def test_environment_guard_bounds_the_peak(n, monkeypatch):
-    # the estimate the environment store is guarded on bounds what a whole
-    # profile allocates, environments, intermediates and transfer tables
+    # the estimate each route is guarded on bounds what it allocates:
+    # environments, terms of the pair transfer, intermediates and transfer
+    # tables, for a whole profile and for a series read from one sweep
     estimates = []
     guard = ness_engine.guard
     monkeypatch.setattr(ness_engine, "guard", lambda nbytes, what: estimates.append(nbytes)
                         or guard(nbytes, what))
-    tracemalloc.start()
-    try:
-        profile_and_currents_mpo(DrivingConfig(*CANONICAL_DRIVINGS[0], n))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(estimates) == 1 and peak <= estimates[0]
+    base = DrivingConfig(*CANONICAL_DRIVINGS[0], n)
+    for route in (lambda: profile_and_currents_mpo(base),
+                  lambda: current_series(base, range(4, n + 1, 4))):
+        estimates.clear()
+        tracemalloc.start()
+        try:
+            route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(estimates) == 1 and peak <= estimates[0]
 
 
 def _per_length_current(driving, n):
@@ -293,8 +387,10 @@ def test_environment_store_guarded(monkeypatch):
         raise AssertionError("transfer built before the size check")
 
     monkeypatch.setattr(ness_engine, "build_L", no_build)
-    with pytest.raises(MemoryError, match="400-site environment store"):
-        current_series(DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 4), [8, 400, 12])
+    with pytest.raises(MemoryError, match="10000-site environment store"):
+        profile_and_currents_mpo(DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 10000))
+    with pytest.raises(MemoryError, match="40000-site environment store"):
+        current_series(DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 4), [8, 40000, 12])
 
 
 def test_current_series_refuses_short_chains_first(monkeypatch):

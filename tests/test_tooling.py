@@ -76,15 +76,27 @@ def test_traced_observe_builds_no_family(tmp_path):
     assert names.count("lax_builder.assemble_family") == 0
 
 
+def _numpy_ma_loaded(*argv: str) -> str:
+    """Whether a fresh interpreter holds numpy.ma after running the command."""
+    probe = ("import sys\nfrom hubbard_lax.cli import main\n"
+             "assert main(sys.argv[1:]) == 0\nprint('numpy.ma' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.splitlines()[-1]
+
+
 def test_oracle_leaves_numpy_ma_unloaded(tmp_path):
     # np.unique without return_inverse imports numpy.ma on its first call;
     # the oracle groups its sectors without it
-    probe = ("import sys\nfrom hubbard_lax.cli import main\n"
-             "assert main(sys.argv[1:]) == 0\nprint('numpy.ma' in sys.modules)")
-    r = subprocess.run([sys.executable, "-c", probe, "oracle", "--n", "2", "--u", "1",
-                        "--out", str(tmp_path)], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "False"
+    assert _numpy_ma_loaded("oracle", "--n", "2", "--u", "1", "--out", str(tmp_path)) == "False"
+
+
+@pytest.mark.parametrize("argv", [["observe", "--n", "12"],
+                                  ["observe", "--n", "8", "--scaling", "4,6,8"]])
+def test_environment_engine_leaves_numpy_ma_unloaded(tmp_path, argv):
+    # nor does the environment engine: importing numpy.ma costs every process
+    # about 12 ms, which np.intersect1d without assume_unique would pay
+    assert _numpy_ma_loaded(*argv, "--u", "1", "--out", str(tmp_path)) == "False"
 
 
 def _heavy_modules_loaded(code: str, *argv: str,
