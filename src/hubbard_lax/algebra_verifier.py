@@ -8,7 +8,9 @@ contracted from site tensors (linalg.lift) by linalg.chain between the
 boundary rows of the prefix, the same core that contracts Omega. Truncation
 corrupts the last couple of levels only, since every factor in any checked
 expression shifts the level by at most one, a band by which the bond
-divergence is summed one outer level at a time (check_gLOD).
+divergence is summed one outer level at a time (check_gLOD). The random
+points of sample_params are numpy's default_rng(seed) stream, drawn by
+SeededStream without importing numpy.random.
 
 Identity names used in reports:
 
@@ -289,6 +291,52 @@ def check_xk_structure(params: LaxParams, k_max: int = 20, tol: float = 1e-12) -
     }
 
 
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+class SeededStream:
+    """numpy's default_rng(seed) stream, bit for bit, without numpy.random (which maps
+    libcrypto): SeedSequence hashes the seed's 32-bit words into a 4-word pool, which
+    seeds PCG64 (O'Neill, HMC-CS-2014-0905). random() and choice() draw as Generator does."""
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative whole number, got {seed}")
+        words, h = [seed >> b & _M32 for b in range(0, seed.bit_length() or 1, 32)], 0x43B0D7E5
+
+        def hashmix(v, mult=0x931E8875):
+            nonlocal h
+            v = (v ^ h) * (h := h * mult & _M32) & _M32
+            return v ^ v >> 16
+        pool = [hashmix(w) for w in (words + [0] * 4)[:4]] + words[4:]
+        for src, dst in [*itertools.permutations(range(4), 2),
+                         *itertools.product(range(4, len(pool)), range(4))]:
+            r = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src]) & _M32
+            pool[dst] = r ^ r >> 16
+        h = 0x8B51F9DD
+        st = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+        s0, s1, i0, i1 = (st[k] | st[k + 1] << 32 for k in range(0, 8, 2))
+        self._inc, self._half = (i0 << 64 | i1) << 1 | 1, []
+        self._state = self._inc + (s0 << 64 | s1)  # a step from 0, plus the seed
+        self._next64()
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * 0x2360ED051FC65DA44385DF649FCCF645 + self._inc) % 2**128
+        x, r = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> r | x << (64 - r)) & _M64
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def choice(self, values):
+        """Lemire's draw on buffered 32-bit halves; a low word under 2^32 mod n redraws."""
+        n = len(values)
+        while True:
+            self._half = self._half or [(x := self._next64()) >> 32, x & _M32]
+            if (m := self._half.pop() * n) & _M32 >= (1 << 32) % n:
+                return values[m >> 32]
+
+
 def annulus_points(rng, k: int) -> list:
     """k random points of the annulus 0.3 <= |z| <= 1.5, each drawn as its
     radius (uniform) and then its angle."""
@@ -303,13 +351,9 @@ def annulus_points(rng, k: int) -> list:
 def sample_params(num: int, seed: int = 42) -> list:
     """Random parameter points: lambda, omega from annulus_points, u from
     {+-0.5, +-1, +-2}."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(num):
-        lam, om = annulus_points(rng, 2)
-        u = float(rng.choice([0.5, -0.5, 1.0, -1.0, 2.0, -2.0]))
-        out.append(LaxParams(lam, om, u))
-    return out
+    rng = SeededStream(seed)
+    return [LaxParams(*annulus_points(rng, 2), rng.choice((0.5, -0.5, 1.0, -1.0, 2.0, -2.0)))
+            for _ in range(num)]
 
 
 def verify_family(params: LaxParams, cutoff_K: int, tol: float = DEFAULT_TOL) -> list:

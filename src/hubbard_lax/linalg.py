@@ -14,7 +14,6 @@ into its sector blocks."""
 from __future__ import annotations
 
 import functools
-from decimal import Decimal
 
 import numpy as np
 
@@ -99,6 +98,7 @@ def _gib(nbytes: int) -> str:
     float quotient overflows, so the top 64 bits are scaled in Decimal."""
     if nbytes < 1 << 1000:
         return f"{nbytes / 2**30:.3g}"
+    from decimal import Decimal  # imported only here: it costs every process 0.4 MB
     k = nbytes.bit_length() - 64
     return f"{Decimal(nbytes >> k) * Decimal(2) ** (k - 30):.2e}"
 

@@ -64,7 +64,6 @@ transfer matrices, is kept as its cross-check for short chains.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, field, fields, replace
@@ -644,6 +643,7 @@ def mpo_expectation(cfg: DrivingConfig, site_ops: dict) -> complex:
 def dump_rho(path, rho: np.ndarray) -> None:
     """Binary dump: 8-byte magic, little-endian uint64 dimension, row-major
     complex128 payload, SHA-256 of the payload."""
+    import hashlib  # here, not at module level: it maps libcrypto
     arr = np.ascontiguousarray(rho, dtype=np.complex128)
     payload = arr.tobytes()
     with open(path, "wb") as fh:
@@ -654,6 +654,7 @@ def dump_rho(path, rho: np.ndarray) -> None:
 
 
 def load_rho(path) -> np.ndarray:
+    import hashlib
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != RHO_MAGIC:

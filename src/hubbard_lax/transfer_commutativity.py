@@ -13,14 +13,16 @@ dense chain of ness_engine.contract_omega; at n <= 4 the planning of
 linalg.sector_chain costs more than it saves. Omega conserves the charges
 (S, T), so it is block diagonal on the sectors of linalg.basis_charges: an
 Omega with a nonzero entry off those blocks is refused, never dropped, and
-the commutator and both Frobenius norms are formed block by block.
+the commutator and both Frobenius norms are formed block by block. The
+pairs of sample_pairs are numpy's default_rng(seed) stream, drawn without
+numpy.random (algebra_verifier.SeededStream).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra_verifier import annulus_points, residual_report
+from .algebra_verifier import SeededStream, annulus_points, residual_report
 from .lax_builder import LaxParams, assemble_family
 from .linalg import sectors
 from .ness_engine import contract_omega, k_exact
@@ -31,12 +33,9 @@ CONJECTURE_TOL = 1e-10
 def sample_pairs(num: int, seed: int = 42) -> list:
     """Random ((lambda, omega), (lambda', omega')) pairs from
     algebra_verifier.annulus_points."""
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(num):
-        l1, o1, l2, o2 = annulus_points(rng, 4)
-        pairs.append(((l1, o1), (l2, o2)))
-    return pairs
+    rng = SeededStream(seed)
+    points = (annulus_points(rng, 4) for _ in range(num))
+    return [((l1, o1), (l2, o2)) for l1, o1, l2, o2 in points]
 
 
 def _sector_blocks(omega: np.ndarray, n_sites: int) -> list:

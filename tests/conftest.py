@@ -4,7 +4,9 @@ the bond current and the Lindblad generator, all scipy CSR) that the
 local-term code of the package is checked against, the whole doubled site
 tensors and the global telescoping of the doubled chain that the local
 stationarity certificate is checked against, the dense bond divergence that
-the level-windowed check_gLOD is checked against, the CSR pair transfer that the
+the level-windowed check_gLOD is checked against, numpy's own default_rng
+draws of the spectral points that sample_params and sample_pairs (drawn
+without numpy.random) are checked against, the CSR pair transfer that the
 environment engine's is checked against, the dense-environment engine that
 the charge-block one is checked against, the factored and matrix-free
 contractions of Omega that contract_omega is checked against, the dense
@@ -18,10 +20,10 @@ vertices the operator-table tests read.
 import numpy as np
 import scipy.sparse as sp
 
-from hubbard_lax.algebra_verifier import _cut, residual_report
+from hubbard_lax.algebra_verifier import _cut, annulus_points, residual_report
 from hubbard_lax.aux_space import AuxSpace, AuxVertex, build_aux_space
 from hubbard_lax.hubbard_model import SIGMA, TAU, h_bond, phys_dim
-from hubbard_lax.lax_builder import LaxFamily, build_L
+from hubbard_lax.lax_builder import LaxFamily, LaxParams, build_L
 from hubbard_lax.linalg import PAULI, chain, guard, lift, phys_transfer_tensor, transfer_entries
 from hubbard_lax.ness_engine import (DrivingConfig, contract_omega, k_exact, m_diag,
                                     map_driving_to_params, ness_family, ness_lax_params)
@@ -202,6 +204,29 @@ def dense_gLOD(fam: LaxFamily, target_K=None, tol=1e-10):
     diff = hL12 - L12 @ h - rhs
     return residual_report("bond_divergence", fam.params, K, diff,
                            max(np.linalg.norm(hL12), np.linalg.norm(rhs)), tol)
+
+
+def numpy_sample_params(num: int, seed: int = 42) -> list:
+    """Cross-check for algebra_verifier.sample_params, which draws from
+    SeededStream: the same points drawn from numpy's default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(num):
+        lam, om = annulus_points(rng, 2)
+        u = float(rng.choice([0.5, -0.5, 1.0, -1.0, 2.0, -2.0]))
+        out.append(LaxParams(lam, om, u))
+    return out
+
+
+def numpy_sample_pairs(num: int, seed: int = 42) -> list:
+    """Cross-check for transfer_commutativity.sample_pairs: the same pairs
+    drawn from numpy's default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(num):
+        l1, o1, l2, o2 = annulus_points(rng, 4)
+        pairs.append(((l1, o1), (l2, o2)))
+    return pairs
 
 
 def off_root_ltilde_defect(fam: LaxFamily):

@@ -649,6 +649,30 @@ def test_commute_reports_seed(tmp_path):
     assert doc["tier"] == "conjecture"
 
 
+@pytest.mark.parametrize("argv", [["verify", "--K", "3"], ["commute", "--n", "2"]])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_negative_seed_is_refused_before_any_family(tmp_path, capsys, monkeypatch,
+                                                    argv, in_config):
+    # the seeded stream splits the seed into 32-bit words, which a negative
+    # seed never runs out of: it is refused at exit 2, before any work
+    from hubbard_lax import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hubbard_lax") and hasattr(module, "assemble_family"):
+            monkeypatch.setattr(module, "assemble_family", refuse)
+    extra = ["--seed", "-1"]
+    if in_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        extra = ["--config", str(cfg)]
+    assert cli.main([*argv, *extra, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative whole number, got -1\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_deterministic_ordering(tmp_path):
     args = ("sweep", "--n", "2", "--gammaL", "0.5,1.5", "--gammaR", "1",
             "--u", "1")

@@ -3,7 +3,8 @@ and keys some calls by their positional arguments, so a renamed function or
 a reordered signature would silently break traced runs; this pins both.
 The cold-start checks pin which commands pay for importing scipy and the
 process pool: only the ones that use them. No command uses scipy;
-only the tests' cross-checks import it."""
+only the tests' cross-checks import it. Nor does any command load
+numpy.random, libcrypto (_hashlib) or decimal."""
 
 import importlib.util
 import json
@@ -76,10 +77,13 @@ def test_traced_observe_builds_no_family(tmp_path):
     assert names.count("lax_builder.assemble_family") == 0
 
 
-def _numpy_ma_loaded(*argv: str) -> str:
-    """Whether a fresh interpreter holds numpy.ma after running the command."""
-    probe = ("import sys\nfrom hubbard_lax.cli import main\n"
-             "assert main(sys.argv[1:]) == 0\nprint('numpy.ma' in sys.modules)")
+RUN = "import sys\nfrom hubbard_lax.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+def _loaded(code: str, *argv: str, modules=("scipy", "multiprocessing")) -> str:
+    """The sorted list, as printed, of the modules among `modules` (full
+    names) that a fresh interpreter holds after running code."""
+    probe = code + f"\nprint(sorted(set(sys.modules) & {set(modules)!r}))"
     r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     return r.stdout.splitlines()[-1]
@@ -88,7 +92,8 @@ def _numpy_ma_loaded(*argv: str) -> str:
 def test_oracle_leaves_numpy_ma_unloaded(tmp_path):
     # np.unique without return_inverse imports numpy.ma on its first call;
     # the oracle groups its sectors without it
-    assert _numpy_ma_loaded("oracle", "--n", "2", "--u", "1", "--out", str(tmp_path)) == "False"
+    assert _loaded(RUN, "oracle", "--n", "2", "--u", "1", "--out", str(tmp_path),
+                   modules=("numpy.ma",)) == "[]"
 
 
 @pytest.mark.parametrize("argv", [["observe", "--n", "12"],
@@ -96,27 +101,23 @@ def test_oracle_leaves_numpy_ma_unloaded(tmp_path):
 def test_environment_engine_leaves_numpy_ma_unloaded(tmp_path, argv):
     # nor does the environment engine: importing numpy.ma costs every process
     # about 12 ms, which np.intersect1d without assume_unique would pay
-    assert _numpy_ma_loaded(*argv, "--u", "1", "--out", str(tmp_path)) == "False"
-
-
-def _heavy_modules_loaded(code: str, *argv: str,
-                          packages=("scipy", "multiprocessing")) -> str:
-    """The sorted list, as printed, of the packages among `packages` that a
-    fresh interpreter holds after running code."""
-    probe = (code + "\nprint(sorted({m.partition('.')[0] for m in sys.modules}"
-             f" & {set(packages)!r}))")
-    r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    return r.stdout.splitlines()[-1]
+    assert _loaded(RUN, *argv, "--u", "1", "--out", str(tmp_path),
+                   modules=("numpy.ma",)) == "[]"
 
 
 def test_cli_import_loads_no_scipy_or_process_pool():
-    assert _heavy_modules_loaded("import sys, hubbard_lax.cli") == "[]"
+    assert _loaded("import sys, hubbard_lax.cli") == "[]"
 
 
 def test_cli_import_loads_no_fractions():
     # the X-block structure is checked exactly on integers, not on Fraction
-    assert _heavy_modules_loaded("import sys, hubbard_lax.cli", packages=("fractions",)) == "[]"
+    assert _loaded("import sys, hubbard_lax.cli", modules=("fractions",)) == "[]"
+
+
+# numpy.random and hashlib load _hashlib (libcrypto), and decimal costs
+# 0.4 MB: no command needs any of them; the seeded points are drawn by
+# algebra_verifier.SeededStream
+UNUSED = ("_hashlib", "numpy.random", "decimal")
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -133,5 +134,16 @@ def test_cli_import_loads_no_fractions():
     (["observe", "--n", "8", "--u", "1", "--scaling", "4,6,8"], "[]"),
 ])
 def test_commands_load_scipy_only_where_used(tmp_path, argv, loaded):
-    run = "import sys\nfrom hubbard_lax.cli import main\nassert main(sys.argv[1:]) == 0"
-    assert _heavy_modules_loaded(run, *argv, "--out", str(tmp_path)) == loaded
+    # one probe: `loaded` names scipy or the pool, and UNUSED stays out of it
+    assert _loaded(RUN, *argv, "--out", str(tmp_path),
+                   modules=("scipy", "multiprocessing", *UNUSED)) == loaded
+
+
+def test_ness_dump_still_verifies(tmp_path):
+    # dump_rho and load_rho import hashlib for themselves
+    dump = tmp_path / "rho.bin"
+    check = (RUN + "\nimport numpy as np\nfrom hubbard_lax.ness_engine import load_rho"
+             f"\nrho = load_rho({str(dump)!r})\nassert rho.shape == (64, 64)"
+             "\nassert abs(np.trace(rho) - 1) < 1e-12")
+    assert _loaded(check, "ness", "--n", "3", "--u", "1", "--dump-rho", str(dump),
+                   "--out", str(tmp_path)) == "[]"
