@@ -3,13 +3,13 @@ it, and the one contraction core shared by every module: lift turns operator
 components into a site tensor A[p, q, a, b] (physical row and column, then
 auxiliary row and column), phys_transfer_tensor does so for the 16 transfer
 components of a Lax family, and chain contracts a product of site tensors
-between auxiliary boundary rows. sector_chain contracts the same product one
-charge sector at a time, and refuses site tensors that break the charge. Both
+between auxiliary boundary rows, one site at a time (extend); close_sectors
+ends one on its (S, T) blocks alone. sector_chain contracts the product one
+charge sector at a time, and refuses site tensors that break the charge. All
 stand behind one peak-memory guard. transfer_entries gives the nonzeros of
-the transfer tensor from those of its components, without the dense tensor.
-basis_charges labels the (S, T) sector of each product basis state, and
-sectors groups the states by it, for the callers that split a dense operator
-into its sector blocks."""
+the transfer tensor, without the dense tensor, and refuse_entries those that
+break the charge. basis_charges labels the (S, T) sector of each product
+basis state, and sectors groups the states by it."""
 
 from __future__ import annotations
 
@@ -59,6 +59,35 @@ def sectors(n_sites: int) -> tuple:
     return order, [0, *np.flatnonzero(np.diff(code[order])) + 1, len(code)]
 
 
+@functools.lru_cache
+def sector_gather(n_sites: int) -> tuple:
+    """For close_sectors, the entries of the (S, T) blocks of n sites (sectors
+    order, each block row-major) in one group per charge that the last
+    site's (p, q) moves: the rows of the (n - 1)-site partial product that
+    they read and the columns 4 p + q that they meet, padded to four with 16
+    (none); each entry's place in the groups' products; the block sizes.
+    Read-only."""
+    order, bounds = sectors(n_sites)
+    # 4 spread[i] + spread[j] interleaves the base-4 digits of i and j, as chain does
+    spread = functools.reduce(lambda s, _: (16 * s[:, None] + np.arange(4)).ravel(),
+                              range(n_sites - 1), np.zeros(1, dtype=np.int64))
+    rows, pq = (np.concatenate([(4 * x[lo:hi, None] + x[lo:hi]).ravel() for lo, hi in
+                                zip(bounds, bounds[1:])]) for x in (spread[order // 4], order % 4))
+    # a row meets every (p, q) that moves the charge by what its halves differ by
+    moved = [tuple(SITE_CHARGES[k % 4] - SITE_CHARGES[k // 4]) for k in range(16)]
+    groups, slot = [], np.zeros(16, dtype=np.int64)
+    index = np.zeros(16 ** (n_sites - 1), dtype=np.int64)
+    for c in dict.fromkeys(moved):
+        cols = [k for k in range(16) if moved[k] == c]
+        slot[cols], held = range(len(cols)), rows[pq == cols[0]]
+        index[held] = sum(len(h) for h, _ in groups) + np.arange(len(held))
+        groups.append((held, tuple(cols) + (16,) * (4 - len(cols))))
+    at = 4 * index[rows] + slot[pq]
+    for x in (at, *(h for h, _ in groups)):
+        x.flags.writeable = False
+    return tuple(groups), at, tuple(np.diff(bounds))
+
+
 def local4(s: str, t: str) -> np.ndarray:
     """Dense 4x4 operator sigma^s tau^t on one ladder site (sigma qubit
     first): a shared read-only array, so copy it before writing."""
@@ -93,6 +122,17 @@ def transfer_entries(band: dict, dim: int):
     return (*np.unravel_index(key[val != 0], (4, 4, dim, dim)), val[val != 0])
 
 
+def refuse_entries(p, q, a, b, aux_charges, *checks) -> None:
+    """Refuse with ValueError, by name, the first transfer entry A[p, q, a, b]
+    (transfer_entries) flagged by a (mask, what) of checks, then the first
+    that breaks charge conservation."""
+    charge = (SITE_CHARGES[p] + aux_charges[a] != SITE_CHARGES[q] + aux_charges[b]).any(axis=1)
+    for bad, what in (*checks, (charge, "breaks charge conservation")):
+        if bad.any():
+            e = np.argmax(bad)
+            raise ValueError(f"the transfer entry A[{p[e]}, {q[e]}, {a[e]}, {b[e]}] {what}")
+
+
 def _gib(nbytes: int) -> str:
     """nbytes in GiB to 3 significant digits. Past about 2^1054 bytes the
     float quotient overflows, so the top 64 bits are scaled in Decimal."""
@@ -110,6 +150,24 @@ def guard(nbytes: int, what: str) -> None:
             f"{what} needs about {_gib(nbytes)} GiB, over the "
             f"{MAX_CHAIN_BYTES / 2**30:g} GiB limit"
         )
+
+
+def extend(cur: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """One site of chain: the (B (PQ)^j, D) partial product cur times A[p, q, a, b]."""
+    return np.tensordot(cur, A, axes=(1, 2)).reshape(-1, A.shape[3])
+
+
+def close_sectors(prefix: np.ndarray, last: np.ndarray, n_sites: int) -> list:
+    """The (S, T) blocks, in sectors order, of the n-site chain that ends on
+    the one-row partial product prefix of its first n - 1 sites and on
+    last[p, q, a] = A_n[p, q, a, right] over the columns a of prefix: only
+    the rows that the blocks read meet the last site, four columns at a time
+    as chain multiplies its sixteen (the product kernel sums a lone column
+    in another order), so each entry is the sum that chain forms."""
+    groups, at, sizes = sector_gather(n_sites)
+    last = np.vstack([last.reshape(16, -1), np.zeros(last.shape[2])]).T
+    flat = np.concatenate([np.dot(prefix[rows], last[:, cols]).ravel() for rows, cols in groups])[at]
+    return [b.reshape(m, m) for b, m in zip(np.split(flat, np.cumsum(np.square(sizes))[:-1]), sizes)]
 
 
 def chain(tensors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -141,9 +199,7 @@ def chain(tensors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     sizes += [B * (P * Q) ** j * A.shape[3] for j, A in enumerate(tensors[:-1], 1)]
     sizes.append(2 * B * C * (P * Q) ** n)
     guard(16 * max(a + b for a, b in zip(sizes, sizes[1:])), f"{n}-site contraction")
-    cur = lrows
-    for A in tensors[:-1]:
-        cur = np.tensordot(cur, A, axes=(1, 2)).reshape(-1, A.shape[3])
+    cur = functools.reduce(extend, tensors[:-1], lrows)
     cur = np.tensordot(cur, np.tensordot(tensors[-1], rrows, axes=(3, 1)), axes=(1, 2))
     # axes (b, p_1, q_1, ..., p_n, q_n, c) -> (b, c, p_1..p_n, q_1..q_n)
     order = [0, 2 * n + 1] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))

@@ -151,8 +151,8 @@ def current_uniformity(obs: ObservableSet) -> float:
 
 def current_series(base: DrivingConfig, n_values) -> list:
     """(n, J_sigma at the first bond) for each chain length of n_values, in
-    the order given, all read from one sweep of the environment engine at the
-    longest (ness_engine.first_bonds)."""
+    the order given, read from sweeps of the environment engine at the
+    longest chains (ness_engine.first_bonds)."""
     ns = [int(n) for n in n_values]
     bonds = first_bonds(base, ns, _current_terms(SIGMA))
     return [(n, _current(bond, SIGMA, "J")) for n, bond in zip(ns, bonds)]

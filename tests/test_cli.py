@@ -192,6 +192,23 @@ def test_observe_scaling_reads_a_series_past_the_profile_store(tmp_path, capsys)
     capsys.readouterr()
 
 
+def test_observe_scaling_sweeps_again_where_one_sweep_underflows(tmp_path, capsys):
+    # in one 1600-site sweep the levels that n = 800 reads underflow, and J
+    # read nan after a numpy warning; the series sweeps 800 sites again
+    from hubbard_lax import cli
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["observe", "--n", "8", "--scaling", "100,800,1600", "--u", "2",
+                         "--gammaL", "1.5", "--gammaR", "0.7", "--muL", "0.3", "--muR", "-0.4",
+                         "--out", str(tmp_path)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    series = json.loads((tmp_path / "observe.json").read_text())["scaling"]["series"]
+    assert [n for n, _ in series] == [100, 800, 1600]
+    assert all(0 < J < 1e-3 for _, J in series)
+    capsys.readouterr()
+
+
 def test_observe_refuses_an_environment_that_would_overflow(tmp_path, capsys):
     # at u = 1e100 the pair products are finite, but the norm that rescales
     # each environment squares them past the float range: every density read
@@ -203,9 +220,9 @@ def test_observe_refuses_an_environment_that_would_overflow(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("u, message", [
-    # the Ltilde tables overflow, so the family is refused
-    ("1e200", "is not finite: Ltilde overflows"),
-    # the family is finite, but the norms of Omega overflow
+    # the transfer entries are finite, but Omega's entries overflow
+    ("1e200", "3-site transfer operator at LaxParams("),
+    # Omega is finite, but its norms overflow
     ("1e150", "3-site commutator at LaxParams("),
 ])
 def test_commute_refuses_an_overflow(tmp_path, capsys, u, message):
@@ -215,6 +232,20 @@ def test_commute_refuses_an_overflow(tmp_path, capsys, u, message):
                                      "--out", str(tmp_path)], capsys)
     assert message in err
     assert not (tmp_path / "commute.json").exists()
+
+
+def test_commute_refuses_seven_sites_before_any_work(tmp_path, capsys, monkeypatch):
+    # the 7-site prefix alone would take 1.25 GiB; the guard refuses it
+    # before a transfer tensor is built
+    from hubbard_lax import cli, transfer_commutativity
+
+    def built(*args):
+        raise AssertionError("a transfer tensor was built")
+
+    monkeypatch.setattr(transfer_commutativity, "build_L", built)
+    assert cli.main(["commute", "--n", "2,7", "--out", str(tmp_path)]) == 2
+    assert "7-site prefix contraction needs about" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("n", ["300", "100000"])

@@ -4,10 +4,13 @@ These are evidence, not proof; a failure here is a reportable finding and the
 checks are kept separate from the identity tier.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hubbard_lax import transfer_commutativity
+from hubbard_lax import lax_builder, linalg, transfer_commutativity
+from hubbard_lax.aux_space import AuxVertex
 from hubbard_lax.algebra_verifier import residual_report
 from hubbard_lax.lax_builder import LaxParams, assemble_family
 from hubbard_lax.ness_engine import contract_omega, k_exact
@@ -73,14 +76,72 @@ def test_family_nested_in_cutoff():
 
 
 def test_off_sector_entry_refused(monkeypatch):
-    def broken(fam, n):
-        omega = contract_omega(fam, n)
-        omega[0, -1] += 1e-3  # between the all-up and the all-down basis states
-        return omega
+    # an X entry between 1/2+ and 1/2-, of charges (1, 0) and (0, 1), moves
+    # transfer entries off their charge; the blocks would drop them, so the
+    # probe refuses the entry by name before it contracts anything
+    x_rows = lax_builder.x_rows
 
-    monkeypatch.setattr(transfer_commutativity, "contract_omega", broken)
-    with pytest.raises(ValueError, match=r"off its \(S, T\) blocks"):
+    def defective(space, params, blocks):
+        cols, vals = x_rows(space, params, blocks)
+        i = space.index[AuxVertex(1, +1)]
+        assert cols[i, 1] == space.index[AuxVertex(1, -1)] and vals[i, 1] == 0
+        vals[i, 1] = 0.1
+        return cols, vals
+
+    def reached(*args):
+        raise AssertionError("the probe contracted a charge-breaking tensor")
+
+    monkeypatch.setattr(lax_builder, "x_rows", defective)
+    for name in ("extend", "close_sectors"):
+        monkeypatch.setattr(transfer_commutativity, name, reached)
+    with pytest.raises(ValueError, match=r"the transfer entry A\[.*\] breaks charge conservation"):
         check_commutativity([2], 1.0, sample_pairs(1))
+
+
+def test_unordered_and_repeated_lengths():
+    # one prefix serves every length, whatever their order; a repeated one
+    # is reported once, in the place it first takes
+    pairs = sample_pairs(4, seed=21)
+    got = check_commutativity((4, 1, 2, 4), 1.0, pairs)
+    assert list(got) == [4, 1, 2]
+    for n, reps in got.items():
+        for r, d in zip(reps, _dense_reports(n, 1.0, pairs), strict=True):
+            assert r.cutoff_K == d.cutoff_K
+            assert abs(r.residual_fro - d.residual_fro) <= 1e-14 * d.operand_scale
+            assert abs(r.operand_scale - d.operand_scale) <= 1e-13 * d.operand_scale
+
+
+def test_probe_traced_peak():
+    # one transfer tensor and one prefix per point, no dense family or Omega:
+    # the dense route held 2.67 MiB here
+    pairs = sample_pairs(20, seed=0)
+    check_commutativity((2, 3, 4), 1.0, pairs[:1])  # the index tables, cached
+    tracemalloc.start()
+    try:
+        check_commutativity((2, 3, 4), 1.0, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 2**20
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_probe_guard_bounds_the_peak(n, monkeypatch):
+    # the estimate the probe is guarded on bounds what it allocates: the
+    # prefixes, the index tables, the gathered rows and the blocks
+    estimates = []
+    guard = transfer_commutativity.guard
+    monkeypatch.setattr(transfer_commutativity, "guard",
+                        lambda nbytes, what: estimates.append(nbytes) or guard(nbytes, what))
+    for cached in (linalg.sectors, linalg.sector_gather):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        check_commutativity([n], 1.0, sample_pairs(1, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1 and peak <= estimates[0]
 
 
 def test_chain_lengths_below_one_refused():

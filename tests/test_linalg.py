@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from hubbard_lax import linalg
-from hubbard_lax.linalg import (PAULI, SITE_CHARGES, SPIN_LABELS, chain, lift, local4,
-                               phys_transfer_tensor, sector_chain)
+from hubbard_lax.linalg import (PAULI, SITE_CHARGES, SPIN_LABELS, chain, close_sectors, extend,
+                               lift, local4, phys_transfer_tensor, sector_chain, sectors)
 from hubbard_lax.ness_engine import DrivingConfig, ness_family
 
 
@@ -76,6 +78,22 @@ def test_sector_chain_refuses_off_charge_entry(monkeypatch):
     monkeypatch.setattr(linalg, "guard", lambda *a: pytest.fail("guard reached"))
     with pytest.raises(ValueError, match=r"tensor 2 breaks charge conservation at A\[0, 0, 0, 2\]$"):
         sector_chain([A, B, A], phys, aux, 0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_close_sectors_are_the_blocks_of_chain(n):
+    # each block entry is the sum that chain forms for it, bit for bit, from
+    # the prefix cut to the levels <= 1 that return to the root in one site
+    fam = ness_family(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, max(n, 2)))
+    A, root, m = phys_transfer_tensor(fam.L), np.eye(fam.dim)[0], fam.space.level_prefix(1)
+    prefix = functools.reduce(extend, [A] * (n - 1), root[None])
+    order, bounds = sectors(n)
+    dense = chain([A] * n, root, root)[np.ix_(order, order)]
+    blocks = close_sectors(prefix[:, :m], A[:, :, :m, 0], n)
+    assert len(blocks) == len(bounds) - 1
+    for block, lo, hi in zip(blocks, bounds, bounds[1:]):
+        assert np.array_equal(block, dense[lo:hi, lo:hi])
+    assert sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(dense)
 
 
 def test_site_charges_count_up_spins():

@@ -356,6 +356,21 @@ def test_current_series_keeps_input_order(monkeypatch):
         assert abs(J - want) <= TOL * abs(want)
 
 
+def test_current_series_sweeps_again_where_levels_underflow(monkeypatch):
+    # at this driving the levels <= 2 that n = 190, 250 and 300 read in a
+    # 400-site sweep underflow (J read nan there), so they are read from a
+    # second sweep, of 300 sites; every length matches its own sweep
+    calls = _record_transfer_builds(monkeypatch)
+    driving = (0.1, 5.0, 2.0, -2.0, 4.0)
+    ns = [190, 100, 400, 250, 300]
+    series = current_series(DrivingConfig(*driving, 4), ns)
+    assert calls == [k_exact(400), k_exact(300)]
+    assert [n for n, _ in series] == ns
+    for n, J in series:
+        want = _per_length_current(driving, n)
+        assert abs(J - want) <= TOL * abs(want), n
+
+
 @pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
 def test_current_series_matches_cross_check(driving):
     base = DrivingConfig(*driving, 4)

@@ -34,7 +34,7 @@ def test_trace_spans_resolve():
 
 
 @pytest.mark.parametrize("argv", [
-    ["commute", "--n", "2", "--pairs", "1"],
+    ["verify", "--K", "2", "--samples", "1"],
     ["ness", "--n", "2", "--u", "1"],
 ])
 def test_traced_run_keys_its_families(tmp_path, argv):
@@ -51,17 +51,18 @@ def test_traced_run_keys_its_families(tmp_path, argv):
     assert keys and all(re.fullmatch(r"\d+\|LaxParams\(.*\)", k) for k in keys), keys
 
 
-def test_traced_commute_builds_one_family_per_point(tmp_path):
-    # one pair is two parameter points: one family each, at the cutoff of
-    # the longest chain, and one Omega per point and chain length
+def test_traced_commute_builds_no_family(tmp_path):
+    # each parameter point is one transfer tensor from the level band and one
+    # prefix contraction: no dense family and no dense Omega
     spans = tmp_path / "spans.json"
     r = subprocess.run([sys.executable, str(TRACE_CHILD), str(spans), "job", "commute",
                         "--n", "2,3", "--pairs", "1", "--out", str(tmp_path / "out")],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     names = [row[0] for row in json.loads(spans.read_text())["spans"]]
-    assert names.count("lax_builder.assemble_family") == 2
-    assert names.count("ness_engine.contract_omega") == 4
+    assert "transfer_commutativity.check_commutativity" in names
+    assert names.count("lax_builder.assemble_family") == 0
+    assert names.count("ness_engine.contract_omega") == 0
 
 
 def test_traced_observe_builds_no_family(tmp_path):
