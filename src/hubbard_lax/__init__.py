@@ -4,16 +4,16 @@ auxiliary graph, with exact steady states of the boundary-driven chain.
 Subpackages are plain modules:
 
 - linalg: the single-qubit operator basis, the 4x4 site operators and
-  their charges, and the one contraction core (lift components into site
-  tensors, chain them whole or one charge sector at a time, behind a
-  peak-memory guard) that every module contracts through
+  their charges, and the dense contraction core (lift components into site
+  tensors and chain them, behind a peak-memory guard)
 - aux_space: the auxiliary vertex graph, index map, vertex charges and
   reflection
 - lax_builder: the S/T/X/Y operator tables and assembled Lax components
 - algebra_verifier: residual checks for all defining operator identities
 - hubbard_model: the physical ladder Hamiltonian as local terms, and their
   dense embedding in the chain
-- ness_engine: Omega, the steady state as charge-sector blocks, its local
+- ness_engine: Omega as charge-sector blocks (one contraction, which the
+  commutation probe reads too), the steady state from them, its local
   stationarity certificate (bulk divergence and boundary equations),
   environment engine
 - lindblad_oracle: the Lindblad generator from local terms, and its fixed

@@ -159,7 +159,10 @@ def cmd_verify(args) -> int:
     if args.u is None:
         reports = verify_suite(num_samples=samples, cutoffs=cutoffs, tol=tol, seed=seed)
     else:
-        pts = [dataclasses.replace(p, u=_real(args.u, "u")) for p in pts]
+        u = _real(args.u, "u")
+        if not math.isfinite(u):
+            raise ValueError(f"u must be finite, got {u}")
+        pts = [dataclasses.replace(p, u=u) for p in pts]
         reports = [r for K in cutoffs for p in pts for r in verify_family(p, K, tol=tol)]
     xk = [check_xk_structure(p) for p in pts]
     ok = all(r.passed for r in reports) and all(x["passed"] for x in xk)
@@ -272,6 +275,10 @@ def cmd_commute(args) -> int:
     u = _real(_merged(args, "u", 1.0), "u")
     npairs = _whole(_merged(args, "pairs", 20), "pairs")
     ns = _values(args, "n", "2,3,4", _whole)
+    if not math.isfinite(u):
+        raise ValueError(f"u must be finite, got {u}")
+    if npairs < 1:
+        raise ValueError(f"commute needs at least one pair, got {npairs}")
     pairs = sample_pairs(npairs, seed=seed)
     all_reports = {str(n): [r.as_dict() for r in reps]
                    for n, reps in check_commutativity(ns, u, pairs).items()}

@@ -27,8 +27,8 @@ algebra_verifier (any sign change below makes those residuals O(1)):
 - the bra of acute-S- X is the minus half-integer vertex.
 
 assemble_family builds each table once. The L components conserve the total
-charge, physical plus vertex (AuxSpace.charges); linalg.sector_chain, the one
-contraction that relies on it, refuses a site tensor that does not.
+charge, physical plus vertex (AuxSpace.charges); ness_engine.omega_blocks,
+the one contraction that relies on it, refuses an entry that does not.
 """
 
 from __future__ import annotations

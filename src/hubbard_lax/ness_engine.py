@@ -13,19 +13,19 @@ with M the diagonal exp(eta * sum_j (sz_j + tz_j)), eta = log(G_L/G_R)/2.
 
 Omega conserves the charges (S, T) = (sum_j sz_j, sum_j tz_j): each
 transfer component moves the charge of the auxiliary vertex
-(AuxSpace.charges) by what its physical operator adds, which
-linalg.sector_chain asserts. M is a scalar on each sector, so build_ness
-contracts Omega one (S, T) sector at a time (linalg.sector_chain) and keeps
-rho as the blocks exp(eta (S + T)) Omega_s Omega_s^dag / Z, positive
-semidefinite sector by sector; its positivity diagnostic comes from the
-singular values of the Omega_s, each released once read. The dense
-4^n x 4^n rho is assembled from the blocks only on demand (NessResult.rho),
-behind the guard: for the oracle, the Lindblad residual and the state dump,
-up to n = 6. contract_omega, the dense chain, is a cross-check that the tests
-take as the reference for the blocks of build_ness and of the commutation
-probe; its own cross-checks, a factored chain and a matrix-free product
-(tests/conftest.py), never split sectors, so the cutoff test (K against
-K + 1) compares different tensors.
+(AuxSpace.charges) by what its physical operator adds, which omega_blocks
+asserts. M is a scalar on each sector, so build_ness reads Omega as its
+(S, T) blocks (omega_blocks, the one contraction of Omega that the commands
+run, the commutation probe included) and keeps rho as the blocks
+exp(eta (S + T)) Omega_s Omega_s^dag / Z, positive semidefinite sector by
+sector; its positivity diagnostic comes from the singular values of the
+Omega_s, each overwritten by its rho_s once read. The dense 4^n x 4^n rho is
+assembled from the blocks only on demand (NessResult.rho), behind the guard:
+for the oracle, the Lindblad residual and the state dump, up to n = 6.
+contract_omega, the dense chain, is a cross-check that the tests take as the
+reference for omega_blocks; its own cross-checks, a factored chain and a
+matrix-free product (tests/conftest.py), never split sectors, so the cutoff
+test (K against K + 1) compares different tensors.
 
 Sign convention: the steady-state construction uses the family member at the
 *opposite* sign of the spectral parameter returned by map_driving_to_params.
@@ -44,10 +44,9 @@ together with the charge conservation of the bond Hamiltonian
 (check_telescoping); at the ends, one dissipative equation each, read off
 the root row and root column slabs of the doubled (bra-ket) site tensors on
 the levels <= 1 that a single site reaches (build_double_lax,
-check_boundary_conditions). Omega and the cross-check chains are all
-contracted by the one contraction core in linalg: site tensors built by
-linalg.lift, contracted whole by linalg.chain or sector by sector by
-linalg.sector_chain, both of which refuse any contraction whose peak memory
+check_boundary_conditions). The cross-check chains are contracted whole by
+linalg.chain, on site tensors built by linalg.lift, and Omega sector by
+sector by omega_blocks; both refuse any contraction whose peak memory
 estimate exceeds linalg.MAX_CHAIN_BYTES.
 
 Local expectation values in the steady state come from an environment
@@ -65,6 +64,7 @@ transfer matrices, is kept as its cross-check for short chains.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field, fields, replace
@@ -76,7 +76,7 @@ from .aux_space import AuxSpace, AuxVertex, build_aux_space
 from .hubbard_model import h_bond, h_end
 from .lax_builder import LaxFamily, LaxParams, assemble_family, build_L
 from .linalg import (SITE_CHARGES, chain, guard, local4, phys_transfer_tensor,
-                     refuse_entries, sector_chain, transfer_entries)
+                     refuse_entries, sectors, transfer_entries)
 
 RHO_MAGIC = b"NESSRHO1"
 # An environment value >= RESOLVED keeps every digit through the pair products
@@ -163,8 +163,8 @@ def _basis(dim: int, i: int) -> np.ndarray:
 
 def contract_omega(fam: LaxFamily, n_sites: int) -> np.ndarray:
     """<0+| L_1 ... L_n |0+> as one dense 4^n x 4^n matrix, by linalg.chain:
-    a cross-check that no command runs, kept as the tests' reference for the
-    sector blocks of build_ness and of the commutation probe."""
+    a cross-check that no command runs, kept as the tests' reference for
+    omega_blocks."""
     e0 = _basis(fam.dim, _root_index(fam.space))
     return chain([phys_transfer_tensor(fam.L)] * n_sites, e0, e0)
 
@@ -193,6 +193,125 @@ def require_state(n_sites: int, dense: bool = False) -> None:
     guard(16 * math.comb(2 * n_sites, n_sites) ** 2, f"{n_sites}-site sector blocks")
     if dense:
         guard(16 * 16 ** n_sites, f"a dense {n_sites}-site state")
+
+
+# The charge of the root 0+, the one vertex at level 0.
+ROOT = (0, 0)
+
+
+@functools.lru_cache
+def _plan(K: int, N: int) -> tuple:
+    """What omega_blocks contracts for chains of up to N sites on the
+    cutoff-K space, which the vertex charges fix alone. Returns
+    (span, steps, tables, sizes):
+    - span[c]: the vertices of charge c, adjacent in the basis: (k, k) holds
+      k- and k+, each half-integer vertex has a charge of its own;
+    - steps[j - 1][e]: the pieces (d, p, q, lo, hi) of the rows of charge e
+      after j sites: rows lo:hi are those of charge d after j - 1 sites
+      through A[p, q]. A charge is kept while its level, half the sum of its
+      charges, is <= min(j, N - j), so that it can still return to the root;
+    - tables[n]: where the entry (P, Q) of the n-site Omega lies in its
+      blocks (linalg.sectors order, each row-major, one after the other):
+      col[P // 4, P % 4] + rank[Q // 4, Q % 4];
+    - sizes[j]: the entries held after j < N sites, each row's values and
+      its label (P, Q), two int64 the size of one complex value.
+    """
+    span = {}
+    for i, c in enumerate(map(tuple, build_aux_space(K).charges().tolist())):
+        assert c not in span or span[c].stop == i, "the vertices of a charge are not adjacent"
+        span[c] = slice(span[c].start if c in span else i, i + 1)
+    moves = {(p, q): (SITE_CHARGES[p] - SITE_CHARGES[q]).tolist() for p, q in np.ndindex(4, 4)}
+    rows, steps, sizes = {ROOT: 1}, [], [2]
+    for j in range(1, N + 1):
+        step, new = {}, {}
+        for d, m in rows.items():
+            for (p, q), (s, t) in moves.items():
+                e = (d[0] + s, d[1] + t)
+                if e in span and sum(e) <= 2 * min(j, N - j):
+                    lo = new.get(e, 0)
+                    new[e] = lo + m
+                    step.setdefault(e, []).append((d, p, q, lo, lo + m))
+        steps.append(step)
+        rows = new
+        sizes.append(sum(m * (span[e].stop - span[e].start + 1) for e, m in rows.items()))
+    tables = {}
+    for n in range(1, N + 1):
+        order, bounds = sectors(n)
+        col, rank = np.empty((2, 4 ** n), dtype=np.int64)
+        at = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            rank[order[lo:hi]] = np.arange(hi - lo)
+            col[order[lo:hi]] = at + (hi - lo) * np.arange(hi - lo)
+            at += (hi - lo) ** 2
+        tables[n] = col.reshape(-1, 4), rank.reshape(-1, 4)
+    return span, steps, tables, sizes[:-1]
+
+
+def omega_blocks(space: AuxSpace, params: LaxParams, ns) -> dict:
+    """{n: the (S, T) blocks of the n-site Omega = <0+| L_1 ... L_n |0+> at
+    params} for the lengths ns, in linalg.sectors order, each over its
+    sector's states in increasing order: the one contraction of Omega that
+    the commands run (build_ness and the commutation probe).
+
+    The transfer tensor A[p, q, a, b] comes from the nonzeros of
+    lax_builder.build_L on space, whose cutoff must be at least
+    k_exact(max(ns)); an entry that breaks the charge is refused by name.
+    <0+| A ... A is contracted once from the root for every length. After j
+    sites it is held as one row per string of (p, q), labelled by its row
+    and column states (P, Q); the string's charges fix those of its
+    auxiliary vertex, so the rows are grouped by charge and stored on the
+    vertices of their charge alone (_plan). Each site costs one product per
+    (charge, p, q), written into the rows of its group; each n-site Omega is
+    read off the rows after n - 1 sites that site n returns to the root. An
+    Omega that overflows is refused with ValueError.
+
+    Refused with MemoryError: before anything is built, blocks that pass the
+    guard (require_state); once the O(dim) entries are checked and the rows
+    planned, before the tensor or any row is allocated, an estimate that
+    does. It counts the blocks four times (two points' blocks and the
+    commutator and its flattening that the probe forms, or rho that
+    build_ness forms in their place), the entries of the largest site four
+    times (two sites, the gathered indices and products of one group), eight
+    entries per state of N sites for the tables of _plan and linalg.sectors,
+    and 1 MiB for the rest."""
+    N = max(ns)
+    require_state(N)
+    p, q, a, b, val = transfer_entries(build_L(space, params), space.dim)
+    refuse_entries(p, q, a, b, space.charges())
+    span, steps, tables, sizes = _plan(space.cutoff_K, N)
+    blocks = {n: math.comb(2 * n, n) ** 2 for n in ns}
+    guard(16 * (4 * sum(blocks.values()) + 4 * max(sizes) + 8 * 4 ** N) + (1 << 20),
+          f"{N}-site sector contraction")
+    A = np.zeros((4, 4, space.dim, space.dim), dtype=complex)
+    A[p, q, a, b] = val
+    flat = {n: np.zeros(m, dtype=complex) for n, m in blocks.items()}
+    groups = {ROOT: (np.ones((1, 1), dtype=complex), np.zeros((1, 2), dtype=np.int64))}
+    i0 = span[ROOT].start
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for n, step in enumerate(steps, 1):  # groups: the rows after n - 1 sites
+            if n in flat:
+                col, rank = tables[n]
+                for d, p, q, _, _ in step[ROOT]:
+                    x, lab = groups[d]
+                    flat[n][col[lab[:, 0], p] + rank[lab[:, 1], q]] = x @ A[p, q, span[d], i0]
+            if n == N:
+                break
+            new = {}
+            for e, pieces in step.items():
+                x = np.empty((pieces[-1][4], span[e].stop - span[e].start), dtype=complex)
+                lab = np.empty((pieces[-1][4], 2), dtype=np.int64)
+                for d, p, q, lo, hi in pieces:
+                    x[lo:hi] = groups[d][0] @ A[p, q, span[d], span[e]]
+                    lab[lo:hi] = 4 * groups[d][1] + (p, q)
+                new[e] = x, lab
+            groups = new
+    out = {}
+    for n in sorted(flat):
+        if not np.isfinite(flat[n]).all():
+            raise ValueError(f"the {n}-site transfer operator at {params} overflows")
+        dims = np.diff(sectors(n)[1])
+        out[n] = [b.reshape(m, m) for b, m in zip(np.split(flat[n], np.cumsum(dims ** 2)[:-1]), dims)]
+    return out
 
 
 def _dense(n_sites: int, rows: list, blocks: list) -> np.ndarray:
@@ -227,41 +346,31 @@ def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None) -> NessResult:
 
     Omega conserves (S, T) and M is the scalar exp(eta (S + T)) on each
     sector, so rho_s = exp(eta (S + T)) Omega_s Omega_s^dag / Z with Omega_s
-    from linalg.sector_chain. Its eigenvalues are exp(eta (S + T))
-    sigma^2 / Z over the singular values sigma of Omega_s, which resolve the
-    smallest one to eps sigma_max, so positivity_min_eig is read far below
-    the eps ||rho|| floor of a dense eigensolver. Each Omega_s is released
-    once its rho_s and sigma_min are read."""
+    from omega_blocks. Its eigenvalues are exp(eta (S + T)) sigma^2 / Z over
+    the singular values sigma of Omega_s, which resolve the smallest one to
+    eps sigma_max, so positivity_min_eig is read far below the eps ||rho||
+    floor of a dense eigensolver. Each rho_s is written over its Omega_s once
+    sigma_min is read."""
     n = cfg.n_sites
     fam = ness_family(cfg) if fam is None else fam
-    i0 = _root_index(fam.space)
-    sectors = sector_chain([phys_transfer_tensor(fam.L)] * n, SITE_CHARGES,
-                           fam.space.charges(), i0, i0)
-    # the blocks, each rho_s in place of its Omega_s, two blocks'
-    # temporaries at a time, and (1 MiB) the index arrays and the diagonal of M
-    sizes = [om.size for _, _, om in sectors]
-    guard(16 * (sum(sizes) + 2 * max(sizes)) + (1 << 20), f"{n}-site sector blocks")
+    blocks = omega_blocks(fam.space, fam.params, [n])[n]
+    order, bounds = sectors(n)
+    rows = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     _, _, eta = map_driving_to_params(cfg)
-    weights = m_diag(n, eta)[[r[0] for r, _, _ in sectors]]
-    rows, blocks, smallest = [], [], []
-    for w in weights:
-        r, _, om = sectors.pop(0)
-        rows.append(r)
-        blocks.append(w * (om @ om.conj().T))
+    smallest = []
+    for w, om in zip(m_diag(n, eta)[[r[0] for r in rows]], blocks):
         smallest.append(w * np.linalg.svd(om, compute_uv=False)[-1] ** 2)
+        om[...] = w * (om @ om.conj().T)
     tr = sum(np.trace(b).real for b in blocks)
     if tr == 0.0:
         raise RuntimeError("trace of Omega Omega^dag M vanished; inconsistent input")
     for b in blocks:
         b /= tr
-    smallest = [s / tr for s in smallest]
-    if sum(map(len, rows)) < 4 ** n:
-        smallest.append(0.0)  # a sector that Omega does not reach
     diag = {
         "hermiticity": float(np.sqrt(sum(np.linalg.norm(b - b.conj().T) ** 2 for b in blocks)
                                      / sum(np.linalg.norm(b) ** 2 for b in blocks))),
         "trace_deviation": float(abs(sum(np.trace(b) for b in blocks) - 1.0)),
-        "positivity_min_eig": float(min(smallest)),
+        "positivity_min_eig": float(min(smallest) / tr),
     }
     return NessResult(cfg=cfg, rows=rows, rho_blocks=blocks, eta=float(eta), diagnostics=diag)
 

@@ -234,17 +234,61 @@ def test_commute_refuses_an_overflow(tmp_path, capsys, u, message):
     assert not (tmp_path / "commute.json").exists()
 
 
-def test_commute_refuses_seven_sites_before_any_work(tmp_path, capsys, monkeypatch):
-    # the 7-site prefix alone would take 1.25 GiB; the guard refuses it
+def test_commute_refuses_eight_sites_before_any_work(tmp_path, capsys, monkeypatch):
+    # the 8-site blocks alone would take 2.5 GiB; the guard refuses them
     # before a transfer tensor is built
-    from hubbard_lax import cli, transfer_commutativity
+    from hubbard_lax import cli, ness_engine
 
     def built(*args):
         raise AssertionError("a transfer tensor was built")
 
-    monkeypatch.setattr(transfer_commutativity, "build_L", built)
-    assert cli.main(["commute", "--n", "2,7", "--out", str(tmp_path)]) == 2
-    assert "7-site prefix contraction needs about" in capsys.readouterr().err
+    monkeypatch.setattr(ness_engine, "build_L", built)
+    assert cli.main(["commute", "--n", "2,8", "--out", str(tmp_path)]) == 2
+    assert "8-site sector blocks needs about" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_commute_refuses_a_huge_chain_at_once(tmp_path, capsys):
+    # the blocks' bound is read before the rows are planned, which takes
+    # time as n^2
+    from hubbard_lax import cli
+
+    start = time.perf_counter()
+    assert cli.main(["commute", "--n", "100000", "--pairs", "1", "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 2
+    assert "100000-site sector blocks needs about" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_commute_refuses_to_check_no_pair(tmp_path, capsys, monkeypatch, pairs):
+    # no pair forms no commutator, so all_within_tolerance would be vacuous
+    from hubbard_lax import cli, ness_engine
+
+    def built(*args):
+        raise AssertionError("a transfer tensor was built")
+
+    monkeypatch.setattr(ness_engine, "build_L", built)
+    assert cli.main(["commute", "--pairs", pairs, "--out", str(tmp_path)]) == 2
+    assert f"commute needs at least one pair, got {pairs}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["commute", "--n", "2", "--pairs", "1"],
+                                  ["verify", "--K", "2", "--samples", "1"]])
+@pytest.mark.parametrize("u", ["nan", "inf", "-inf"])
+def test_non_finite_u_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, u):
+    # NaN times a tensor's zeros would otherwise be refused by a wrong reason:
+    # a broken charge, or a family that is not finite
+    from hubbard_lax import cli, lax_builder, ness_engine
+
+    def built(*args):
+        raise AssertionError("a family or a transfer tensor was built")
+
+    for module in (lax_builder, ness_engine):
+        monkeypatch.setattr(module, "build_L", built)
+    assert cli.main([*argv, f"--u={u}", "--out", str(tmp_path)]) == 2
+    assert f"u must be finite, got {u}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

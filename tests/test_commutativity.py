@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hubbard_lax import lax_builder, linalg, transfer_commutativity
+from hubbard_lax import lax_builder, linalg, ness_engine
 from hubbard_lax.aux_space import AuxVertex
 from hubbard_lax.algebra_verifier import residual_report
 from hubbard_lax.lax_builder import LaxParams, assemble_family
@@ -88,12 +88,11 @@ def test_off_sector_entry_refused(monkeypatch):
         vals[i, 1] = 0.1
         return cols, vals
 
-    def reached(*args):
-        raise AssertionError("the probe contracted a charge-breaking tensor")
+    def planned(*args):
+        raise AssertionError("the probe planned a charge-breaking contraction")
 
     monkeypatch.setattr(lax_builder, "x_rows", defective)
-    for name in ("extend", "close_sectors"):
-        monkeypatch.setattr(transfer_commutativity, name, reached)
+    monkeypatch.setattr(ness_engine, "_plan", planned)
     with pytest.raises(ValueError, match=r"the transfer entry A\[.*\] breaks charge conservation"):
         check_commutativity([2], 1.0, sample_pairs(1))
 
@@ -112,10 +111,10 @@ def test_unordered_and_repeated_lengths():
 
 
 def test_probe_traced_peak():
-    # one transfer tensor and one prefix per point, no dense family or Omega:
-    # the dense route held 2.67 MiB here
+    # one transfer tensor and one contraction per point, no dense family or
+    # Omega: the dense route held 2.67 MiB here
     pairs = sample_pairs(20, seed=0)
-    check_commutativity((2, 3, 4), 1.0, pairs[:1])  # the index tables, cached
+    check_commutativity((2, 3, 4), 1.0, pairs[:1])  # the plan and its tables, cached
     tracemalloc.start()
     try:
         check_commutativity((2, 3, 4), 1.0, pairs)
@@ -127,13 +126,19 @@ def test_probe_traced_peak():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_probe_guard_bounds_the_peak(n, monkeypatch):
-    # the estimate the probe is guarded on bounds what it allocates: the
-    # prefixes, the index tables, the gathered rows and the blocks
+    # the estimate the contraction is guarded on bounds what the probe
+    # allocates: the plan and its tables, the rows, both points' blocks and
+    # their commutator
     estimates = []
-    guard = transfer_commutativity.guard
-    monkeypatch.setattr(transfer_commutativity, "guard",
-                        lambda nbytes, what: estimates.append(nbytes) or guard(nbytes, what))
-    for cached in (linalg.sectors, linalg.sector_gather):
+    guard = ness_engine.guard
+
+    def recorded(nbytes, what):
+        if "sector contraction" in what:
+            estimates.append(nbytes)
+        guard(nbytes, what)
+
+    monkeypatch.setattr(ness_engine, "guard", recorded)
+    for cached in (ness_engine._plan, linalg.sectors):
         cached.cache_clear()
     tracemalloc.start()
     try:
@@ -141,7 +146,7 @@ def test_probe_guard_bounds_the_peak(n, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(estimates) == 1 and peak <= estimates[0]
+    assert len(estimates) == 2 and peak <= min(estimates)
 
 
 def test_chain_lengths_below_one_refused():

@@ -1,12 +1,11 @@
-import functools
-
 import numpy as np
 import pytest
 
-from hubbard_lax import linalg
-from hubbard_lax.linalg import (PAULI, SITE_CHARGES, SPIN_LABELS, chain, close_sectors, extend,
-                               lift, local4, phys_transfer_tensor, sector_chain, sectors)
-from hubbard_lax.ness_engine import DrivingConfig, ness_family
+from hubbard_lax.lax_builder import LaxParams, assemble_family
+from hubbard_lax.linalg import (PAULI, SITE_CHARGES, SPIN_LABELS, chain, lift, local4,
+                               phys_transfer_tensor, sectors)
+from hubbard_lax.ness_engine import DrivingConfig, k_exact, ness_family, omega_blocks
+from hubbard_lax.transfer_commutativity import sample_pairs
 
 
 def test_pauli_algebra():
@@ -39,61 +38,24 @@ def test_transfer_tensor_matches_kron_reference(n):
     assert np.array_equal(phys_transfer_tensor(fam.L), ref)
 
 
-def _charged_tensor():
-    """A random site tensor that conserves one integer charge, with its
-    physical and auxiliary charges."""
-    rng = np.random.default_rng(5)
-    aux = np.array([[0], [1], [-1], [1], [2]])
-    phys = np.array([[1], [0], [0], [-1]])
-    keep = (phys[:, None, None, None, 0] + aux[None, None, :, None, 0]
-            == phys[None, :, None, None, 0] + aux[None, None, None, :, 0])
-    A = np.where(keep, rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape), 0)
-    return A, phys, aux
-
-
-@pytest.mark.parametrize("left, right", [(0, 0), (1, 2), (3, 0)])
-def test_sector_chain_matches_chain(left, right):
-    # with distinct boundary charges too, the sectors hold every entry of the
-    # dense product
-    A, phys, aux = _charged_tensor()
-    e = np.eye(5)
-    for n in (1, 2, 4):
-        want = chain([A] * n, e[left], e[right])
-        assert np.linalg.norm(want) > 0
-        got = np.zeros_like(want)
-        seen = 0
-        for rows, cols, block in sector_chain([A] * n, phys, aux, left, right):
-            got[np.ix_(rows, cols)] = block
-            seen += block.size
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-        assert np.count_nonzero(want) <= seen < want.size
-
-
-def test_sector_chain_refuses_off_charge_entry(monkeypatch):
-    # phys 0 + aux 0 = 1 but phys 0 + aux 2 = 0: the sectors would drop this
-    # entry, so it is refused before the contraction plans or allocates
-    A, phys, aux = _charged_tensor()
-    B = A.copy()
-    B[0, 0, 0, 2] = 0.5
-    monkeypatch.setattr(linalg, "guard", lambda *a: pytest.fail("guard reached"))
-    with pytest.raises(ValueError, match=r"tensor 2 breaks charge conservation at A\[0, 0, 0, 2\]$"):
-        sector_chain([A, B, A], phys, aux, 0, 0)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_close_sectors_are_the_blocks_of_chain(n):
-    # each block entry is the sum that chain forms for it, bit for bit, from
-    # the prefix cut to the levels <= 1 that return to the root in one site
+def test_omega_blocks_match_chain(n):
+    # the blocks hold every entry of the dense chain, which vanishes between
+    # sectors: on a ness family, and at probe points from the cutoff of a
+    # longer chain, as check_commutativity reads them
     fam = ness_family(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, max(n, 2)))
-    A, root, m = phys_transfer_tensor(fam.L), np.eye(fam.dim)[0], fam.space.level_prefix(1)
-    prefix = functools.reduce(extend, [A] * (n - 1), root[None])
+    points = [(fam, [n])] + [(assemble_family(k_exact(4), LaxParams(lam, om, 1.0)), [n, 4])
+                             for pair in sample_pairs(2, seed=3) for lam, om in pair]
     order, bounds = sectors(n)
-    dense = chain([A] * n, root, root)[np.ix_(order, order)]
-    blocks = close_sectors(prefix[:, :m], A[:, :, :m, 0], n)
-    assert len(blocks) == len(bounds) - 1
-    for block, lo, hi in zip(blocks, bounds, bounds[1:]):
-        assert np.array_equal(block, dense[lo:hi, lo:hi])
-    assert sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(dense)
+    for f, ns in points:
+        root = np.eye(f.dim)[0]
+        want = chain([phys_transfer_tensor(f.L)] * n, root, root)
+        got = np.zeros_like(want)
+        blocks = omega_blocks(f.space, f.params, ns)[n]
+        assert len(blocks) == len(bounds) - 1
+        for block, lo, hi in zip(blocks, bounds, bounds[1:]):
+            got[np.ix_(order[lo:hi], order[lo:hi])] = block
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_site_charges_count_up_spins():

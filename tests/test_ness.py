@@ -20,7 +20,7 @@ from conftest import (
 from hubbard_lax import lax_builder, linalg, ness_engine
 from hubbard_lax.aux_space import AuxVertex
 from hubbard_lax.lax_builder import assemble_family
-from hubbard_lax.linalg import SITE_CHARGES, chain, local4, phys_transfer_tensor
+from hubbard_lax.linalg import chain, local4
 from hubbard_lax.ness_engine import (
     DrivingConfig,
     _yy,
@@ -203,7 +203,7 @@ def test_positivity_from_sector_singular_values(n):
 def test_off_charge_entry_refused_before_contraction(monkeypatch):
     # an X entry between 1/2+ and 1/2-, of charges (1, 0) and (0, 1), moves
     # L entries off their charge; the sector contraction must refuse the
-    # tensor before it plans or allocates, and so before its guard
+    # entry by name before it plans or allocates, and so before its guard
     x_rows = lax_builder.x_rows
 
     def defective(space, params, blocks):
@@ -213,12 +213,12 @@ def test_off_charge_entry_refused_before_contraction(monkeypatch):
         vals[i, 1] = 0.1
         return cols, vals
 
-    def guarded(*args):
-        raise AssertionError("the sector contraction reached its guard")
+    def planned(*args):
+        raise AssertionError("the sector contraction was planned")
 
     monkeypatch.setattr(lax_builder, "x_rows", defective)
-    monkeypatch.setattr(linalg, "guard", guarded)
-    with pytest.raises(ValueError, match="site tensor 1 breaks charge conservation"):
+    monkeypatch.setattr(ness_engine, "_plan", planned)
+    with pytest.raises(ValueError, match=r"the transfer entry A\[.*\] breaks charge conservation"):
         build_ness(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3))
 
 
@@ -238,25 +238,23 @@ def test_six_site_state_memory():
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_sector_guards_bound_the_peaks(n, monkeypatch):
-    # the contraction's guard bounds what the contraction allocates, and the
-    # larger of the two guards of build_ness what build_ness allocates
+    # the contraction's guard bounds what build_ness allocates, its plan and
+    # tables included
     estimates = {}
-    guard = linalg.guard
+    guard = ness_engine.guard
 
     def recorded(nbytes, what):
         estimates[what.split("-site ")[1]] = nbytes
         guard(nbytes, what)
 
-    monkeypatch.setattr(linalg, "guard", recorded)
     monkeypatch.setattr(ness_engine, "guard", recorded)
     cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
     fam = ness_family(cfg)
-    A, root = phys_transfer_tensor(fam.L), fam.space.index[AuxVertex(0, +1)]
-    peak = _traced_peak(linalg.sector_chain, [A] * n, SITE_CHARGES, fam.space.charges(), root, root)
-    assert peak <= estimates["sector contraction"]
+    for cached in (ness_engine._plan, linalg.sectors):
+        cached.cache_clear()
     peak = _traced_peak(build_ness, cfg, fam)
     assert set(estimates) == {"sector contraction", "sector blocks"}
-    assert peak <= max(estimates.values())
+    assert peak <= estimates["sector contraction"]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_traced_run_keys_its_families(tmp_path, argv):
 
 def test_traced_commute_builds_no_family(tmp_path):
     # each parameter point is one transfer tensor from the level band and one
-    # prefix contraction: no dense family and no dense Omega
+    # sector contraction: no dense family and no dense Omega
     spans = tmp_path / "spans.json"
     r = subprocess.run([sys.executable, str(TRACE_CHILD), str(spans), "job", "commute",
                         "--n", "2,3", "--pairs", "1", "--out", str(tmp_path / "out")],
@@ -63,6 +63,27 @@ def test_traced_commute_builds_no_family(tmp_path):
     assert "transfer_commutativity.check_commutativity" in names
     assert names.count("lax_builder.assemble_family") == 0
     assert names.count("ness_engine.contract_omega") == 0
+
+
+def test_ness_and_commute_share_one_contraction(tmp_path, monkeypatch, capsys):
+    # build_ness and the commutation probe read Omega's blocks through one
+    # function, once per state and once per parameter point
+    from hubbard_lax import cli, ness_engine, transfer_commutativity
+
+    assert transfer_commutativity.omega_blocks is ness_engine.omega_blocks
+    calls = []
+    core = ness_engine.omega_blocks
+
+    def counted(space, params, ns):
+        calls.append(sorted(ns))
+        return core(space, params, ns)
+
+    for module in (ness_engine, transfer_commutativity):
+        monkeypatch.setattr(module, "omega_blocks", counted)
+    assert cli.main(["ness", "--n", "3", "--u", "2", "--out", str(tmp_path)]) == 0
+    assert calls == [[3]]
+    assert cli.main(["commute", "--n", "2,3", "--pairs", "1", "--out", str(tmp_path)]) == 0
+    assert calls == [[3], [2, 3], [2, 3]]
 
 
 def test_traced_observe_builds_no_family(tmp_path):
