@@ -12,10 +12,13 @@ transfer components
 
 where primes/backticks denote the acute/grave operators recovered through
 X^{-1}. S and X are built as their rows, one entry per row of S^s at most
-and two per row of X, so L^{st} has at most two per row: build_L forms the
-transfer components alone from those rows, as their nonzeros, in O(dim)
-time and memory, for the environment engine. assemble_family lays every
-table out as a dense numpy array for the dense routes, L from build_L.
+and two per row of X, so L^{st} has at most two per row. Where those
+entries lie depends on the cutoff alone, and only their values on
+(lambda, omega, u): transfer_plan lays out, once per cutoff, the entries of
+S, X, L and of the transfer tensor, and build_L and transfer_entries form
+only their values at a point, in O(dim) time and memory, for the sector
+contraction and the environment engine. assemble_family lays every table
+out as a dense numpy array for the dense routes, L from build_L.
 
 Conventions that matter and are pinned by the residual checks in
 algebra_verifier (any sign change below makes those residuals O(1)):
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aux_space import AuxSpace, AuxVertex, build_aux_space, spin_flip_aux, spin_flip_index
-from .linalg import SPIN_LABELS
+from .linalg import SPIN_LABELS, local4, one_plan_cache
 
 SQRT2 = np.sqrt(2.0)
 
@@ -124,44 +127,133 @@ def _dense(space: AuxSpace, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return mat
 
 
+# (S0, Sz) by (integer level?, sign, parity of the integer part m of the level);
+# LAM marks the entries that hold lambda
+LAM = None
+_DIAG = {(True, +1, 0): (1.0, 0.0), (True, +1, 1): (0.0, 1.0),
+         (True, -1, 0): (LAM, 1.0), (True, -1, 1): (1.0, LAM),
+         (False, +1, 0): (1.0, LAM), (False, +1, 1): (LAM, 1.0),
+         (False, -1, 0): (1.0, 0.0), (False, -1, 1): (0.0, 1.0)}
+
+
+def _read_only(x):
+    """Make every array in x, an array or a tuple or dict of them, read-only."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    for y in x.values() if isinstance(x, dict) else x if isinstance(x, tuple) else ():
+        _read_only(y)
+
+
+class TransferPlan:
+    """What of the transfer components L^{st} = S^s T^t X and of their
+    transfer tensor the cutoff fixes alone (transfer_plan), read-only:
+
+    - s_cols[i, a]: the column of row a of S^s (s = SPIN_LABELS[i]); its
+      value is lambda where s_lam, else s_const (0 where the row is empty);
+    - x_cols: the columns of the rows of X (x_rows); half, half_sign: the
+      half-integer rows and their sign (-1)^m; block_rows, block_sign: the
+      rows k-, k+ of each X_k, k = 1..K, and (-1)^k;
+    - parts[(s, t)] = (rows, cols, slice): the entries of L^{st} and where
+      their values lie in the one array that build_L forms,
+      S[ia] * S[ib] * X[ix] over the flattened tables, (ia, ib, ix) = gather;
+    - entries = (p, q, a, b): the entries of the transfer tensor, each once,
+      in lexicographic order; the part n of them is coef[n] values[src[n]],
+      summed into entry slot[n] in this order (transfer_entries);
+    - space and charges: the cutoff-K space and its AuxSpace.charges.
+
+    L keeps every entry that is nonzero at some point: it drops only the
+    empty rows of S and the padding column of x_rows, so an entry that
+    vanishes at one point (lambda = 0, u = 0) is held as an explicit zero.
+
+    Its arrays are read-only, since one plan serves every caller. (A plain
+    class: a dataclass of these fields would add 2 ms to every import.)"""
+
+    def __init__(self, **fields):
+        vars(self).update(fields)
+        _read_only(tuple(fields.values()))
+
+
+@one_plan_cache
+def transfer_plan(K: int) -> TransferPlan:
+    """The TransferPlan of the cutoff-K space, built once per cutoff."""
+    space = build_aux_space(K)
+    dim, idx, g = space.dim, np.arange(space.dim), spin_flip_index(space)
+    s_cols, s_const = np.tile(idx, (4, 1)), np.zeros((4, dim), dtype=complex)
+    s_lam = np.zeros((4, dim), dtype=bool)
+    for k in range(K):  # plaquette K lies past the cutoff
+        kp, khp, khm, k1m = (space.index[v] for v in _plaquette(k))
+        s_cols[0, [kp, khm]], s_const[0, [kp, khm]] = [khp, k1m], SQRT2
+        s_cols[1, [khp, k1m]], s_const[1, [khp, k1m]] = [kp, khm], SQRT2 * (-1) ** k
+    for i, v in enumerate(space.vertices):
+        for row, entry in enumerate(_DIAG[v.is_integer, v.sign, v.twice_level // 2 % 2], 2):
+            s_lam[row, i], s_const[row, i] = entry is LAM, entry or 0.0
+    s_live = s_lam | (s_const != 0)
+    # X: one entry per row at column 0, two on the rows of the integer blocks
+    x_cols, x_live = np.stack([idx, (idx + 1) % dim], axis=1), np.zeros((dim, 2), dtype=bool)
+    x_live[:, 0] = True
+    block_rows = np.array([space.index[AuxVertex(2 * k, sign)]
+                           for k in range(1, K + 1) for sign in (-1, +1)], dtype=np.int64)
+    pairs = block_rows.reshape(-1, 2)
+    x_cols[pairs[:, 0]] = x_cols[pairs[:, 1]] = pairs
+    x_live[block_rows] = True
+    half = [(i, (-1) ** (v.twice_level // 2)) for i, v in enumerate(space.vertices)
+            if not v.is_integer]
+    # L^{st}: row a of S^s T^t holds S^s[a] T^t at column g[ct[g[cs[a]]]]
+    parts, gather, start = {}, [], 0
+    for (i, s), (j, t) in itertools.product(enumerate(SPIN_LABELS), repeat=2):
+        a = np.flatnonzero(s_live[i] & s_live[j, g[s_cols[i]]])
+        ga = g[s_cols[i, a]]
+        x, slot = np.nonzero(x_live[g[s_cols[j, ga]]])
+        xr = g[s_cols[j, ga]][x]  # the row of X
+        rows, cols = a[x], x_cols[xr, slot]
+        parts[s, t] = rows, cols, slice(start, start + len(rows))
+        gather.append((i * dim + a[x], j * dim + ga[x], 2 * xr + slot))
+        start += len(rows)
+    # the transfer tensor: every component times each nonzero of its sigma^s tau^t
+    key, src, coef = [], [], []
+    for st, (rows, cols, sl) in parts.items():
+        for p, q in zip(*np.nonzero(local4(*st))):
+            key.append(((p * 4 + q) * dim + rows) * dim + cols)
+            src.append(np.arange(sl.start, sl.stop, dtype=np.int32))
+            coef.append(np.full(len(rows), local4(*st)[p, q].real))  # +-1
+    key, slot = np.unique(np.concatenate(key), return_inverse=True)
+    half, half_sign = np.array(half).T
+    return TransferPlan(
+        space=space, charges=space.charges(), s_cols=s_cols, s_const=s_const, s_lam=s_lam,
+        x_cols=x_cols, half=half, half_sign=half_sign, block_rows=block_rows,
+        block_sign=(-1) ** np.arange(1, K + 1), parts=parts,
+        gather=tuple(np.concatenate(x).astype(np.int32) for x in zip(*gather)),
+        src=np.concatenate(src), coef=np.concatenate(coef), slot=slot,
+        entries=np.unravel_index(key, (4, 4, dim, dim)))
+
+
+def _s_values(plan: TransferPlan, lam) -> np.ndarray:
+    """The values of the four S tables at spectral parameter lam, (4, dim)."""
+    return np.where(plan.s_lam, lam, plan.s_const)
+
+
 def build_S(space: AuxSpace, params: LaxParams) -> dict:
     """The four S components, each as its rows (cols, vals): row a holds
     vals[a] at column cols[a] alone. S+ and S- realize two disjoint
     fermionic raising/lowering pairs per plaquette with amplitude sqrt(2)
     and the staggered (-1)^k sign on S-; S0 and Sz are diagonal, with
     entries in {0, 1, lambda} depending on level parity and sign."""
-    lam = params.lam
-    S = {s: (np.arange(space.dim), np.zeros(space.dim, dtype=complex)) for s in SPIN_LABELS}
-    for k in range(space.cutoff_K):  # plaquette K lies past the cutoff
-        kp, khp, khm, k1m = (space.index[v] for v in _plaquette(k))
-        S["+"][0][[kp, khm]], S["+"][1][[kp, khm]] = [khp, k1m], SQRT2
-        S["-"][0][[khp, k1m]], S["-"][1][[khp, k1m]] = [kp, khm], SQRT2 * (-1) ** k
-    # (S0, Sz) by (integer level?, sign, parity of the integer part m of the level)
-    diag = {(True, +1, 0): (1.0, 0.0), (True, +1, 1): (0.0, 1.0),
-            (True, -1, 0): (lam, 1.0), (True, -1, 1): (1.0, lam),
-            (False, +1, 0): (1.0, lam), (False, +1, 1): (lam, 1.0),
-            (False, -1, 0): (1.0, 0.0), (False, -1, 1): (0.0, 1.0)}
-    for i, v in enumerate(space.vertices):
-        S["0"][1][i], S["z"][1][i] = diag[v.is_integer, v.sign, v.twice_level // 2 % 2]
-    return S
+    plan = transfer_plan(space.cutoff_K)
+    return dict(zip(SPIN_LABELS, zip(plan.s_cols, _s_values(plan, params.lam))))
 
 
-def x_rows(space: AuxSpace, params: LaxParams, blocks: list):
+def x_rows(space: AuxSpace, params: LaxParams, blocks):
     """X = |0+><0+| + sum_k (-1)^k X_k on span{k-, k+} (k >= 1)
     + omega sum over half-integer vertices of (-1)^m on both signs, where
     m + 1/2 is the half-integer level, as its rows (cols, vals), each
     (dim, 2): row a holds vals[a, i] at column cols[a, i]; a row with one
-    entry holds a zero at the next column."""
-    idx = np.arange(space.dim)
-    cols, vals = np.stack([idx, (idx + 1) % space.dim], axis=1), np.zeros((space.dim, 2), complex)
+    entry holds a zero at the next column. blocks[k] is X_k, k = 0..K."""
+    plan = transfer_plan(space.cutoff_K)
+    vals = np.zeros((space.dim, 2), dtype=complex)
     vals[space.index[AuxVertex(0, +1)], 0] = 1.0
-    for i, v in enumerate(space.vertices):
-        if not v.is_integer:
-            vals[i, 0] = params.omega * (-1) ** (v.twice_level // 2)
-    for k, b in enumerate(blocks[1:], 1):
-        i = [space.index[AuxVertex(2 * k, sign)] for sign in (-1, +1)]
-        cols[i], vals[i] = i, (-1) ** k * b
-    return cols, vals
+    vals[plan.half, 0] = params.omega * plan.half_sign
+    vals[plan.block_rows] = (plan.block_sign[:, None, None] * np.asarray(blocks[1:])).reshape(-1, 2)
+    return plan.x_cols, vals
 
 
 def build_X(space: AuxSpace, params: LaxParams):
@@ -173,7 +265,7 @@ def build_X(space: AuxSpace, params: LaxParams):
     blocks = [xk_matrix(k, params) for k in range(space.cutoff_K + 1)]
     cols, vals = x_rows(space, params, blocks)
     inv = vals.copy()  # the root row is its own inverse
-    half = [i for i, v in enumerate(space.vertices) if not v.is_integer]
+    half = transfer_plan(space.cutoff_K).half
     inv[half, 0] = [1.0 / complex(d) for d in vals[half, 0]]
     for k, b in enumerate(blocks[1:], 1):
         i = [space.index[AuxVertex(2 * k, sign)] for sign in (-1, +1)]
@@ -279,22 +371,36 @@ class LaxFamily:
 
 
 def build_L(space: AuxSpace, params: LaxParams) -> dict:
-    """The transfer components L^{st} = S^s T^t X as their nonzeros,
-    {(s, t): (rows, cols, vals)}, in O(dim) time and memory: a row of S^s or
-    of T^t = G S^t G holds one entry at most and a row of X two, so a row of
-    L^{st} two. Non-finite entries are kept, for the caller to refuse."""
-    S, g = build_S(space, params), spin_flip_index(space)
-    rows, L = np.repeat(np.arange(space.dim), 2), {}
+    """The transfer components L^{st} = S^s T^t X as their entries,
+    {(s, t): (rows, cols, vals)}: a row of S^s or of T^t = G S^t G holds one
+    entry at most and a row of X two, so a row of L^{st} two. The rows and
+    columns are those of transfer_plan, shared and read-only; only the
+    values are formed here, in O(dim) time and memory, with no loop over
+    the vertices. An entry that vanishes at this point stays, as a zero;
+    non-finite entries are kept, for the caller to refuse."""
+    plan, (lam, om, u) = transfer_plan(space.cutoff_K), (params.lam, params.omega, params.u)
     with np.errstate(over="ignore", invalid="ignore"):
-        xc, xv = x_rows(space, params, [xk_matrix(k, params) for k in range(space.cutoff_K + 1)])
-        for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS):
-            (cs, vs), (ct, vt) = S[s], S[t]
-            # row a of S^s T^t: vs[a] vt[g[cs[a]]] at column g[ct[g[cs[a]]]]
-            j = g[ct[g[cs]]]
-            vals = ((vs * vt[g[cs]])[:, None] * xv[j]).ravel()
-            keep = vals != 0
-            L[s, t] = rows[keep], xc[j].ravel()[keep], vals[keep]
-    return L
+        blocks = np.array([xk_entries(k, lam, om, u) for k in range(space.cutoff_K + 1)],
+                          dtype=complex)
+        sv, xv = _s_values(plan, lam).ravel(), x_rows(space, params, blocks)[1].ravel()
+        ia, ib, ix = plan.gather
+        vals = sv[ia] * sv[ib] * xv[ix]
+    return {st: (rows, cols, vals[sl]) for st, (rows, cols, sl) in plan.parts.items()}
+
+
+def transfer_entries(band: dict, dim: int):
+    """The entries of linalg.phys_transfer_tensor(L) from those of the
+    components, band = build_L(space, params) on a dim-vertex space, with no
+    dense tensor: arrays (p, q, a, b, val), the first four the plan's, each
+    (p, q, a, b) once, in lexicographic order. The components that meet at
+    an entry are summed in the order of band, as phys_transfer_tensor sums
+    them; an entry that vanishes at this point stays, as a zero."""
+    plan = transfer_plan((dim - 1) // 4)
+    vals = np.concatenate([v for *_, v in band.values()])
+    assert len(vals) == len(plan.gather[0]), "band is not the band of build_L at this cutoff"
+    part, m = plan.coef * vals[plan.src], len(plan.entries[0])
+    val = np.bincount(plan.slot, part.real, m) + 1j * np.bincount(plan.slot, part.imag, m)
+    return (*plan.entries, val)
 
 
 def assemble_family(cutoff_K: int, params: LaxParams) -> LaxFamily:

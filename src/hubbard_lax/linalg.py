@@ -4,15 +4,16 @@ operator components into a site tensor A[p, q, a, b] (physical row and
 column, then auxiliary row and column), phys_transfer_tensor does so for the
 16 transfer components of a Lax family, and chain contracts a product of site
 tensors between auxiliary boundary rows, one site at a time, behind one
-peak-memory guard. transfer_entries gives the nonzeros of the transfer
-tensor, without the dense tensor, and refuse_entries those that break the
-charge. basis_charges labels the (S, T) sector of each product basis state,
-and sectors groups the states by it; ness_engine.omega_blocks contracts
-Omega on those sectors alone."""
+peak-memory guard. refuse_entries refuses the entries of the transfer
+tensor (lax_builder.transfer_entries) that break the charge. basis_charges
+labels the (S, T) sector of each product basis state, and sectors groups
+the states by it; ness_engine.omega_blocks contracts Omega on those sectors
+alone."""
 
 from __future__ import annotations
 
 import functools
+import types
 
 import numpy as np
 
@@ -39,6 +40,29 @@ SITE_CHARGES = np.array([(1, 1), (1, 0), (0, 1), (0, 0)])
 _LOCAL4 = {(s, t): np.kron(PAULI[s], PAULI[t]) for s in SPIN_LABELS for t in SPIN_LABELS}
 for _op in _LOCAL4.values():
     _op.flags.writeable = False
+
+
+def one_plan_cache(build):
+    """Memoize build(*key) for one key at a time, as
+    functools.lru_cache(maxsize=1) does, with cache_clear and a cache_info
+    of the same fields, except that the plan held is dropped before the plan
+    of another key is built: two are never held at once, which would raise
+    the peak of a series read at several cutoffs."""
+    held, count = {}, {"hits": 0, "misses": 0}
+
+    @functools.wraps(build)
+    def plan(*key):
+        if key in held:
+            count["hits"] += 1
+        else:
+            count["misses"] += 1
+            held.clear()
+            held[key] = build(*key)
+        return held[key]
+
+    plan.cache_info = lambda: types.SimpleNamespace(**count, maxsize=1, currsize=len(held))
+    plan.cache_clear = lambda: held.clear() or count.update(hits=0, misses=0)
+    return plan
 
 
 def basis_charges(n_sites: int) -> np.ndarray:
@@ -78,24 +102,10 @@ def phys_transfer_tensor(components: dict) -> np.ndarray:
     return lift({st: local4(*st) for st in components}, components)
 
 
-def transfer_entries(band: dict, dim: int):
-    """The nonzeros of phys_transfer_tensor(L) from those of the components,
-    band = {(s, t): (rows, cols, vals)} (lax_builder.build_L) on a dim-vertex
-    space, with no dense tensor: arrays (p, q, a, b, val), each (p, q, a, b)
-    once, in lexicographic order. The components that meet at an entry are
-    summed in the order of band, as phys_transfer_tensor sums them."""
-    parts = [(((p * 4 + q) * dim + a) * dim + b, local4(*st)[p, q] * v)
-             for st, (a, b, v) in band.items() for p, q in zip(*np.nonzero(local4(*st)))]
-    key, val = (np.concatenate(x) for x in zip(*parts))
-    key, slot = np.unique(key, return_inverse=True)
-    val = np.bincount(slot, val.real) + 1j * np.bincount(slot, val.imag)
-    return (*np.unravel_index(key[val != 0], (4, 4, dim, dim)), val[val != 0])
-
-
 def refuse_entries(p, q, a, b, aux_charges, *checks) -> None:
     """Refuse with ValueError, by name, the first transfer entry A[p, q, a, b]
-    (transfer_entries) flagged by a (mask, what) of checks, then the first
-    that breaks charge conservation."""
+    (lax_builder.transfer_entries) flagged by a (mask, what) of checks, then
+    the first that breaks charge conservation."""
     charge = (SITE_CHARGES[p] + aux_charges[a] != SITE_CHARGES[q] + aux_charges[b]).any(axis=1)
     for bad, what in (*checks, (charge, "breaks charge conservation")):
         if bad.any():

@@ -54,9 +54,12 @@ engine (local_expectations) that never materializes rho: one sweep from each
 end of the chain over the doubled auxiliary space, each environment
 rescaled and held as its values on the 1 + 6k entries of equal auxiliary
 charge at the levels k <= min(j, n - j) that cut j reaches, with the pair
-transfer built from the O(da) nonzeros of lax_builder.build_L and no dense
-family. Time and memory grow as n da (da = 4K + 1, about 2n + 5); the store
-is guarded like linalg.chain, which admits whole profiles up to n = 5976.
+transfer built from the O(da) entries of lax_builder.build_L and no dense
+family. Its terms depend on the cutoff alone and are planned once per
+cutoff (_pair_plan, on lax_builder.transfer_plan); a chain forms only their
+coefficients at its driving. Time and memory grow as n da (da = 4K + 1,
+about 2n + 5); the store is guarded like linalg.chain, which admits whole
+profiles up to n = 5976.
 A sweep of the longest chain serves each length of a series that it resolves
 (first_bonds), guarded on its own store. mpo_expectation, with dense pair
 transfer matrices, is kept as its cross-check for short chains.
@@ -64,7 +67,6 @@ transfer matrices, is kept as its cross-check for short chains.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass, field, fields, replace
@@ -74,9 +76,10 @@ import numpy as np
 from .algebra_verifier import check_gLOD
 from .aux_space import AuxSpace, AuxVertex, build_aux_space
 from .hubbard_model import h_bond, h_end
-from .lax_builder import LaxFamily, LaxParams, assemble_family, build_L
-from .linalg import (SITE_CHARGES, chain, guard, local4, phys_transfer_tensor,
-                     refuse_entries, sectors, transfer_entries)
+from .lax_builder import (LaxFamily, LaxParams, assemble_family, build_L, transfer_entries,
+                          transfer_plan)
+from .linalg import (SITE_CHARGES, chain, guard, local4, one_plan_cache, phys_transfer_tensor,
+                     refuse_entries, sectors)
 
 RHO_MAGIC = b"NESSRHO1"
 # An environment value >= RESOLVED keeps every digit through the pair products
@@ -174,7 +177,7 @@ def m_diag(n_sites: int, eta: float) -> np.ndarray:
     loc = np.exp(eta * (2 * SITE_CHARGES.sum(axis=1) - 2))  # sz + tz = 2 (up spins) - 2
     d = np.array([1.0])
     for _ in range(n_sites):
-        d = np.kron(d, loc)
+        d = np.outer(d, loc).ravel()
     return d
 
 
@@ -199,20 +202,22 @@ def require_state(n_sites: int, dense: bool = False) -> None:
 ROOT = (0, 0)
 
 
-@functools.lru_cache
+@one_plan_cache
 def _plan(K: int, N: int) -> tuple:
     """What omega_blocks contracts for chains of up to N sites on the
     cutoff-K space, which the vertex charges fix alone. Returns
-    (span, steps, tables, sizes):
+    (span, steps, reads, sizes):
     - span[c]: the vertices of charge c, adjacent in the basis: (k, k) holds
       k- and k+, each half-integer vertex has a charge of its own;
     - steps[j - 1][e]: the pieces (d, p, q, lo, hi) of the rows of charge e
       after j sites: rows lo:hi are those of charge d after j - 1 sites
       through A[p, q]. A charge is kept while its level, half the sum of its
       charges, is <= min(j, N - j), so that it can still return to the root;
-    - tables[n]: where the entry (P, Q) of the n-site Omega lies in its
-      blocks (linalg.sectors order, each row-major, one after the other):
-      col[P // 4, P % 4] + rank[Q // 4, Q % 4];
+    - reads[n]: the pieces (d, p, q, at) of the n-site Omega: the rows of
+      charge d after n - 1 sites, through A[p, q] to the root, hold its
+      entries at the places `at` (int32) of its blocks, in linalg.sectors
+      order, each row-major, one after the other. A row after j sites is a
+      string of (p, q), and its entry is (P, Q) = (p_1..p_j, q_1..q_j);
     - sizes[j]: the entries held after j < N sites, each row's values and
       its label (P, Q), two int64 the size of one complex value.
     """
@@ -234,8 +239,9 @@ def _plan(K: int, N: int) -> tuple:
         steps.append(step)
         rows = new
         sizes.append(sum(m * (span[e].stop - span[e].start + 1) for e, m in rows.items()))
-    tables = {}
-    for n in range(1, N + 1):
+    labels, reads = {ROOT: np.zeros((1, 2), dtype=np.int64)}, {}
+    for n, step in enumerate(steps, 1):  # labels: (P, Q) of the rows after n - 1 sites
+        # the entry (P, Q) of the n-site Omega lies at col[P] + rank[Q] of its blocks
         order, bounds = sectors(n)
         col, rank = np.empty((2, 4 ** n), dtype=np.int64)
         at = 0
@@ -243,15 +249,20 @@ def _plan(K: int, N: int) -> tuple:
             rank[order[lo:hi]] = np.arange(hi - lo)
             col[order[lo:hi]] = at + (hi - lo) * np.arange(hi - lo)
             at += (hi - lo) ** 2
-        tables[n] = col.reshape(-1, 4), rank.reshape(-1, 4)
-    return span, steps, tables, sizes[:-1]
+        reads[n] = [(d, p, q, (col[4 * labels[d][:, 0] + p] + rank[4 * labels[d][:, 1] + q])
+                     .astype(np.int32)) for d, p, q, _, _ in step[ROOT]]
+        if n < N:
+            labels = {e: np.concatenate([4 * labels[d] + (p, q) for d, p, q, _, _ in pieces])
+                      for e, pieces in step.items()}
+    return span, steps, reads, sizes[:-1]
 
 
 def omega_blocks(space: AuxSpace, params: LaxParams, ns) -> dict:
     """{n: the (S, T) blocks of the n-site Omega = <0+| L_1 ... L_n |0+> at
     params} for the lengths ns, in linalg.sectors order, each over its
     sector's states in increasing order: the one contraction of Omega that
-    the commands run (build_ness and the commutation probe).
+    the commands run (build_ness and the commutation probe). The blocks of
+    each Omega are views, one after the other, of one array, their base.
 
     The transfer tensor A[p, q, a, b] comes from the nonzeros of
     lax_builder.build_L on space, whose cutoff must be at least
@@ -260,57 +271,56 @@ def omega_blocks(space: AuxSpace, params: LaxParams, ns) -> dict:
     sites it is held as one row per string of (p, q), labelled by its row
     and column states (P, Q); the string's charges fix those of its
     auxiliary vertex, so the rows are grouped by charge and stored on the
-    vertices of their charge alone (_plan). Each site costs one product per
-    (charge, p, q), written into the rows of its group; each n-site Omega is
-    read off the rows after n - 1 sites that site n returns to the root. An
-    Omega that overflows is refused with ValueError.
+    vertices of their charge alone. The groups, the labels and where each
+    entry lands are planned once per (cutoff, N) (_plan); at a point, each
+    site costs one product per (charge, p, q), written into the rows of its
+    group, and each n-site Omega is read off the rows after n - 1 sites that
+    site n returns to the root. An Omega that overflows is refused with
+    ValueError.
 
     Refused with MemoryError: before anything is built, blocks that pass the
     guard (require_state); once the O(dim) entries are checked and the rows
     planned, before the tensor or any row is allocated, an estimate that
-    does. It counts the blocks four times (two points' blocks and the
-    commutator and its flattening that the probe forms, or rho that
-    build_ness forms in their place), the entries of the largest site four
-    times (two sites, the gathered indices and products of one group), eight
-    entries per state of N sites for the tables of _plan and linalg.sectors,
-    and 1 MiB for the rest."""
+    does. It counts the blocks four times (two points' blocks, the places of
+    their entries in the plan, and what is formed from them: one commutator
+    block at a time in the probe, rho and its singular values in
+    build_ness), the entries of the largest site four times (two sites, and
+    the labels and places that _plan forms for one), eight entries per state
+    of N sites for the tables of _plan and linalg.sectors, and 1 MiB for the
+    rest."""
     N = max(ns)
     require_state(N)
     p, q, a, b, val = transfer_entries(build_L(space, params), space.dim)
-    refuse_entries(p, q, a, b, space.charges())
-    span, steps, tables, sizes = _plan(space.cutoff_K, N)
+    refuse_entries(p, q, a, b, transfer_plan(space.cutoff_K).charges)
+    span, steps, reads, sizes = _plan(space.cutoff_K, N)
     blocks = {n: math.comb(2 * n, n) ** 2 for n in ns}
     guard(16 * (4 * sum(blocks.values()) + 4 * max(sizes) + 8 * 4 ** N) + (1 << 20),
           f"{N}-site sector contraction")
     A = np.zeros((4, 4, space.dim, space.dim), dtype=complex)
     A[p, q, a, b] = val
     flat = {n: np.zeros(m, dtype=complex) for n, m in blocks.items()}
-    groups = {ROOT: (np.ones((1, 1), dtype=complex), np.zeros((1, 2), dtype=np.int64))}
-    i0 = span[ROOT].start
+    groups, i0 = {ROOT: np.ones((1, 1), dtype=complex)}, span[ROOT].start
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         for n, step in enumerate(steps, 1):  # groups: the rows after n - 1 sites
-            if n in flat:
-                col, rank = tables[n]
-                for d, p, q, _, _ in step[ROOT]:
-                    x, lab = groups[d]
-                    flat[n][col[lab[:, 0], p] + rank[lab[:, 1], q]] = x @ A[p, q, span[d], i0]
+            for d, p, q, at in reads[n] if n in flat else ():
+                flat[n][at] = groups[d] @ A[p, q, span[d], i0]
             if n == N:
                 break
             new = {}
             for e, pieces in step.items():
                 x = np.empty((pieces[-1][4], span[e].stop - span[e].start), dtype=complex)
-                lab = np.empty((pieces[-1][4], 2), dtype=np.int64)
                 for d, p, q, lo, hi in pieces:
-                    x[lo:hi] = groups[d][0] @ A[p, q, span[d], span[e]]
-                    lab[lo:hi] = 4 * groups[d][1] + (p, q)
-                new[e] = x, lab
+                    x[lo:hi] = groups[d] @ A[p, q, span[d], span[e]]
+                new[e] = x
             groups = new
     out = {}
     for n in sorted(flat):
         if not np.isfinite(flat[n]).all():
             raise ValueError(f"the {n}-site transfer operator at {params} overflows")
-        dims = np.diff(sectors(n)[1])
-        out[n] = [b.reshape(m, m) for b, m in zip(np.split(flat[n], np.cumsum(dims ** 2)[:-1]), dims)]
+        out[n], at = [], 0
+        for m in np.diff(sectors(n)[1]).tolist():
+            out[n].append(flat[n][at:at + m * m].reshape(m, m))
+            at += m * m
     return out
 
 
@@ -555,83 +565,118 @@ def _doubled_layout(space: AuxSpace):
     return a[order], c[order], pos
 
 
+class _Terms:
+    """The terms of one side of the pair transfer that do not depend on the
+    point (_pair_plan), in key order: term m multiplies the transfer entries
+    i[m] and conj(j[m]) into slot (2 at, 2 at + 1) of T[r, p, a, c] from the
+    entry src[m] of X; size is the number of layout entries and reach2 the
+    sum of the squared counts of products that meet at each entry of T."""
+
+    def __init__(self, i, j, src, slot, size, reach2):
+        self.i, self.j, self.src, self.slot, self.size, self.reach2 = i, j, src, slot, size, reach2
+
+
+def _terms(layout, p, q, a, b) -> _Terms:
+    """The _Terms of F(w) X on the entries of _doubled_layout from the
+    right, from the entries A[p, q, a, b] of the transfer tensor; from the
+    left with a and b swapped. T[r, p, a, c] = sum_q sum_{b,d} A[p,q,a,b]
+    X[b,d] conj(A[r,q,c,d]) is held as its terms ((b, d), (r, p), (a, c)),
+    in the order of (b, d), so that an X at levels <= k meets a prefix of
+    them. No two terms share a key, which is asserted: a point's
+    coefficients are then one gather-multiply, with nothing to merge."""
+    ua, uc, pos = layout
+    n0, size = 6 * (len(pos) // 4) + 1, len(ua)  # 6K + 1 of equal charge
+    # the entries of each column (b, q) of A, padded with -1 to one width
+    col = 4 * b + q
+    order = np.lexsort((a, p, col))
+    rank = np.arange(len(col)) - np.searchsorted(col[order], col[order])
+    cols = np.full((4 * len(pos), rank.max() + 1), -1)
+    cols[col[order], rank] = order
+    # every pair of entries of columns (b, q) and (d, q), each (b, d) of equal charge
+    i, j, src = np.broadcast_arrays(cols[4 * ua[:n0, None] + np.arange(4)][..., :, None],
+                                    cols[4 * uc[:n0, None] + np.arange(4)][..., None, :],
+                                    np.arange(n0)[:, None, None, None])
+    keep = (i >= 0) & (j >= 0)
+    i, j, src = i[keep], j[keep], src[keep]
+    at = pos[a[i], a[j] - a[i] + 8]
+    reach = np.bincount(at, minlength=size)
+    key = (src * 16 + 4 * p[j] + p[i]) * size + at
+    order = np.argsort(key)
+    key = key[order]
+    assert (key[1:] > key[:-1]).all(), "two terms of the pair transfer share a key"
+    src, at = np.divmod(key, 16 * size)
+    return _Terms(i[order].astype(np.int32), j[order].astype(np.int32), src,
+                  (2 * at[:, None] + [0, 1]).ravel(), size, float((reach * reach).sum()))
+
+
+@one_plan_cache
+def _pair_plan(K: int) -> tuple:
+    """The _Terms of the pair transfer of the cutoff-K space from the right
+    and from the left, which the entries of transfer_plan(K) and
+    _doubled_layout fix alone: built once per cutoff, for every driving."""
+    plan = transfer_plan(K)
+    layout, (p, q, a, b) = _doubled_layout(plan.space), plan.entries
+    return _terms(layout, p, q, a, b), _terms(layout, p, q, b, a)
+
+
 class _PairSide:
     """F(w) X for many w at once, on the entries of _doubled_layout, from
-    the values X on its first len(X) entries: from the right when built from
-    the nonzeros A[p, q, a, b] = val of the transfer tensor
-    (linalg.transfer_entries), from the left with a and b swapped. The part
-    T[r, p, a, c] = sum_q sum_{b,d} A[p,q,a,b] X[b,d] conj(A[r,q,c,d]) that
-    does not depend on w is held as its terms ((b, d), (r, p), (a, c),
-    coefficient), merged, in the order of (b, d), so that an X at levels
-    <= k meets a prefix of them: one bincount forms T, one product
-    contracts every w. reach[(a, c)] counts the products that meet in T."""
+    the values X on its first len(X) entries, at one point: the planned
+    terms (_Terms) with the point's coefficients val[i] conj(val[j]) over
+    the values val of the transfer entries. One bincount forms T, one
+    product contracts every w."""
 
-    def __init__(self, layout, p, q, a, b, val):
-        ua, uc, pos = layout
-        n0, self.size = 6 * (len(pos) // 4) + 1, len(ua)  # 6K + 1 of equal charge
-        # the entries of each column (b, q) of A, padded with -1 to one width
-        col = 4 * b + q
-        order = np.lexsort((a, p, col))
-        rank = np.arange(len(col)) - np.searchsorted(col[order], col[order])
-        cols = np.full((4 * len(pos), rank.max() + 1), -1)
-        cols[col[order], rank] = order
-        # every pair of entries of columns (b, q) and (d, q), each (b, d) of equal charge
-        i, j, src = np.broadcast_arrays(cols[4 * ua[:n0, None] + np.arange(4)][..., :, None],
-                                        cols[4 * uc[:n0, None] + np.arange(4)][..., None, :],
-                                        np.arange(n0)[:, None, None, None])
-        keep = (i >= 0) & (j >= 0)
-        i, j, src = i[keep], j[keep], src[keep]
-        at = pos[a[i], a[j] - a[i] + 8]
-        self.reach = np.bincount(at, minlength=self.size)
-        key, slot = np.unique((src * 16 + 4 * p[j] + p[i]) * self.size + at, return_inverse=True)
+    def __init__(self, terms: _Terms, val):
+        self.terms = terms
         with np.errstate(over="ignore", invalid="ignore"):
-            coef = val[i] * np.conj(val[j])
-            self.coef = np.bincount(slot, coef.real) + 1j * np.bincount(slot, coef.imag)
-        self.src, at = np.divmod(key, 16 * self.size)
-        self.slot = (2 * at[:, None] + [0, 1]).ravel()
+            self.coef = val[terms.i] * np.conj(val[terms.j])
 
     def apply(self, X: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """F(w) X for each w of the (m, 4, 4) stack ws, as [w, entry]."""
-        k = np.searchsorted(self.src, len(X))
-        T = np.bincount(self.slot[:2 * k], (self.coef[:k] * X[self.src[:k]]).view(float),
-                        minlength=32 * self.size).view(complex)
+        t = self.terms
+        k = np.searchsorted(t.src, len(X))
+        T = np.bincount(t.slot[:2 * k], (self.coef[:k] * X[t.src[:k]]).view(float),
+                        minlength=32 * t.size).view(complex)
         return ws.reshape(-1, 16) @ T.reshape(16, -1)
 
 
 class _Environments:
     """The environment engine of one chain: its pair transfer from either
-    side, from the O(da) nonzeros of build_L, its sweep from the right, each
-    environment held as its values on the entries of equal charge that its
-    cut reaches, and the values read off them. Refused before anything is
-    built if the environments kept at the cuts `stored` would not fit, and
-    before the sweep if a transfer entry leaves the level band or breaks
-    the charge, or if a pair product could overflow."""
+    side, planned once per cutoff (_pair_plan) with the values of build_L at
+    the chain's driving, its sweep from the right, each environment held as
+    its values on the entries of equal charge that its cut reaches, and the
+    values read off them. Refused before anything is built if the
+    environments kept at the cuts `stored` would not fit, and before the
+    sweep if a transfer entry leaves the level band or breaks the charge,
+    or if a pair product could overflow."""
 
     def __init__(self, cfg: DrivingConfig, stored):
         n, self.K = cfg.n_sites, k_exact(cfg.n_sites)
-        # the kept environments and one in flight; per layout entry, the terms of both
-        # sides (10.5 each at 40 bytes) and what two applies hold; 1 MiB for the rest
+        # the kept environments and one in flight; per layout entry, about 1850 bytes:
+        # the planned terms of both sides (9.6 each at 32 bytes), their coefficients
+        # at this point (16 bytes each), the transfer plan (180) and what two applies
+        # hold (750); 1 MiB for the rest
         guard(16 * sum(self.level(min(k, n - k)) for k in [*stored, n // 2])
-              + 1600 * (36 * self.K - 11) + (1 << 20), f"{n}-site environment store")
-        space, params = build_aux_space(self.K), ness_lax_params(cfg)
-        band = build_L(space, params)
-        p, q, a, b, val = transfer_entries(band, space.dim)
+              + 2000 * (36 * self.K - 11) + (1 << 20), f"{n}-site environment store")
+        plan, params = transfer_plan(self.K), ness_lax_params(cfg)
+        band = build_L(plan.space, params)
+        p, q, a, b, val = transfer_entries(band, plan.space.dim)
         big = 4 * float(np.abs(np.concatenate([v for *_, v in band.values()])).max())
         overflow = OverflowError(f"the pair transfer of the {n}-site chain at {params} "
                                  f"overflows: 4 max|L| = {big:.3g}")
         if not math.isfinite(amax := float(np.abs(val).max())):
             raise overflow
-        lv = space.charges().sum(axis=1)  # twice the level
-        refuse_entries(p, q, a, b, space.charges(),
+        lv = plan.charges.sum(axis=1)  # twice the level
+        refuse_entries(p, q, a, b, plan.charges,
                        ((lv[a] - lv[b]) * (lv[a] - lv[b]) > 4, "moves the level by more than one"))
-        layout = _doubled_layout(space)
-        self.right, self.left = _PairSide(layout, p, q, a, b, val), _PairSide(layout, p, q, b, a, val)
+        right, left = _pair_plan(self.K)
+        self.right, self.left = _PairSide(right, val), _PairSide(left, val)
         self.m = m_diag(1, map_driving_to_params(cfg)[2])
         # an entry of F(w) X, X of unit norm and w = m O with |O| <= 1, is at
         # most max m max|A|^2 times its reach; the rescaling and the overlaps
         # sum squares of such entries
         big = amax * amax * float(self.m.max())
-        if not big * big * max(float((s.reach * s.reach).sum()) for s in (self.left, self.right)) < math.inf:
+        if not big * big * max(right.reach2, left.reach2) < math.inf:
             raise overflow
 
     def level(self, k: int) -> int:

@@ -10,14 +10,18 @@ requested length, from one contraction (ness_engine.omega_blocks) at the
 cutoff k_exact of the longest chain N, which refuses a transfer entry that
 breaks the charge. The tensor is nested in the cutoff, so a shorter Omega
 read from it is the one at its own k_exact(n) (the tests pin this). The
-commutator and both Frobenius norms are formed on the blocks; no dense Omega
-is formed, and the dense cross-check ness_engine.contract_omega agrees to
-rounding. The pairs of sample_pairs are
-numpy's default_rng(seed) stream, drawn without numpy.random
-(algebra_verifier.SeededStream).
+commutator's (Frobenius, max) norms are summed one block at a time, and
+both Frobenius norms of Omega read off the one array that holds its blocks,
+so that beyond the two points' blocks the probe holds one commutator block;
+no dense Omega is formed, and the dense cross-check
+ness_engine.contract_omega agrees to rounding. The pairs of
+sample_pairs are numpy's default_rng(seed) stream, drawn without
+numpy.random (algebra_verifier.SeededStream).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,8 +41,10 @@ def sample_pairs(num: int, seed: int = 42) -> list:
     return [((l1, o1), (l2, o2)) for l1, o1, l2, o2 in points]
 
 
-def _flat(blocks) -> np.ndarray:
-    return np.concatenate([b.ravel() for b in blocks])
+def _sq(x: np.ndarray) -> float:
+    """||x||_F^2, summed as np.linalg.norm sums it."""
+    x = x.ravel()
+    return float(x.real @ x.real + x.imag @ x.imag)
 
 
 def check_commutativity(ns, u: float, pairs) -> dict:
@@ -57,11 +63,16 @@ def check_commutativity(ns, u: float, pairs) -> dict:
         B1, B2 = (omega_blocks(space, p, reports) for p in (p1, p2))
         for n, reps in reports.items():
             # an overflow shows as an inf or nan residual, refused below
+            sq, mx = 0.0, 0.0
             with np.errstate(over="ignore", invalid="ignore"):
-                rep = residual_report(
-                    "transfer_commutation", p1, k_exact(n),
-                    _flat([a @ b - b @ a for a, b in zip(B1[n], B2[n])]),
-                    np.linalg.norm(_flat(B1[n])) * np.linalg.norm(_flat(B2[n])), CONJECTURE_TOL)
+                for a, b in zip(B1[n], B2[n]):  # one commutator block at a time
+                    c = a @ b
+                    c -= b @ a
+                    sq, mx = sq + _sq(c), max(mx, float(np.abs(c).max()))
+                # the blocks of an Omega are views of one array, which holds each entry once
+                scale = np.linalg.norm(B1[n][0].base) * np.linalg.norm(B2[n][0].base)
+            rep = residual_report("transfer_commutation", p1, k_exact(n), (math.sqrt(sq), mx),
+                                  scale, CONJECTURE_TOL)
             if not np.isfinite([rep.residual_fro, rep.operand_scale]).all():
                 raise ValueError(f"the {n}-site commutator at {p1} overflows")
             reps.append(rep)

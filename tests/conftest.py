@@ -8,8 +8,10 @@ the level-windowed check_gLOD is checked against, numpy's own default_rng
 draws of the spectral points that sample_params and sample_pairs (drawn
 without numpy.random) are checked against, the CSR pair transfer that the
 environment engine's is checked against, the dense-environment engine that
-the charge-block one is checked against, the factored and matrix-free
-contractions of Omega that contract_omega is checked against, the dense
+the charge-block one is checked against, the per-point route (every table,
+transfer entry and pair-transfer term found again at each point) that the
+plans of transfer_plan and _pair_plan are checked against, the factored and
+matrix-free contractions of Omega that contract_omega is checked against, the dense
 steady state that the sector blocks of build_ness are checked against,
 tr(rho O) for the dense reader of observables, the species-swap and
 total-magnetization operators the symmetry tests use, the auxiliary-space
@@ -17,14 +19,18 @@ gauge the gauge-invariance tests apply, and the text labels of auxiliary
 vertices the operator-table tests read.
 """
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 
 from hubbard_lax.algebra_verifier import _cut, annulus_points, residual_report
-from hubbard_lax.aux_space import AuxSpace, AuxVertex, build_aux_space
+from hubbard_lax.aux_space import AuxSpace, AuxVertex, build_aux_space, spin_flip_index
 from hubbard_lax.hubbard_model import SIGMA, TAU, h_bond, phys_dim
-from hubbard_lax.lax_builder import LaxFamily, LaxParams, build_L
-from hubbard_lax.linalg import PAULI, chain, guard, lift, phys_transfer_tensor, transfer_entries
+from hubbard_lax.lax_builder import (SQRT2, LaxFamily, LaxParams, _plaquette, build_L,
+                                     transfer_entries, xk_matrix)
+from hubbard_lax.linalg import (PAULI, SPIN_LABELS, chain, guard, lift, local4,
+                                phys_transfer_tensor)
 from hubbard_lax.ness_engine import (DrivingConfig, contract_omega, k_exact, m_diag,
                                     map_driving_to_params, ness_family, ness_lax_params)
 
@@ -363,6 +369,93 @@ class DenseEnvironments:
         keep = {n - i for n in lengths for i in (1, 2)}
         env = [X if k in keep else None for k, X in enumerate(self.sweep(max(lengths)))]
         return [next(self.expectations(env[:n], {}, bond_ops))[1] for n in lengths]
+
+
+def per_point_band(space: AuxSpace, params: LaxParams) -> dict:
+    """Cross-check of lax_builder.build_L on its plan (transfer_plan): the
+    route that formed every table at each point, S and X row by row over
+    the vertices, and L^{st} = S^s T^t X from them, keeping only the entries
+    that are nonzero at that point."""
+    lam, dim = params.lam, space.dim
+    S = {s: (np.arange(dim), np.zeros(dim, dtype=complex)) for s in SPIN_LABELS}
+    for k in range(space.cutoff_K):
+        kp, khp, khm, k1m = (space.index[v] for v in _plaquette(k))
+        S["+"][0][[kp, khm]], S["+"][1][[kp, khm]] = [khp, k1m], SQRT2
+        S["-"][0][[khp, k1m]], S["-"][1][[khp, k1m]] = [kp, khm], SQRT2 * (-1) ** k
+    diag = {(True, +1, 0): (1.0, 0.0), (True, +1, 1): (0.0, 1.0),
+            (True, -1, 0): (lam, 1.0), (True, -1, 1): (1.0, lam),
+            (False, +1, 0): (1.0, lam), (False, +1, 1): (lam, 1.0),
+            (False, -1, 0): (1.0, 0.0), (False, -1, 1): (0.0, 1.0)}
+    for i, v in enumerate(space.vertices):
+        S["0"][1][i], S["z"][1][i] = diag[v.is_integer, v.sign, v.twice_level // 2 % 2]
+    idx = np.arange(dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = [xk_matrix(k, params) for k in range(space.cutoff_K + 1)]
+        xc, xv = np.stack([idx, (idx + 1) % dim], axis=1), np.zeros((dim, 2), complex)
+        xv[space.index[AuxVertex(0, +1)], 0] = 1.0
+        for i, v in enumerate(space.vertices):
+            if not v.is_integer:
+                xv[i, 0] = params.omega * (-1) ** (v.twice_level // 2)
+        for k, b in enumerate(blocks[1:], 1):
+            i = [space.index[AuxVertex(2 * k, sign)] for sign in (-1, +1)]
+            xc[i], xv[i] = i, (-1) ** k * b
+        g, rows, L = spin_flip_index(space), np.repeat(idx, 2), {}
+        for s, t in itertools.product(SPIN_LABELS, SPIN_LABELS):
+            (cs, vs), (ct, vt) = S[s], S[t]
+            j = g[ct[g[cs]]]
+            vals = ((vs * vt[g[cs]])[:, None] * xv[j]).ravel()
+            keep = vals != 0
+            L[s, t] = rows[keep], xc[j].ravel()[keep], vals[keep]
+    return L
+
+
+def per_point_entries(band: dict, dim: int):
+    """Cross-check of lax_builder.transfer_entries on its plan: the nonzeros
+    of the transfer tensor of per_point_band's band, grouped at each point
+    by np.unique, as (p, q, a, b, val)."""
+    parts = [(((p * 4 + q) * dim + a) * dim + b, local4(*st)[p, q] * v)
+             for st, (a, b, v) in band.items() for p, q in zip(*np.nonzero(local4(*st)))]
+    key, val = (np.concatenate(x) for x in zip(*parts))
+    key, slot = np.unique(key, return_inverse=True)
+    val = np.bincount(slot, val.real) + 1j * np.bincount(slot, val.imag)
+    return (*np.unravel_index(key[val != 0], (4, 4, dim, dim)), val[val != 0])
+
+
+class PerPointPairSide:
+    """Cross-check of ness_engine._PairSide on its plan (_pair_plan): the
+    terms of one side of the pair transfer found at each point from that
+    point's nonzeros A[p, q, a, b] = val (a and b swapped for the left
+    side), merged by np.unique, as their keys ((b, d), (r, p), (a, c)) and
+    coefficients, applied as _PairSide applies its own."""
+
+    def __init__(self, layout, p, q, a, b, val):
+        ua, uc, pos = layout
+        n0, self.size = 6 * (len(pos) // 4) + 1, len(ua)
+        col = 4 * b + q
+        order = np.lexsort((a, p, col))
+        rank = np.arange(len(col)) - np.searchsorted(col[order], col[order])
+        cols = np.full((4 * len(pos), rank.max() + 1), -1)
+        cols[col[order], rank] = order
+        i, j, src = np.broadcast_arrays(cols[4 * ua[:n0, None] + np.arange(4)][..., :, None],
+                                        cols[4 * uc[:n0, None] + np.arange(4)][..., None, :],
+                                        np.arange(n0)[:, None, None, None])
+        keep = (i >= 0) & (j >= 0)
+        i, j, src = i[keep], j[keep], src[keep]
+        at = pos[a[i], a[j] - a[i] + 8]
+        self.terms = len(i)  # before they are merged
+        self.key, slot = np.unique((src * 16 + 4 * p[j] + p[i]) * self.size + at,
+                                   return_inverse=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = val[i] * np.conj(val[j])
+            self.coef = np.bincount(slot, coef.real) + 1j * np.bincount(slot, coef.imag)
+        self.src, at = np.divmod(self.key, 16 * self.size)
+        self.slot = (2 * at[:, None] + [0, 1]).ravel()
+
+    def apply(self, X: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(self.src, len(X))
+        T = np.bincount(self.slot[:2 * k], (self.coef[:k] * X[self.src[:k]]).view(float),
+                        minlength=32 * self.size).view(complex)
+        return ws.reshape(-1, 16) @ T.reshape(16, -1)
 
 
 def contract_omega_factored(fam: LaxFamily, n_sites: int) -> np.ndarray:

@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hubbard_lax import lax_builder, linalg, ness_engine
-from hubbard_lax.aux_space import AuxVertex
+from hubbard_lax import linalg, ness_engine
+from hubbard_lax.aux_space import AuxVertex, build_aux_space
 from hubbard_lax.algebra_verifier import residual_report
 from hubbard_lax.lax_builder import LaxParams, assemble_family
 from hubbard_lax.ness_engine import contract_omega, k_exact
@@ -76,24 +76,23 @@ def test_family_nested_in_cutoff():
 
 
 def test_off_sector_entry_refused(monkeypatch):
-    # an X entry between 1/2+ and 1/2-, of charges (1, 0) and (0, 1), moves
-    # transfer entries off their charge; the blocks would drop them, so the
-    # probe refuses the entry by name before it contracts anything
-    x_rows = lax_builder.x_rows
+    # an entry from 1/2+ to 1/2-, of charges (1, 0) and (0, 1), at a site
+    # operator that keeps the physical charge, as an X entry between the two
+    # would make; the blocks would drop it, so the probe refuses the entry by
+    # name before it contracts anything
+    entries = ness_engine.transfer_entries
+    half = [build_aux_space(1).index[AuxVertex(1, sign)] for sign in (+1, -1)]
 
-    def defective(space, params, blocks):
-        cols, vals = x_rows(space, params, blocks)
-        i = space.index[AuxVertex(1, +1)]
-        assert cols[i, 1] == space.index[AuxVertex(1, -1)] and vals[i, 1] == 0
-        vals[i, 1] = 0.1
-        return cols, vals
+    def seeded(band, dim):
+        return tuple(np.append(x, y) for x, y in zip(entries(band, dim), (0, 0, *half, 0.1)))
 
     def planned(*args):
         raise AssertionError("the probe planned a charge-breaking contraction")
 
-    monkeypatch.setattr(lax_builder, "x_rows", defective)
+    monkeypatch.setattr(ness_engine, "transfer_entries", seeded)
     monkeypatch.setattr(ness_engine, "_plan", planned)
-    with pytest.raises(ValueError, match=r"the transfer entry A\[.*\] breaks charge conservation"):
+    with pytest.raises(ValueError,
+                       match=r"the transfer entry A\[0, 0, 1, 2\] breaks charge conservation"):
         check_commutativity([2], 1.0, sample_pairs(1))
 
 

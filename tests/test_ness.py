@@ -18,7 +18,7 @@ from conftest import (
     total_magnetization,
 )
 from hubbard_lax import lax_builder, linalg, ness_engine
-from hubbard_lax.aux_space import AuxVertex
+from hubbard_lax.aux_space import AuxVertex, build_aux_space
 from hubbard_lax.lax_builder import assemble_family
 from hubbard_lax.linalg import chain, local4
 from hubbard_lax.ness_engine import (
@@ -201,24 +201,23 @@ def test_positivity_from_sector_singular_values(n):
 
 
 def test_off_charge_entry_refused_before_contraction(monkeypatch):
-    # an X entry between 1/2+ and 1/2-, of charges (1, 0) and (0, 1), moves
-    # L entries off their charge; the sector contraction must refuse the
-    # entry by name before it plans or allocates, and so before its guard
-    x_rows = lax_builder.x_rows
+    # an entry from 1/2+ to 1/2-, of charges (1, 0) and (0, 1), at a site
+    # operator that keeps the physical charge, as an X entry between the two
+    # would make; the sector contraction must refuse the entry by name before
+    # it plans or allocates, and so before its guard
+    entries = ness_engine.transfer_entries
+    half = [build_aux_space(1).index[AuxVertex(1, sign)] for sign in (+1, -1)]
 
-    def defective(space, params, blocks):
-        cols, vals = x_rows(space, params, blocks)
-        i = space.index[AuxVertex(1, +1)]
-        assert cols[i, 1] == space.index[AuxVertex(1, -1)] and vals[i, 1] == 0
-        vals[i, 1] = 0.1
-        return cols, vals
+    def seeded(band, dim):
+        return tuple(np.append(x, y) for x, y in zip(entries(band, dim), (0, 0, *half, 0.1)))
 
     def planned(*args):
         raise AssertionError("the sector contraction was planned")
 
-    monkeypatch.setattr(lax_builder, "x_rows", defective)
+    monkeypatch.setattr(ness_engine, "transfer_entries", seeded)
     monkeypatch.setattr(ness_engine, "_plan", planned)
-    with pytest.raises(ValueError, match=r"the transfer entry A\[.*\] breaks charge conservation"):
+    with pytest.raises(ValueError,
+                       match=r"the transfer entry A\[0, 0, 1, 2\] breaks charge conservation"):
         build_ness(DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, 3))
 
 
