@@ -187,7 +187,7 @@ def cmd_ness(args) -> int:
     dense = bool(args.dump_rho or lindblad)
     require_state(cfg.n_sites, dense)
     fam = ness_family(cfg)
-    res = build_ness(cfg, fam)
+    res = build_ness(cfg)
     rho = res.rho if dense else None
     lam, om, eta = map_driving_to_params(cfg)
     cert = stationarity_certificate(cfg, fam)

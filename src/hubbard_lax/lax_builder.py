@@ -30,8 +30,8 @@ algebra_verifier (any sign change below makes those residuals O(1)):
 - the bra of acute-S- X is the minus half-integer vertex.
 
 assemble_family builds each table once. The L components conserve the total
-charge, physical plus vertex (AuxSpace.charges); ness_engine.omega_blocks,
-the one contraction that relies on it, refuses an entry that does not.
+charge, physical plus vertex (AuxSpace.charges), and so move the level by one
+at most; transfer_plan refuses, once per cutoff, an entry that does not.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aux_space import AuxSpace, AuxVertex, build_aux_space, spin_flip_aux, spin_flip_index
-from .linalg import SPIN_LABELS, local4, one_plan_cache
+from .linalg import SITE_CHARGES, SPIN_LABELS, local4, one_plan_cache
 
 SQRT2 = np.sqrt(2.0)
 
@@ -149,7 +149,10 @@ class TransferPlan:
     transfer tensor the cutoff fixes alone (transfer_plan), read-only:
 
     - s_cols[i, a]: the column of row a of S^s (s = SPIN_LABELS[i]); its
-      value is lambda where s_lam, else s_const (0 where the row is empty);
+      value is lambda where s_lam, else s_const (0 where the row is empty):
+      S+ and S- are two disjoint fermionic raising/lowering pairs per plaquette,
+      sqrt(2) with the staggered (-1)^k sign on S-, and S0 and Sz diagonal,
+      with entries in {0, 1, lambda} depending on level parity and sign;
     - x_cols: the columns of the rows of X (x_rows); half, half_sign: the
       half-integer rows and their sign (-1)^m; block_rows, block_sign: the
       rows k-, k+ of each X_k, k = 1..K, and (-1)^k;
@@ -175,7 +178,8 @@ class TransferPlan:
 
 @one_plan_cache
 def transfer_plan(K: int) -> TransferPlan:
-    """The TransferPlan of the cutoff-K space, built once per cutoff."""
+    """The TransferPlan of the cutoff-K space, built once per cutoff; a
+    transfer entry that breaks charge conservation is refused by name."""
     space = build_aux_space(K)
     dim, idx, g = space.dim, np.arange(space.dim), spin_flip_index(space)
     s_cols, s_const = np.tile(idx, (4, 1)), np.zeros((4, dim), dtype=complex)
@@ -218,28 +222,25 @@ def transfer_plan(K: int) -> TransferPlan:
             coef.append(np.full(len(rows), local4(*st)[p, q].real))  # +-1
     key, slot = np.unique(np.concatenate(key), return_inverse=True)
     half, half_sign = np.array(half).T
-    return TransferPlan(
+    plan = TransferPlan(
         space=space, charges=space.charges(), s_cols=s_cols, s_const=s_const, s_lam=s_lam,
         x_cols=x_cols, half=half, half_sign=half_sign, block_rows=block_rows,
         block_sign=(-1) ** np.arange(1, K + 1), parts=parts,
         gather=tuple(np.concatenate(x).astype(np.int32) for x in zip(*gather)),
         src=np.concatenate(src), coef=np.concatenate(coef), slot=slot,
         entries=np.unravel_index(key, (4, 4, dim, dim)))
+    p, q, a, b = plan.entries
+    bad = (SITE_CHARGES[p] + plan.charges[a] != SITE_CHARGES[q] + plan.charges[b]).any(axis=1)
+    if bad.any():
+        e = np.argmax(bad)
+        raise ValueError(f"the transfer entry A[{p[e]}, {q[e]}, {a[e]}, {b[e]}] "
+                         "breaks charge conservation")
+    return plan
 
 
 def _s_values(plan: TransferPlan, lam) -> np.ndarray:
     """The values of the four S tables at spectral parameter lam, (4, dim)."""
     return np.where(plan.s_lam, lam, plan.s_const)
-
-
-def build_S(space: AuxSpace, params: LaxParams) -> dict:
-    """The four S components, each as its rows (cols, vals): row a holds
-    vals[a] at column cols[a] alone. S+ and S- realize two disjoint
-    fermionic raising/lowering pairs per plaquette with amplitude sqrt(2)
-    and the staggered (-1)^k sign on S-; S0 and Sz are diagonal, with
-    entries in {0, 1, lambda} depending on level parity and sign."""
-    plan = transfer_plan(space.cutoff_K)
-    return dict(zip(SPIN_LABELS, zip(plan.s_cols, _s_values(plan, params.lam))))
 
 
 def x_rows(space: AuxSpace, params: LaxParams, blocks):
@@ -265,22 +266,18 @@ def build_X(space: AuxSpace, params: LaxParams):
     blocks = [xk_matrix(k, params) for k in range(space.cutoff_K + 1)]
     cols, vals = x_rows(space, params, blocks)
     inv = vals.copy()  # the root row is its own inverse
-    half = transfer_plan(space.cutoff_K).half
-    inv[half, 0] = [1.0 / complex(d) for d in vals[half, 0]]
-    for k, b in enumerate(blocks[1:], 1):
-        i = [space.index[AuxVertex(2 * k, sign)] for sign in (-1, +1)]
+    plan = transfer_plan(space.cutoff_K)
+    inv[plan.half, 0] = [1.0 / complex(d) for d in vals[plan.half, 0]]
+    for i, b, sign in zip(plan.block_rows.reshape(-1, 2), blocks[1:], plan.block_sign):
         adj = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
-        inv[i] = adj / (-om**2) * (-1) ** k  # inverse of (-1)^k X_k
+        inv[i] = adj / (-om**2) * sign  # inverse of (-1)^k X_k
     return _dense(space, cols, vals), _dense(space, cols, inv), blocks
 
 
 def build_Y(space: AuxSpace, params: LaxParams) -> np.ndarray:
     """Y = -2 lambda u * (projector onto integer-level vertices)."""
-    Y = _zeros(space)
-    for v in space.vertices:
-        if v.is_integer:
-            i = space.index[v]
-            Y[i, i] = -2.0 * params.lam * params.u
+    Y, rows = _zeros(space), [0, *transfer_plan(space.cutoff_K).block_rows]  # 0+, k-, k+
+    Y[rows, rows] = -2.0 * params.lam * params.u
     return Y
 
 
@@ -398,8 +395,9 @@ def transfer_entries(band: dict, dim: int):
     plan = transfer_plan((dim - 1) // 4)
     vals = np.concatenate([v for *_, v in band.values()])
     assert len(vals) == len(plan.gather[0]), "band is not the band of build_L at this cutoff"
-    part, m = plan.coef * vals[plan.src], len(plan.entries[0])
-    val = np.bincount(plan.slot, part.real, m) + 1j * np.bincount(plan.slot, part.imag, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        part, m = plan.coef * vals[plan.src], len(plan.entries[0])
+        val = np.bincount(plan.slot, part.real, m) + 1j * np.bincount(plan.slot, part.imag, m)
     return (*plan.entries, val)
 
 
@@ -407,11 +405,13 @@ def assemble_family(cutoff_K: int, params: LaxParams) -> LaxFamily:
     """Build every operator of the family at the given cutoff, L from
     build_L. Parameters whose tables overflow (u = 1e200 does) are refused
     with ValueError before any contraction reads them."""
-    space = build_aux_space(int(cutoff_K))
+    plan = transfer_plan(int(cutoff_K))
+    space = plan.space
     # an overflow shows as inf or nan in a table, refused below by name
     with np.errstate(over="ignore", invalid="ignore"):
         X, X_inv, blocks = build_X(space, params)
-        S = {s: _dense(space, *rows) for s, rows in build_S(space, params).items()}
+        S = {s: _dense(space, cols, vals) for s, cols, vals
+             in zip(SPIN_LABELS, plan.s_cols, _s_values(plan, params.lam))}
         Y = build_Y(space, params)
         SacX, XSgr = build_hatted(space, params, blocks)
         G = spin_flip_aux(space)

@@ -4,8 +4,9 @@ operator components into a site tensor A[p, q, a, b] (physical row and
 column, then auxiliary row and column), phys_transfer_tensor does so for the
 16 transfer components of a Lax family, and chain contracts a product of site
 tensors between auxiliary boundary rows, one site at a time, behind one
-peak-memory guard. refuse_entries refuses the entries of the transfer
-tensor (lax_builder.transfer_entries) that break the charge. basis_charges
+peak-memory guard. SITE_CHARGES holds the charges of the site basis, whose
+sum with the vertex charges the transfer entries conserve
+(lax_builder.transfer_plan refuses one that does not); basis_charges
 labels the (S, T) sector of each product basis state, and sectors groups
 the states by it; ness_engine.omega_blocks contracts Omega on those sectors
 alone."""
@@ -100,17 +101,6 @@ def phys_transfer_tensor(components: dict) -> np.ndarray:
     """A[p, q, a, b] = sum_st (sigma^s tau^t)[p, q] * C^{st}[a, b] for the
     components C of a family (fam.L, or fam.Ltilde)."""
     return lift({st: local4(*st) for st in components}, components)
-
-
-def refuse_entries(p, q, a, b, aux_charges, *checks) -> None:
-    """Refuse with ValueError, by name, the first transfer entry A[p, q, a, b]
-    (lax_builder.transfer_entries) flagged by a (mask, what) of checks, then
-    the first that breaks charge conservation."""
-    charge = (SITE_CHARGES[p] + aux_charges[a] != SITE_CHARGES[q] + aux_charges[b]).any(axis=1)
-    for bad, what in (*checks, (charge, "breaks charge conservation")):
-        if bad.any():
-            e = np.argmax(bad)
-            raise ValueError(f"the transfer entry A[{p[e]}, {q[e]}, {a[e]}, {b[e]}] {what}")
 
 
 def _gib(nbytes: int) -> str:

@@ -11,21 +11,21 @@ Omega; the steady state is
 
 with M the diagonal exp(eta * sum_j (sz_j + tz_j)), eta = log(G_L/G_R)/2.
 
-Omega conserves the charges (S, T) = (sum_j sz_j, sum_j tz_j): each
-transfer component moves the charge of the auxiliary vertex
-(AuxSpace.charges) by what its physical operator adds, which omega_blocks
-asserts. M is a scalar on each sector, so build_ness reads Omega as its
-(S, T) blocks (omega_blocks, the one contraction of Omega that the commands
-run, the commutation probe included) and keeps rho as the blocks
-exp(eta (S + T)) Omega_s Omega_s^dag / Z, positive semidefinite sector by
-sector; its positivity diagnostic comes from the singular values of the
-Omega_s, each overwritten by its rho_s once read. The dense 4^n x 4^n rho is
-assembled from the blocks only on demand (NessResult.rho), behind the guard:
-for the oracle, the Lindblad residual and the state dump, up to n = 6.
-contract_omega, the dense chain, is a cross-check that the tests take as the
-reference for omega_blocks; its own cross-checks, a factored chain and a
-matrix-free product (tests/conftest.py), never split sectors, so the cutoff
-test (K against K + 1) compares different tensors.
+Omega conserves the charges (S, T) = (sum_j sz_j, sum_j tz_j): each transfer
+component moves the charge of the auxiliary vertex (AuxSpace.charges) by
+what its physical operator adds (checked once per cutoff, by
+lax_builder.transfer_plan). M is a scalar on each sector, so build_ness
+reads Omega as its (S, T) blocks (omega_blocks, the one contraction of Omega
+that the commands run, the commutation probe included) and keeps rho as the
+blocks exp(eta (S + T)) Omega_s Omega_s^dag / Z, positive semidefinite
+sector by sector; its positivity diagnostic comes from the singular values
+of the Omega_s, each overwritten by its rho_s once read. The dense 4^n x 4^n
+rho is assembled from the blocks only on demand (NessResult.rho), behind the
+guard: for the oracle, the Lindblad residual and the state dump, up to
+n = 6. contract_omega, the dense chain, is a cross-check that the tests take
+as the reference for omega_blocks; its own cross-checks, a factored chain
+and a matrix-free product (tests/conftest.py), never split sectors, so the
+cutoff test (K against K + 1) compares different tensors.
 
 Sign convention: the steady-state construction uses the family member at the
 *opposite* sign of the spectral parameter returned by map_driving_to_params.
@@ -36,7 +36,7 @@ the choice, which is what makes the convention easy to get wrong.
 
 Stationarity is certified from local identities, as in the paper, so no
 n-site chain is contracted for it and its cost grows with the cutoff alone,
-not as 16^n. stationarity_certificate takes the (cfg, fam) of build_ness and
+not as 16^n. stationarity_certificate takes cfg and its ness_family and
 returns three relative residuals: in the bulk, the two-site divergence of
 the transfer components (algebra_verifier.check_gLOD) on that family,
 between the auxiliary levels that the interior cuts of the chain reach,
@@ -74,12 +74,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .algebra_verifier import check_gLOD
-from .aux_space import AuxSpace, AuxVertex, build_aux_space
+from .aux_space import AuxSpace, AuxVertex
 from .hubbard_model import h_bond, h_end
 from .lax_builder import (LaxFamily, LaxParams, assemble_family, build_L, transfer_entries,
                           transfer_plan)
 from .linalg import (SITE_CHARGES, chain, guard, local4, one_plan_cache, phys_transfer_tensor,
-                     refuse_entries, sectors)
+                     sectors)
 
 RHO_MAGIC = b"NESSRHO1"
 # An environment value >= RESOLVED keeps every digit through the pair products
@@ -173,8 +173,11 @@ def contract_omega(fam: LaxFamily, n_sites: int) -> np.ndarray:
 
 
 def m_diag(n_sites: int, eta: float) -> np.ndarray:
-    """Diagonal of M = prod_j exp(eta (sz_j + tz_j)) in the product basis."""
+    """Diagonal of M = prod_j exp(eta (sz_j + tz_j)) in the product basis, up
+    to the power of two that takes the largest site weight into [1, 2): no
+    product of weights overflows, and every reader of M divides it out."""
     loc = np.exp(eta * (2 * SITE_CHARGES.sum(axis=1) - 2))  # sz + tz = 2 (up spins) - 2
+    loc = np.ldexp(loc, 1 - np.frexp(loc.max())[1])
     d = np.array([1.0])
     for _ in range(n_sites):
         d = np.outer(d, loc).ravel()
@@ -222,7 +225,7 @@ def _plan(K: int, N: int) -> tuple:
       its label (P, Q), two int64 the size of one complex value.
     """
     span = {}
-    for i, c in enumerate(map(tuple, build_aux_space(K).charges().tolist())):
+    for i, c in enumerate(map(tuple, transfer_plan(K).charges.tolist())):
         assert c not in span or span[c].stop == i, "the vertices of a charge are not adjacent"
         span[c] = slice(span[c].start if c in span else i, i + 1)
     moves = {(p, q): (SITE_CHARGES[p] - SITE_CHARGES[q]).tolist() for p, q in np.ndindex(4, 4)}
@@ -257,7 +260,7 @@ def _plan(K: int, N: int) -> tuple:
     return span, steps, reads, sizes[:-1]
 
 
-def omega_blocks(space: AuxSpace, params: LaxParams, ns) -> dict:
+def omega_blocks(K: int, params: LaxParams, ns) -> dict:
     """{n: the (S, T) blocks of the n-site Omega = <0+| L_1 ... L_n |0+> at
     params} for the lengths ns, in linalg.sectors order, each over its
     sector's states in increasing order: the one contraction of Omega that
@@ -265,8 +268,8 @@ def omega_blocks(space: AuxSpace, params: LaxParams, ns) -> dict:
     each Omega are views, one after the other, of one array, their base.
 
     The transfer tensor A[p, q, a, b] comes from the nonzeros of
-    lax_builder.build_L on space, whose cutoff must be at least
-    k_exact(max(ns)); an entry that breaks the charge is refused by name.
+    lax_builder.build_L at the cutoff K, which must be at least
+    k_exact(max(ns)), and conserves the charge (transfer_plan).
     <0+| A ... A is contracted once from the root for every length. After j
     sites it is held as one row per string of (p, q), labelled by its row
     and column states (P, Q); the string's charges fix those of its
@@ -279,7 +282,7 @@ def omega_blocks(space: AuxSpace, params: LaxParams, ns) -> dict:
     ValueError.
 
     Refused with MemoryError: before anything is built, blocks that pass the
-    guard (require_state); once the O(dim) entries are checked and the rows
+    guard (require_state); once the O(dim) entries are formed and the rows
     planned, before the tensor or any row is allocated, an estimate that
     does. It counts the blocks four times (two points' blocks, the places of
     their entries in the plan, and what is formed from them: one commutator
@@ -290,9 +293,9 @@ def omega_blocks(space: AuxSpace, params: LaxParams, ns) -> dict:
     rest."""
     N = max(ns)
     require_state(N)
+    space = transfer_plan(K).space
     p, q, a, b, val = transfer_entries(build_L(space, params), space.dim)
-    refuse_entries(p, q, a, b, transfer_plan(space.cutoff_K).charges)
-    span, steps, reads, sizes = _plan(space.cutoff_K, N)
+    span, steps, reads, sizes = _plan(K, N)
     blocks = {n: math.comb(2 * n, n) ** 2 for n in ns}
     guard(16 * (4 * sum(blocks.values()) + 4 * max(sizes) + 8 * 4 ** N) + (1 << 20),
           f"{N}-site sector contraction")
@@ -350,9 +353,9 @@ class NessResult:
         return _dense(self.cfg.n_sites, self.rows, self.rho_blocks)
 
 
-def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None) -> NessResult:
-    """rho = Omega Omega^dag M / Z, sector by sector, and its diagnostics.
-    fam is the driving's ness_family, built here when not given.
+def build_ness(cfg: DrivingConfig) -> NessResult:
+    """rho = Omega Omega^dag M / Z, sector by sector, and its diagnostics,
+    from the transfer components alone: no dense family is built.
 
     Omega conserves (S, T) and M is the scalar exp(eta (S + T)) on each
     sector, so rho_s = exp(eta (S + T)) Omega_s Omega_s^dag / Z with Omega_s
@@ -362,8 +365,7 @@ def build_ness(cfg: DrivingConfig, fam: LaxFamily | None = None) -> NessResult:
     floor of a dense eigensolver. Each rho_s is written over its Omega_s once
     sigma_min is read."""
     n = cfg.n_sites
-    fam = ness_family(cfg) if fam is None else fam
-    blocks = omega_blocks(fam.space, fam.params, [n])[n]
+    blocks = omega_blocks(k_exact(n), ness_lax_params(cfg), [n])[n]
     order, bounds = sectors(n)
     rows = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     _, _, eta = map_driving_to_params(cfg)
@@ -528,11 +530,11 @@ def check_boundary_conditions(cfg: DrivingConfig, fam: LaxFamily) -> tuple:
 
 
 def stationarity_certificate(cfg: DrivingConfig, fam: LaxFamily) -> dict:
-    """The local stationarity certificate of the steady state that
-    build_ness makes of cfg and fam, as relative residuals under the keys of
-    the ness document: the two boundary equations (check_boundary_conditions)
-    and the bulk (check_telescoping), each over its scale. It contracts no
-    chain, so its cost grows with the cutoff alone."""
+    """The local stationarity certificate of build_ness's state of cfg, on
+    fam = ness_family(cfg), as relative residuals under the keys of the ness
+    document: the two boundary equations (check_boundary_conditions) and the
+    bulk (check_telescoping), each over its scale. It contracts no chain, so
+    its cost grows with the cutoff alone."""
     left, right, scale = check_boundary_conditions(cfg, fam)
     bulk, bulk_scale = check_telescoping(cfg, fam)
     return {"boundary_left_residual": left / scale, "boundary_right_residual": right / scale,
@@ -647,8 +649,8 @@ class _Environments:
     its values on the entries of equal charge that its cut reaches, and the
     values read off them. Refused before anything is built if the
     environments kept at the cuts `stored` would not fit, and before the
-    sweep if a transfer entry leaves the level band or breaks the charge,
-    or if a pair product could overflow."""
+    sweep if a pair product could overflow. Its transfer entries conserve
+    the charge (transfer_plan), so none moves the level by more than one."""
 
     def __init__(self, cfg: DrivingConfig, stored):
         n, self.K = cfg.n_sites, k_exact(cfg.n_sites)
@@ -658,17 +660,14 @@ class _Environments:
         # hold (750); 1 MiB for the rest
         guard(16 * sum(self.level(min(k, n - k)) for k in [*stored, n // 2])
               + 2000 * (36 * self.K - 11) + (1 << 20), f"{n}-site environment store")
-        plan, params = transfer_plan(self.K), ness_lax_params(cfg)
-        band = build_L(plan.space, params)
-        p, q, a, b, val = transfer_entries(band, plan.space.dim)
-        big = 4 * float(np.abs(np.concatenate([v for *_, v in band.values()])).max())
+        space, params = transfer_plan(self.K).space, ness_lax_params(cfg)
+        band = build_L(space, params)
+        *_, val = transfer_entries(band, space.dim)
+        big = 4 * float(np.nanmax(np.abs(np.concatenate([v for *_, v in band.values()]))))
         overflow = OverflowError(f"the pair transfer of the {n}-site chain at {params} "
                                  f"overflows: 4 max|L| = {big:.3g}")
         if not math.isfinite(amax := float(np.abs(val).max())):
             raise overflow
-        lv = plan.charges.sum(axis=1)  # twice the level
-        refuse_entries(p, q, a, b, plan.charges,
-                       ((lv[a] - lv[b]) * (lv[a] - lv[b]) > 4, "moves the level by more than one"))
         right, left = _pair_plan(self.K)
         self.right, self.left = _PairSide(right, val), _PairSide(left, val)
         self.m = m_diag(1, map_driving_to_params(cfg)[2])

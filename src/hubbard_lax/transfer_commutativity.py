@@ -7,14 +7,14 @@ the identity checks.
 
 check_commutativity reads the (S, T) blocks of each point's Omega, for every
 requested length, from one contraction (ness_engine.omega_blocks) at the
-cutoff k_exact of the longest chain N, which refuses a transfer entry that
-breaks the charge. The tensor is nested in the cutoff, so a shorter Omega
-read from it is the one at its own k_exact(n) (the tests pin this). The
-commutator's (Frobenius, max) norms are summed one block at a time, and
-both Frobenius norms of Omega read off the one array that holds its blocks,
-so that beyond the two points' blocks the probe holds one commutator block;
-no dense Omega is formed, and the dense cross-check
-ness_engine.contract_omega agrees to rounding. The pairs of
+cutoff k_exact of the longest chain N, whose plan refuses a transfer entry
+that breaks the charge once for every point. The tensor is nested in the
+cutoff, so a shorter Omega read from it is the one at its own k_exact(n)
+(the tests pin this). The commutator's (Frobenius, max) norms are summed
+one block at a time, and both Frobenius norms of Omega read off the one
+array that holds its blocks, so that beyond the two points' blocks the
+probe holds one commutator block; no dense Omega is formed, and the dense
+cross-check ness_engine.contract_omega agrees to rounding. The pairs of
 sample_pairs are numpy's default_rng(seed) stream, drawn without
 numpy.random (algebra_verifier.SeededStream).
 """
@@ -26,7 +26,6 @@ import math
 import numpy as np
 
 from .algebra_verifier import SeededStream, annulus_points, residual_report
-from .aux_space import build_aux_space
 from .lax_builder import LaxParams
 from .ness_engine import k_exact, omega_blocks
 
@@ -57,10 +56,10 @@ def check_commutativity(ns, u: float, pairs) -> dict:
     reports = {n: [] for n in ns}
     if not reports or min(reports) < 1:
         raise ValueError(f"the probe needs chain lengths of at least 1 site, got {list(reports)}")
-    space = build_aux_space(k_exact(max(reports)))
+    K = k_exact(max(reports))
     for (l1, o1), (l2, o2) in pairs:
         p1, p2 = LaxParams(l1, o1, u), LaxParams(l2, o2, u)
-        B1, B2 = (omega_blocks(space, p, reports) for p in (p1, p2))
+        B1, B2 = (omega_blocks(K, p, reports) for p in (p1, p2))
         for n, reps in reports.items():
             # an overflow shows as an inf or nan residual, refused below
             sq, mx = 0.0, 0.0

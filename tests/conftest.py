@@ -10,7 +10,8 @@ without numpy.random) are checked against, the CSR pair transfer that the
 environment engine's is checked against, the dense-environment engine that
 the charge-block one is checked against, the per-point route (every table,
 transfer entry and pair-transfer term found again at each point) that the
-plans of transfer_plan and _pair_plan are checked against, the factored and
+plans of transfer_plan and _pair_plan are checked against, a transfer
+entry seeded into the plan's layout for the refusal tests, the factored and
 matrix-free contractions of Omega that contract_omega is checked against, the dense
 steady state that the sector blocks of build_ness are checked against,
 tr(rho O) for the dense reader of observables, the species-swap and
@@ -21,6 +22,7 @@ vertices the operator-table tests read.
 
 import itertools
 
+from hubbard_lax import lax_builder
 import numpy as np
 import scipy.sparse as sp
 
@@ -369,6 +371,20 @@ class DenseEnvironments:
         keep = {n - i for n in lengths for i in (1, 2)}
         env = [X if k in keep else None for k, X in enumerate(self.sweep(max(lengths)))]
         return [next(self.expectations(env[:n], {}, bond_ops))[1] for n in lengths]
+
+
+def seed_plan_entry(monkeypatch, entry):
+    """Add the transfer entry A[p, q, a, b], entry = (p, q, a, b), to the
+    layout of every plan that transfer_plan builds from here on, and drop
+    the plan held, so that the next route to read a plan builds it."""
+    build = lax_builder.TransferPlan
+
+    def seeded(**fields):
+        fields["entries"] = tuple(np.append(x, y) for x, y in zip(fields["entries"], entry))
+        return build(**fields)
+
+    monkeypatch.setattr(lax_builder, "TransferPlan", seeded)
+    lax_builder.transfer_plan.cache_clear()
 
 
 def per_point_band(space: AuxSpace, params: LaxParams) -> dict:

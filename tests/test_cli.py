@@ -234,6 +234,52 @@ def test_commute_refuses_an_overflow(tmp_path, capsys, u, message):
     assert not (tmp_path / "commute.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["commute"], ["observe", "--n", "4"]])
+def test_an_overflow_at_the_largest_u_names_no_nan(tmp_path, capsys, argv):
+    # at u = 1e308 the X blocks pass the float range, and inf times a zero
+    # reads nan: the refusal comes without a numpy warning, and names none
+    err = _refused_without_warnings([*argv, "--u", "1e308", "--out", str(tmp_path)], capsys)
+    assert "overflows" in err and "nan" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["ness", "--n", "2", "--u", "0", "--gammaL", "1e-300"],
+    ["ness", "--n", "4", "--u", "1", "--gammaR", "1e-200"],
+    ["ness", "--n", "3", "--u", "1", "--gammaR", "1e-200", "--lindblad-residual"],
+    ["observe", "--n", "4", "--u", "1", "--gammaR", "1e-200"],
+    ["sweep", "--n", "3", "--u", "1", "--gammaR", "1e-200"],
+])
+def test_extreme_rate_ratios_run(tmp_path, capsys, argv):
+    # M's site weights are scaled by a power of two, which its readers
+    # divide out; unscaled, their products overflowed, and ness.json read
+    # NaN, or observe and sweep refused, blaming L
+    from hubbard_lax import cli
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    text = (tmp_path / f"{argv[0]}.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    capsys.readouterr()
+
+
+def test_observe_at_an_extreme_rate_ratio(tmp_path, capsys):
+    # with nothing ejected on the right, the chain fills up, and a current
+    # of order G_R flows, uniform along the chain
+    from hubbard_lax import cli
+
+    assert cli.main(["observe", "--n", "4", "--u", "1", "--gammaR", "1e-200",
+                     "--out", str(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for d in (*doc["densities_sigma"], *doc["densities_tau"]):
+        assert abs(d - 1) <= 1e-12
+    for J in (*doc["currents_sigma"], *doc["currents_tau"]):
+        assert 1e-200 <= J <= 1e-199
+    assert doc["current_uniformity"] <= 1e-15
+
+
 def test_commute_refuses_eight_sites_before_any_work(tmp_path, capsys, monkeypatch):
     # the 8-site blocks alone would take 2.5 GiB; the guard refuses them
     # before a transfer tensor is built
@@ -619,8 +665,8 @@ def test_every_command_writes_its_document_one_way(tmp_path, capsys, argv):
 def test_negative_eigenvalue_fails_ness(tmp_path, capsys, monkeypatch):
     from hubbard_lax import cli
 
-    def negative(cfg, fam=None):
-        res = build_ness(cfg, fam)
+    def negative(cfg):
+        res = build_ness(cfg)
         res.diagnostics["positivity_min_eig"] = -2e-10
         return res
 

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import seed_plan_entry
 from hubbard_lax import linalg, ness_engine
 from hubbard_lax.aux_space import AuxVertex, build_aux_space
 from hubbard_lax.algebra_verifier import residual_report
@@ -78,18 +79,14 @@ def test_family_nested_in_cutoff():
 def test_off_sector_entry_refused(monkeypatch):
     # an entry from 1/2+ to 1/2-, of charges (1, 0) and (0, 1), at a site
     # operator that keeps the physical charge, as an X entry between the two
-    # would make; the blocks would drop it, so the probe refuses the entry by
-    # name before it contracts anything
-    entries = ness_engine.transfer_entries
+    # would make; the blocks would drop it, so its transfer plan refuses the
+    # entry by name when it is built, before the probe contracts anything
     half = [build_aux_space(1).index[AuxVertex(1, sign)] for sign in (+1, -1)]
-
-    def seeded(band, dim):
-        return tuple(np.append(x, y) for x, y in zip(entries(band, dim), (0, 0, *half, 0.1)))
 
     def planned(*args):
         raise AssertionError("the probe planned a charge-breaking contraction")
 
-    monkeypatch.setattr(ness_engine, "transfer_entries", seeded)
+    seed_plan_entry(monkeypatch, (0, 0, *half))
     monkeypatch.setattr(ness_engine, "_plan", planned)
     with pytest.raises(ValueError,
                        match=r"the transfer entry A\[0, 0, 1, 2\] breaks charge conservation"):

@@ -51,7 +51,7 @@ def test_omega_blocks_match_chain(n):
         root = np.eye(f.dim)[0]
         want = chain([phys_transfer_tensor(f.L)] * n, root, root)
         got = np.zeros_like(want)
-        blocks = omega_blocks(f.space, f.params, ns)[n]
+        blocks = omega_blocks(f.space.cutoff_K, f.params, ns)[n]
         assert len(blocks) == len(bounds) - 1
         for block, lo, hi in zip(blocks, bounds, bounds[1:]):
             got[np.ix_(order[lo:hi], order[lo:hi])] = block

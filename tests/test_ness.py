@@ -13,6 +13,7 @@ from conftest import (
     global_telescoping,
     off_root_ltilde_defect,
     omega_apply,
+    seed_plan_entry,
     spin_flip_G,
     telescoping_terms,
     total_magnetization,
@@ -203,18 +204,15 @@ def test_positivity_from_sector_singular_values(n):
 def test_off_charge_entry_refused_before_contraction(monkeypatch):
     # an entry from 1/2+ to 1/2-, of charges (1, 0) and (0, 1), at a site
     # operator that keeps the physical charge, as an X entry between the two
-    # would make; the sector contraction must refuse the entry by name before
-    # it plans or allocates, and so before its guard
-    entries = ness_engine.transfer_entries
+    # would make; its transfer plan refuses the entry by name when it is
+    # built, before the sector contraction plans or allocates, and so before
+    # its guard
     half = [build_aux_space(1).index[AuxVertex(1, sign)] for sign in (+1, -1)]
-
-    def seeded(band, dim):
-        return tuple(np.append(x, y) for x, y in zip(entries(band, dim), (0, 0, *half, 0.1)))
 
     def planned(*args):
         raise AssertionError("the sector contraction was planned")
 
-    monkeypatch.setattr(ness_engine, "transfer_entries", seeded)
+    seed_plan_entry(monkeypatch, (0, 0, *half))
     monkeypatch.setattr(ness_engine, "_plan", planned)
     with pytest.raises(ValueError,
                        match=r"the transfer entry A\[0, 0, 1, 2\] breaks charge conservation"):
@@ -248,10 +246,10 @@ def test_sector_guards_bound_the_peaks(n, monkeypatch):
 
     monkeypatch.setattr(ness_engine, "guard", recorded)
     cfg = DrivingConfig(1.5, 0.7, 0.3, -0.4, 2.0, n)
-    fam = ness_family(cfg)
+    lax_builder.transfer_plan(k_exact(n))  # built first by ness_family in `ness`
     for cached in (ness_engine._plan, linalg.sectors):
         cached.cache_clear()
-    peak = _traced_peak(build_ness, cfg, fam)
+    peak = _traced_peak(build_ness, cfg)
     assert set(estimates) == {"sector contraction", "sector blocks"}
     assert peak <= estimates["sector contraction"]
 

@@ -187,6 +187,13 @@ def test_interaction_free_agreement():
     assert d < 1e-10
 
 
+def test_agreement_at_an_extreme_rate_ratio():
+    # G_L / G_R = 1e30: M weighs the sectors of three sites up to 1e90 apart
+    cfg = DrivingConfig(1.0, 1e-30, 0.0, 0.0, 1.0, 3)
+    d = np.linalg.norm(build_ness(cfg).rho - fixed_point_oracle(cfg))
+    assert d < 1e-14
+
+
 def test_size_refusal():
     cfg = DrivingConfig(1.0, 1.0, 0.0, 0.0, 1.0, 4)
     with pytest.raises(ValueError, match="n="):

@@ -65,6 +65,20 @@ def test_traced_commute_builds_no_family(tmp_path):
     assert names.count("ness_engine.contract_omega") == 0
 
 
+@pytest.mark.parametrize("argv, families", [(["oracle", "--n", "2"], 0),
+                                            (["ness", "--n", "3"], 1)])
+def test_traced_steady_state_builds_no_family(tmp_path, argv, families):
+    # the steady state is contracted from the transfer components alone:
+    # oracle builds no dense family, and ness one, for its certificate
+    spans = tmp_path / "spans.json"
+    r = subprocess.run([sys.executable, str(TRACE_CHILD), str(spans), "job", *argv, "--u", "1",
+                        "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    names = [row[0] for row in json.loads(spans.read_text())["spans"]]
+    assert "ness_engine.build_ness" in names
+    assert names.count("lax_builder.assemble_family") == families
+
+
 def test_ness_and_commute_share_one_contraction(tmp_path, monkeypatch, capsys):
     # build_ness and the commutation probe read Omega's blocks through one
     # function, once per state and once per parameter point
@@ -74,9 +88,9 @@ def test_ness_and_commute_share_one_contraction(tmp_path, monkeypatch, capsys):
     calls = []
     core = ness_engine.omega_blocks
 
-    def counted(space, params, ns):
+    def counted(K, params, ns):
         calls.append(sorted(ns))
-        return core(space, params, ns)
+        return core(K, params, ns)
 
     for module in (ness_engine, transfer_commutativity):
         monkeypatch.setattr(module, "omega_blocks", counted)

@@ -14,7 +14,9 @@ import pytest
 from conftest import CANONICAL_DRIVINGS, PerPointPairSide, per_point_band, per_point_entries
 from hubbard_lax import cli, lax_builder, ness_engine
 from hubbard_lax.algebra_verifier import SeededStream, annulus_points
+from hubbard_lax.aux_space import build_aux_space
 from hubbard_lax.lax_builder import LaxParams, build_L, transfer_entries, transfer_plan
+from hubbard_lax.linalg import SITE_CHARGES
 from hubbard_lax.ness_engine import (DrivingConfig, _doubled_layout, _pair_plan, _PairSide,
                                      ness_lax_params)
 from hubbard_lax.observables import current_series, profile_and_currents_mpo
@@ -99,6 +101,18 @@ def test_pair_terms_never_merge(K):
     for terms, ends in zip(_pair_plan(K), ((a, b), (b, a))):
         ref = PerPointPairSide(layout, p, q, *ends, val)
         assert ref.terms == len(ref.key) == len(terms.i)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_an_entry_off_the_level_band_breaks_the_charge(K):
+    # of every (p, q, a, b), each that moves the level by more than one also
+    # breaks charge conservation, so the plan's charge check refuses it
+    space = build_aux_space(K)
+    ch, lv = space.charges(), space.levels()
+    p, q, a, b = np.indices((4, 4, space.dim, space.dim)).reshape(4, -1)
+    far = np.abs(lv[a] - lv[b]) > 1
+    breaks = (SITE_CHARGES[p] + ch[a] != SITE_CHARGES[q] + ch[b]).any(axis=1)
+    assert far.any() == (K > 1) and breaks[far].all()
 
 
 def test_plan_is_read_only():
