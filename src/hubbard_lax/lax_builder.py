@@ -270,7 +270,7 @@ def build_X(space: AuxSpace, params: LaxParams):
     inv[plan.half, 0] = [1.0 / complex(d) for d in vals[plan.half, 0]]
     for i, b, sign in zip(plan.block_rows.reshape(-1, 2), blocks[1:], plan.block_sign):
         adj = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
-        inv[i] = adj / (-om**2) * sign  # inverse of (-1)^k X_k
+        inv[i] = adj / (-(om * om)) * sign  # inverse of (-1)^k X_k
     return _dense(space, cols, vals), _dense(space, cols, inv), blocks
 
 

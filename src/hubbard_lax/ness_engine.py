@@ -21,11 +21,12 @@ blocks exp(eta (S + T)) Omega_s Omega_s^dag / Z, positive semidefinite
 sector by sector; its positivity diagnostic comes from the singular values
 of the Omega_s, each overwritten by its rho_s once read. The dense 4^n x 4^n
 rho is assembled from the blocks only on demand (NessResult.rho), behind the
-guard: for the oracle, the Lindblad residual and the state dump, up to
-n = 6. contract_omega, the dense chain, is a cross-check that the tests take
-as the reference for omega_blocks; its own cross-checks, a factored chain
-and a matrix-free product (tests/conftest.py), never split sectors, so the
-cutoff test (K against K + 1) compares different tensors.
+guard: for the oracle, the Lindblad residual, the state dump and the partial
+traces of the cross-check observables.profile_and_currents, up to n = 6.
+contract_omega, the dense chain, is a cross-check that the tests take as the
+reference for omega_blocks; its own cross-checks, a factored chain and a
+matrix-free product (tests/conftest.py), never split sectors, so the cutoff
+test (K against K + 1) compares different tensors.
 
 Sign convention: the steady-state construction uses the family member at the
 *opposite* sign of the spectral parameter returned by map_driving_to_params.
@@ -108,6 +109,13 @@ class DrivingConfig:
             )
         if self.n_sites < 2:
             raise ValueError("the steady-state construction needs n_sites >= 2")
+        # M's site weights are exp(+-2 eta) = (G_L / G_R)^(+-1) (m_diag)
+        with np.errstate(over="ignore", divide="ignore"):
+            if not np.isfinite(np.exp(2 * abs(map_driving_to_params(self)[2]))):
+                raise ValueError(
+                    f"the rates gamma_L = {self.gamma_L:g} and gamma_R = {self.gamma_R:g} are "
+                    "too far apart: M's site weights (gamma_L / gamma_R)^(+-1) pass the float range"
+                )
 
     def key(self) -> str:
         return (
@@ -327,15 +335,6 @@ def omega_blocks(K: int, params: LaxParams, ns) -> dict:
     return out
 
 
-def _dense(n_sites: int, rows: list, blocks: list) -> np.ndarray:
-    """The 4^n x 4^n matrix that holds each block on its sector rows."""
-    require_state(n_sites, dense=True)
-    out = np.zeros((4 ** n_sites,) * 2, dtype=complex)
-    for r, b in zip(rows, blocks):
-        out[np.ix_(r, r)] = b
-    return out
-
-
 @dataclass
 class NessResult:
     """The steady state as its charge-sector blocks: rows[i] holds the basis
@@ -350,7 +349,12 @@ class NessResult:
 
     @property
     def rho(self) -> np.ndarray:
-        return _dense(self.cfg.n_sites, self.rows, self.rho_blocks)
+        """The dense rho, each block on its sector rows: the one place that forms it."""
+        require_state(self.cfg.n_sites, dense=True)
+        out = np.zeros((4 ** self.cfg.n_sites,) * 2, dtype=complex)
+        for r, b in zip(self.rows, self.rho_blocks):
+            out[np.ix_(r, r)] = b
+        return out
 
 
 def build_ness(cfg: DrivingConfig) -> NessResult:

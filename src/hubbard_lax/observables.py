@@ -5,8 +5,8 @@ Every chain length takes one route: profile_and_currents_mpo reads the
 local values <O_j> and <O_j P_{j+1}> from the environment engine,
 ness_engine.local_expectations, which never builds rho. Its cross-check,
 profile_and_currents, reads the same values off the one- and two-site
-reduced density matrices of a build_ness state, summed over its
-charge-sector blocks; both feed one assembly (_profile).
+reduced density matrices Tr_rest rho of a build_ness state, each one partial
+trace of its dense rho, for n <= 6; both feed one assembly (_profile).
 
 Current convention. With hopping 2(s+_j s-_{j+1} + s-_j s+_{j+1}) the local
 magnetization obeys d<sz_j>/dt = i<[H, sz_j]> = <J_{j-1,j}> - <J_{j,j+1}>
@@ -54,36 +54,16 @@ def _real(z: complex, what: str) -> float:
     return float(z.real)
 
 
-def _reduced(ness: NessResult, j: int, k: int) -> np.ndarray:
-    """Tr_rest rho over all but the k sites j..j+k-1: a 4^k x 4^k matrix,
-    summed over the sector blocks of rho. Within a block, the rows a, b
-    with the same state of the other sites add rho[a, b] at the states of
-    j..j+k-1 that they hold."""
-    d, right = 4**k, 4 ** (ness.cfg.n_sites - j - k + 1)
-    out = np.zeros(d * d, dtype=complex)
-    for rows, block in zip(ness.rows, ness.rho_blocks):
-        mid, rest = rows // right % d, rows // (right * d) * right + rows % right
-        a, b = np.nonzero(rest[:, None] == rest[None, :])
-        out += np.bincount(mid[a] * d + mid[b], block[a, b].real, d * d)
-        out += 1j * np.bincount(mid[a] * d + mid[b], block[a, b].imag, d * d)
-    return out.reshape(d, d)
-
-
-def _sector_local_expectations(ness: NessResult, site_ops: dict, bond_ops: dict):
-    """Cross-check of ness_engine.local_expectations, with the
-    same per-site ({name: <O_j>}, {name: <O_j P_{j+1}>}) pairs, read off the
-    two-site reduced density matrix rho_{j,j+1} (the one-site matrix at
-    j = n) of the sector blocks."""
-    n = ness.cfg.n_sites
+def _dense_local_expectations(ness: NessResult, site_ops: dict, bond_ops: dict):
+    """Cross-check of ness_engine.local_expectations, with the same per-site
+    ({name: <O_j>}, {name: <O_j P_{j+1}>}) pairs, read off Tr_rest rho over
+    sites j, j + 1 (site n alone at j = n), one partial trace of the dense rho."""
+    n, rho = ness.cfg.n_sites, ness.rho
     for j in range(1, n + 1):
-        bond = {}
-        if j < n:
-            r2 = _reduced(ness, j, 2)
-            r1 = np.einsum("ikjk->ij", r2.reshape(4, 4, 4, 4))
-            bond = {k: np.sum(r2.T * np.kron(o, p)) for k, (o, p) in bond_ops.items()}
-        else:
-            r1 = _reduced(ness, n, 1)
-        yield {k: np.sum(r1.T * o) for k, o in site_ops.items()}, bond
+        left, d = 4 ** (j - 1), 4 ** min(2, n + 1 - j)  # the states left of j, and of those kept
+        r = np.einsum("aibajb->ij", rho.reshape(left, d, -1, left, d, 4 ** n // (left * d)))
+        yield ({k: np.sum(r.T * np.kron(o, np.eye(d // 4))) for k, o in site_ops.items()},
+               {k: np.sum(r.T * np.kron(o, p)) for k, (o, p) in bond_ops.items()} if j < n else {})
 
 
 # local 4x4 blocks for the expectation engine
@@ -125,8 +105,8 @@ def _profile(n: int, sweep) -> ObservableSet:
 def profile_and_currents(ness: NessResult) -> ObservableSet:
     """Cross-check of profile_and_currents_mpo, the engine's route: the
     densities <sz_j>, <tz_j> and bond currents of a steady state of
-    build_ness, read off its one- and two-site reduced density matrices."""
-    return _profile(ness.cfg.n_sites, _sector_local_expectations(ness, _SZ_LOC, _CURRENT_TERMS))
+    build_ness, read off partial traces of its dense rho (n <= 6)."""
+    return _profile(ness.cfg.n_sites, _dense_local_expectations(ness, _SZ_LOC, _CURRENT_TERMS))
 
 
 def profile_and_currents_mpo(cfg: DrivingConfig) -> ObservableSet:

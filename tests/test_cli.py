@@ -265,6 +265,36 @@ def test_extreme_rate_ratios_run(tmp_path, capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # G_L / G_R overflows, and so does eta: ness.json read NaN after numpy
+    # warnings, and observe refused, blaming L
+    (["ness", "--n", "2", "--gammaL", "1e10", "--gammaR", "1e-310"],
+     "gamma_L = 1e+10 and gamma_R = 1e-310 are too far apart"),
+    (["observe", "--n", "4", "--gammaL", "1e10", "--gammaR", "1e-310"],
+     "gamma_L = 1e+10 and gamma_R = 1e-310 are too far apart"),
+    # G_L / G_R is finite, but its inverse overflows
+    (["ness", "--n", "2", "--gammaL", "1e-320"],
+     "gamma_L = 9.99989e-321 and gamma_R = 1 are too far apart"),
+])
+def test_a_rate_ratio_past_the_float_range_is_refused(tmp_path, capsys, argv, message):
+    err = _refused_without_warnings([*argv, "--u", "1", "--out", str(tmp_path)], capsys)
+    assert message in err and "M's site weights" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, omega", [
+    (["ness", "--n", "3", "--gammaL", "1e300"], "omega=2.5e+299j"),
+    (["ness", "--n", "2", "--muL", "1e300"], "omega=(2.5e+299+0.5j)"),
+])
+def test_an_overflowing_omega_squared_names_the_table(tmp_path, capsys, argv, omega):
+    # complex ** raised "complex exponentiation" before the family's
+    # finiteness check could name the table
+    err = _refused_without_warnings([*argv, "--u", "1", "--out", str(tmp_path)], capsys)
+    assert "the Lax family at LaxParams(lam=" in err and omega in err
+    assert "is not finite: X overflows" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_observe_at_an_extreme_rate_ratio(tmp_path, capsys):
     # with nothing ejected on the right, the chain fills up, and a current
     # of order G_R flows, uniform along the chain

@@ -136,6 +136,13 @@ def test_dense_reader_checks_imaginary_parts():
         profile_and_currents(dataclasses.replace(ness, rho_blocks=blocks))
 
 
+def test_dense_reader_refuses_seven_sites_before_forming_rho():
+    # the dense 7-site rho would take 4 GiB; no state is built for the test
+    ness = ness_engine.NessResult(DrivingConfig(*CANONICAL_DRIVINGS[0], 7), [], [], 0.0)
+    with pytest.raises(MemoryError, match="a dense 7-site state needs about"):
+        profile_and_currents(ness)
+
+
 def test_engine_matches_dense():
     # the short chains that observe and sweep once read off the dense state
     for n in (2, 3, 4, 5):
