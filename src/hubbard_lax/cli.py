@@ -8,8 +8,8 @@ inputs produce bit-identical outputs.
 
 Config precedence: command-line flags override entries of a JSON config file
 (--config), which may set only its subcommand's options;
-built-in defaults fill the rest (tol 1e-10, seed 42, rates 1, potentials 0).
-A flag's text and a config value are parsed alike, and a bad one is refused
+the defaults of OPTIONS fill the rest. A flag's text and a config value are
+parsed alike, by the option's parser in OPTIONS, and a bad one is refused
 with exit status 2. The steady-state cutoff is not an input: the chain length
 fixes it.
 """
@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -51,8 +52,6 @@ from .observables import (
 from .transfer_commutativity import check_commutativity, sample_pairs
 
 SCHEMA_VERSION = 3
-DEFAULTS = {"tol": 1e-10, "seed": 42, "gammaL": 1.0, "gammaR": 1.0, "muL": 0.0, "muR": 0.0}
-RATES = ("gammaL", "gammaR", "muL", "muR")
 
 
 def _json_default(obj):
@@ -77,15 +76,7 @@ def _emit(args, doc: dict, passed: bool) -> int:
     return 0 if passed else 1
 
 
-def _merged(args, key, default=None):
-    """flag > config file (main merges it into args) > default."""
-    val = getattr(args, key, None)
-    return DEFAULTS.get(key, default) if val is None else val
-
-
-# Every option value, a flag's text and a config file's JSON value alike, is
-# parsed by _real, _whole or _switch (directly, or through _values and _tol)
-# and refused there as "<key> must be ...": the flags carry no argparse type.
+# parse(raw, key) reads a flag's text or a config value, or refuses it: "key must be ..."
 
 def _real(raw, what: str) -> float:
     """A real option value; text that is not a number or holds a digit-group
@@ -98,20 +89,19 @@ def _real(raw, what: str) -> float:
     raise ValueError(f"{what} must be a number, got {raw!r}")
 
 
-def _values(args, key, default, parse=_real):
-    """A comma-separated flag, or a config list or scalar, as values parsed
-    by parse(value, key)."""
-    raw = _merged(args, key, default)
-    if isinstance(raw, str):
-        raw = raw.split(",")
-    return [parse(x, key) for x in (raw if isinstance(raw, (list, tuple)) else [raw])]
+def _finite(raw, what: str) -> float:
+    """A finite real; NaN times a tensor's zeros would be refused by a wrong reason."""
+    value = _real(raw, what)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
 
 
-def _tol(args) -> float:
+def _tol(raw, what: str) -> float:
     """The gate tolerance; inf or nan would pass every gate, and 0 or less none."""
-    tol = _real(_merged(args, "tol"), "tol")
+    tol = _real(raw, what)
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+        raise ValueError(f"{what} must be finite and positive, got {tol}")
     return tol
 
 
@@ -126,50 +116,49 @@ def _whole(raw, what: str) -> int:
     raise ValueError(f"{what} must be a whole number, got {raw!r}")
 
 
-def _switch(args, key) -> bool:
+def _switch(raw, what: str) -> bool:
     """An on/off option: a given flag or a config true is on, an absent one
     or a config false off; any other config value, such as "false", is
     refused."""
-    raw = _merged(args, key, False)
     if not isinstance(raw, bool):
-        raise ValueError(f"{key} must be true or false, got {raw!r}")
+        raise ValueError(f"{what} must be true or false, got {raw!r}")
     return raw
 
 
-def _driving_from_args(args) -> DrivingConfig:
-    for key in ("u", "n"):
-        if _merged(args, key) is None:
-            raise ValueError(f"missing required parameter --{key}")
-    return DrivingConfig(*(_real(_merged(args, key), key) for key in RATES),
-                         u=_real(args.u, "u"), n_sites=_whole(args.n, "n"))
+def _path(raw, what: str) -> str:
+    """A file path: a config number such as 3 would be opened as a file descriptor."""
+    if not isinstance(raw, str):
+        raise ValueError(f"{what} must be a file path, got {raw!r}")
+    return raw
+
+
+def _values(parse):
+    """A comma-separated flag, or a config list or scalar, as a list parsed by parse."""
+    def values(raw, what: str) -> list:
+        raw = raw.split(",") if isinstance(raw, str) else raw
+        return [parse(x, what) for x in (raw if isinstance(raw, (list, tuple)) else [raw])]
+    return values
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_verify(args) -> int:
-    tol = _tol(args)
-    seed = _whole(_merged(args, "seed"), "seed")
-    samples = _whole(_merged(args, "samples", 5), "samples")
-    cutoffs = _values(args, "K", (3, 4, 5), _whole)
-    if not cutoffs or samples < 1:
+    if not args.K or args.samples < 1:
         raise ValueError(f"verify needs at least one cutoff and one sample, got "
-                         f"cutoffs {cutoffs} and {samples} samples")
-    pts = sample_params(samples, seed=seed)
+                         f"cutoffs {args.K} and {args.samples} samples")
+    pts = sample_params(args.samples, seed=args.seed)
     if args.u is None:
-        reports = verify_suite(num_samples=samples, cutoffs=cutoffs, tol=tol, seed=seed)
+        reports = verify_suite(args.samples, args.K, args.tol, args.seed)
     else:
-        u = _real(args.u, "u")
-        if not math.isfinite(u):
-            raise ValueError(f"u must be finite, got {u}")
-        pts = [dataclasses.replace(p, u=u) for p in pts]
-        reports = [r for K in cutoffs for p in pts for r in verify_family(p, K, tol=tol)]
+        pts = [dataclasses.replace(p, u=args.u) for p in pts]
+        reports = [r for K in args.K for p in pts for r in verify_family(p, K, tol=args.tol)]
     xk = [check_xk_structure(p) for p in pts]
     ok = all(r.passed for r in reports) and all(x["passed"] for x in xk)
     return _emit(args, {
-        "seed": seed,
-        "tolerance": tol,
-        "cutoffs": cutoffs,
+        "seed": args.seed,
+        "tolerance": args.tol,
+        "cutoffs": args.K,
         "reports": [r.as_dict() for r in reports],
         "interaction_blocks": xk,
         "all_passed": ok,
@@ -177,14 +166,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ness(args) -> int:
-    cfg = _driving_from_args(args)
-    tol = _tol(args)
-    if args.dump_rho is not None and not isinstance(args.dump_rho, str):
-        raise ValueError(f"dump_rho must be a file path, got {args.dump_rho!r}")
-    lindblad = _switch(args, "lindblad_residual")
+    cfg = DrivingConfig(args.gammaL, args.gammaR, args.muL, args.muR, args.u, args.n)
     # the sector blocks, and the dense rho that these two read, are refused
     # here, before any work
-    dense = bool(args.dump_rho or lindblad)
+    dense = bool(args.dump_rho or args.lindblad_residual)
     require_state(cfg.n_sites, dense)
     fam = ness_family(cfg)
     res = build_ness(cfg)
@@ -192,13 +177,13 @@ def cmd_ness(args) -> int:
     lam, om, eta = map_driving_to_params(cfg)
     cert = stationarity_certificate(cfg, fam)
     diag = {**res.diagnostics, **cert}
-    if lindblad:
+    if args.lindblad_residual:
         diag["lindblad_residual"] = fixed_point_residual(cfg, rho)
-    ok = bool(state_passed(diag) and max(cert.values()) <= tol)
+    ok = bool(state_passed(diag) and max(cert.values()) <= args.tol)
     doc = {
         "driving": dataclasses.asdict(cfg),
         "cutoff_K": fam.space.cutoff_K,
-        "tolerance": tol,
+        "tolerance": args.tol,
         "map": {"lambda": lam, "omega": om, "eta": eta},
         "diagnostics": diag,
         "passed": ok,
@@ -210,8 +195,7 @@ def cmd_ness(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _driving_from_args(args)
-    tol = _tol(args)
+    cfg = DrivingConfig(args.gammaL, args.gammaR, args.muL, args.muR, args.u, args.n)
     rho_oracle = fixed_point_oracle(cfg)
     rho = build_ness(cfg).rho
     dist = float(np.linalg.norm(rho - rho_oracle))
@@ -219,17 +203,15 @@ def cmd_oracle(args) -> int:
         "driving": dataclasses.asdict(cfg),
         "frobenius_distance": dist,
         "lindblad_residual": fixed_point_residual(cfg, rho),
-        "tolerance": tol,
-        "passed": dist <= tol,
-    }, dist <= tol)
+        "tolerance": args.tol,
+        "passed": dist <= args.tol,
+    }, dist <= args.tol)
 
 
 def cmd_observe(args) -> int:
-    cfg = _driving_from_args(args)
-    gnuplot = _switch(args, "gnuplot")
-    ns = _values(args, "scaling", None, _whole) if args.scaling else None
-    if ns and len(set(ns)) < 3:
-        raise ValueError(f"scaling needs at least 3 distinct chain lengths, got {ns}")
+    cfg = DrivingConfig(args.gammaL, args.gammaR, args.muL, args.muR, args.u, args.n)
+    if args.scaling and len(set(args.scaling)) < 3:
+        raise ValueError(f"scaling needs at least 3 distinct chain lengths, got {args.scaling}")
     obs = profile_and_currents_mpo(cfg)
     uni = current_uniformity(obs)
     doc = {
@@ -241,8 +223,8 @@ def cmd_observe(args) -> int:
         "current_uniformity": uni,
         "cosine_fit": cosine_profile_fit(obs.densities_sigma),
     }
-    if ns:
-        series = current_series(cfg, ns)
+    if args.scaling:
+        series = current_series(cfg, args.scaling)
         doc["scaling"] = {
             "series": [[n, J] for n, J in series],
             "fit": scaling_fit(series),
@@ -256,7 +238,7 @@ def cmd_observe(args) -> int:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows([j, repr(x), repr(y)] for j, (x, y) in enumerate(zip(xs, ys), 1))
-    if gnuplot:
+    if args.gnuplot:
         with open(os.path.join(args.out, "profile.dat"), "w") as fh:
             fh.write("# site sz tz\n")
             for j in range(cfg.n_sites):
@@ -271,22 +253,16 @@ def cmd_observe(args) -> int:
 
 
 def cmd_commute(args) -> int:
-    seed = _whole(_merged(args, "seed"), "seed")
-    u = _real(_merged(args, "u", 1.0), "u")
-    npairs = _whole(_merged(args, "pairs", 20), "pairs")
-    ns = _values(args, "n", "2,3,4", _whole)
-    if not math.isfinite(u):
-        raise ValueError(f"u must be finite, got {u}")
-    if npairs < 1:
-        raise ValueError(f"commute needs at least one pair, got {npairs}")
-    pairs = sample_pairs(npairs, seed=seed)
+    if args.pairs < 1:
+        raise ValueError(f"commute needs at least one pair, got {args.pairs}")
+    pairs = sample_pairs(args.pairs, seed=args.seed)
     all_reports = {str(n): [r.as_dict() for r in reps]
-                   for n, reps in check_commutativity(ns, u, pairs).items()}
+                   for n, reps in check_commutativity(args.n, args.u, pairs).items()}
     # conjecture tier never gates
     return _emit(args, {
         "tier": "conjecture",
-        "seed": seed,
-        "u": u,
+        "seed": args.seed,
+        "u": args.u,
         "reports": all_reports,
         "all_within_tolerance": all(
             r["passed"] for reps in all_reports.values() for r in reps
@@ -306,16 +282,13 @@ def _sweep_one(kwargs):
 
 
 def cmd_sweep(args) -> int:
-    grid = itertools.product(_values(args, "n", "2,3", _whole),
-                             *(_values(args, key, None) for key in RATES),
-                             _values(args, "u", "1.0"))
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
     jobs = [dict(gamma_L=gL, gamma_R=gR, mu_L=mL, mu_R=mR, u=u, n_sites=n)
-            for n, gL, gR, mL, mR, u in grid]
-    workers = _whole(_merged(args, "workers", 1), "workers")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+            for n, gL, gR, mL, mR, u in itertools.product(
+                args.n, args.gammaL, args.gammaR, args.muL, args.muR, args.u)]
     # a fork pool starts all its processes at once: no more than it can use
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(args.workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -332,11 +305,35 @@ def cmd_sweep(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-def _add_driving_flags(p):
-    p.add_argument("--n", help="chain length")
-    for key in (*RATES, "u"):
-        p.add_argument("--" + key)
+# Every option of every command, once: {command: (help, {key: (parser, default[,
+# help])})}, the flag --key with "_" written "-". A default of None leaves the
+# option unset, and ... makes it required; a _switch option is a flag alone.
+DRIVING = {"n": (_whole, ..., "chain length"), "gammaL": (_real, 1.0), "gammaR": (_real, 1.0),
+           "muL": (_real, 0.0), "muR": (_real, 0.0), "u": (_finite, ...)}
+OPTIONS = {
+    "verify": ("run the operator-identity residual suite", {
+        "u": (_finite, None, "fix the interaction"),
+        "K": (_values(_whole), "3,4,5", "comma-separated cutoffs (default 3,4,5)"),
+        "seed": (_whole, 42), "samples": (_whole, 5), "tol": (_tol, 1e-10)}),
+    "ness": ("build the steady state and its diagnostics", {
+        **DRIVING, "tol": (_tol, 1e-10), "dump_rho": (_path, None, "binary dump path for rho"),
+        "lindblad_residual": (_switch, False, "also evaluate the Lindblad fixed-point residual")}),
+    "oracle": ("cross-check against the Lindblad fixed point (n <= 3)",
+               {**DRIVING, "tol": (_tol, 1e-10)}),
+    "observe": ("densities, currents, scaling", {
+        **DRIVING, "scaling": (_values(_whole), None,
+                               "comma-separated chain lengths for the current scaling fit"),
+        "gnuplot": (_switch, False, "emit plain .dat files")}),
+    "commute": ("transfer-family commutation probe (conjecture tier)", {
+        "n": (_values(_whole), "2,3,4", "comma-separated chain lengths (default 2,3,4)"),
+        "u": (_finite, 1.0), "pairs": (_whole, 20), "seed": (_whole, 42)}),
+    "sweep": ("grid of driving configurations, each flag a comma-separated list", {
+        "n": (_values(_whole), "2,3", "chain length"), "gammaL": (_values(_real), 1.0),
+        "gammaR": (_values(_real), 1.0), "muL": (_values(_real), 0.0),
+        "muR": (_values(_real), 0.0), "u": (_values(_finite), 1.0), "workers": (_whole, 1)}),
+}
+VALUED = {"--" + key.replace("_", "-") for _, options in OPTIONS.values()
+          for key, (parse, *_) in options.items() if parse is not _switch}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,73 +344,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run the operator-identity residual suite")
-    p.add_argument("--u", help="fix the interaction")
-    p.add_argument("--K", help="comma-separated cutoffs (default 3,4,5)")
-    p.add_argument("--seed")
-    p.add_argument("--samples")
-    p.add_argument("--tol")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("ness", help="build the steady state and its diagnostics")
-    _add_driving_flags(p)
-    p.add_argument("--tol")
-    p.add_argument("--dump-rho", help="binary dump path for rho")
-    p.add_argument("--lindblad-residual", action="store_true", default=None,
-                   help="also evaluate the Lindblad fixed-point residual")
-    p.set_defaults(func=cmd_ness)
-
-    p = sub.add_parser("oracle", help="cross-check against the Lindblad fixed point (n <= 3)")
-    _add_driving_flags(p)
-    p.add_argument("--tol")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("observe", help="densities, currents, scaling")
-    _add_driving_flags(p)
-    p.add_argument("--scaling",
-                   help="comma-separated chain lengths for the current scaling fit")
-    p.add_argument("--gnuplot", action="store_true", default=None, help="emit plain .dat files")
-    p.set_defaults(func=cmd_observe)
-
-    p = sub.add_parser("commute", help="transfer-family commutation probe (conjecture tier)")
-    p.add_argument("--n", help="comma-separated chain lengths (default 2,3,4)")
-    p.add_argument("--u")
-    p.add_argument("--pairs")
-    p.add_argument("--seed")
-    p.set_defaults(func=cmd_commute)
-
-    p = sub.add_parser("sweep", help="grid of driving configurations, each flag a "
-                                     "comma-separated list")
-    _add_driving_flags(p)
-    p.add_argument("--workers")
-    p.set_defaults(func=cmd_sweep)
-
-    for sp in sub.choices.values():
-        sp.set_defaults(config_keys={a.dest for a in sp._actions} - {"help"})
-        sp.add_argument("--out", default="hlx_out",
-                        help="output directory for JSON/CSV artifacts")
-        sp.add_argument("--config", default=None,
-                        help="JSON config file; flags take precedence")
+    for command, (text, options) in OPTIONS.items():
+        p = sub.add_parser(command, help=text)
+        for key, (parse, _, *hint) in options.items():
+            p.add_argument("--" + key.replace("_", "-"), default=None, help=(hint or [None])[0],
+                           **({"action": "store_true"} if parse is _switch else {}))
+        p.add_argument("--out", default="hlx_out", help="output directory for JSON/CSV artifacts")
+        p.add_argument("--config", help="JSON config file; flags take precedence")
     return ap
 
 
+def _joined(argv: list) -> list:
+    """argv with a negative number after a flag that takes a value joined to it
+    (--muR -1e-3 as --muR=-1e-3): argparse reads -1e-3 as an unknown option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in VALUED and re.match(r"-[0-9.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     config = {}
     try:
         if args.config:
             with open(args.config) as fh:
                 config = dict(json.load(fh))
-        if unknown := sorted(set(config) - args.config_keys):
+        if unknown := sorted(set(config) - set(OPTIONS[args.command][1])):
             raise ValueError(f"keys that {args.command} does not read: {', '.join(unknown)}")
     except (OSError, ValueError, TypeError) as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 2
-    vars(args).update({k: v for k, v in config.items() if getattr(args, k, None) is None})
     try:
-        return args.func(args)
+        for key, (parse, default, *_) in OPTIONS[args.command][1].items():
+            raw = next((v for v in (getattr(args, key), config.get(key), default)
+                        if v is not None), None)
+            if raw is ...:
+                raise ValueError(f"missing required parameter --{key}")
+            setattr(args, key, None if raw is None else parse(raw, key))
+        # looked up here, not kept in OPTIONS, so that a traced cmd_<command> is run
+        return globals()["cmd_" + args.command](args)
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

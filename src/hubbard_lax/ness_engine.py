@@ -111,11 +111,16 @@ class DrivingConfig:
             raise ValueError("the steady-state construction needs n_sites >= 2")
         # M's site weights are exp(+-2 eta) = (G_L / G_R)^(+-1) (m_diag)
         with np.errstate(over="ignore", divide="ignore"):
-            if not np.isfinite(np.exp(2 * abs(map_driving_to_params(self)[2]))):
+            lam, om, eta = map_driving_to_params(self)
+            if not np.isfinite(np.exp(2 * abs(eta))):
                 raise ValueError(
                     f"the rates gamma_L = {self.gamma_L:g} and gamma_R = {self.gamma_R:g} are "
                     "too far apart: M's site weights (gamma_L / gamma_R)^(+-1) pass the float range"
                 )
+        if not (np.isfinite(lam) and np.isfinite(om)):
+            raise ValueError(
+                f"gamma_L = {self.gamma_L:g}, gamma_R = {self.gamma_R:g}, mu_L = {self.mu_L:g} and "
+                f"mu_R = {self.mu_R:g} give a lambda or omega past the float range")
 
     def key(self) -> str:
         return (
@@ -691,8 +696,8 @@ class _Environments:
         return np.array([self.m[:, None] * np.asarray(op) for op in [np.eye(4), *ops]])
 
     def sweep(self, n: int):
-        """Yields env[k] ~ F_id^k |00> for k < n at unit norm, so that long chains
-        cannot overflow, on the levels <= min(k, n - k) that cut k reaches."""
+        """Yields env[k] ~ F_id^k |00> for k < n at unit norm, so that no
+        environment overflows, on the levels <= min(k, n - k) that cut k reaches."""
         X, w_id = np.ones(1, dtype=complex), self.weights([])
         yield X
         for k in range(1, n):
@@ -702,13 +707,19 @@ class _Environments:
 
     def expectations(self, env: list, site_ops: dict, bond_ops: dict):
         """local_expectations of the len(env)-site chain, read off its
-        environments env from the right."""
+        environments env from the right. Each value is a ratio over the
+        normaliser s0 = <L| F_id |env> of its cut, which decays geometrically
+        with n where L and env weigh different levels: a cut whose s0 leaves
+        the normal floats, where its ratios lose their digits, is refused."""
         n, n_site, L = len(env), len(site_ops), np.ones(1, dtype=complex)
         w_left = self.weights([*site_ops.values(), *(op for op, _ in bond_ops.values())])
         w_right = self.weights([op for _, op in bond_ops.values()])
         for j in range(1, n + 1):
             V = self.left.apply(L / np.linalg.norm(L), w_left)
             site = np.einsum("wx,x->w", V[:n_site + 1, :len(env[n - j])], env[n - j])
+            if not abs(site[0]) >= np.finfo(float).tiny:
+                raise FloatingPointError(f"the normaliser of the {n}-site chain leaves the normal "
+                                         f"floats at cut {j}: |s0| = {abs(site[0]):.3g}")
             bond = {}
             if j < n:
                 RV = self.right.apply(env[n - j - 1], w_right)

@@ -113,9 +113,10 @@ def profile_and_currents_mpo(cfg: DrivingConfig) -> ObservableSet:
     """Densities <sz_j>, <tz_j> and bond currents through the environment
     engine (ness_engine.local_expectations), the route of observe and sweep
     at every chain length: one sweep from each end, time and memory growing
-    as n da, rescaled so that long chains cannot overflow; never builds
-    rho. Its size guard admits chains up to n = 5976; a full profile takes
-    seconds at n = 1000."""
+    as n da, each environment at unit norm; never builds rho. Its size guard
+    admits chains up to n = 5976, and a full profile takes seconds at
+    n = 1000; a chain whose normaliser underflows, such as n = 1000 at u = 0
+    and (G_L, G_R) = (2, 0.5), is refused (ness_engine._Environments)."""
     return _profile(cfg.n_sites, local_expectations(cfg, _SZ_LOC, _CURRENT_TERMS))
 
 

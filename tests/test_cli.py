@@ -295,6 +295,37 @@ def test_an_overflowing_omega_squared_names_the_table(tmp_path, capsys, argv, om
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, named", [
+    # G_L + G_R overflows: the refusal named omega=(nan+nanj) and "X overflows"
+    (["ness", "--n", "2", "--gammaL", "1.7e308", "--gammaR", "1.7e308"],
+     "gamma_L = 1.7e+308, gamma_R = 1.7e+308, mu_L = 0 and mu_R = 0"),
+    # the same, where observe blamed L ("4 max|L| = 8")
+    (["observe", "--n", "3", "--gammaL", "1.7e308", "--gammaR", "1.7e308"],
+     "gamma_L = 1.7e+308, gamma_R = 1.7e+308, mu_L = 0 and mu_R = 0"),
+    # mu_L - mu_R overflows: the refusal blamed S
+    (["ness", "--n", "2", "--muL", "1.7e308", "--muR=-1.7e308"],
+     "gamma_L = 1, gamma_R = 1, mu_L = 1.7e+308 and mu_R = -1.7e+308"),
+])
+def test_a_driving_past_the_float_range_in_lambda_or_omega_is_refused(tmp_path, capsys,
+                                                                      argv, named):
+    # every input is finite, but a sum that lambda or omega forms is not
+    err = _refused_without_warnings([*argv, "--u", "1", "--out", str(tmp_path)], capsys)
+    assert f"error: {named} give a lambda or omega past the float range" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_observe_refuses_a_chain_whose_normaliser_underflows(tmp_path, capsys):
+    # at u = 0 the left environment weighs levels near j/2 and the right ones
+    # levels <= 1, so their overlap s0 decays geometrically: it leaves the
+    # normal floats at cut 561, and at cut 563 the density read inf after
+    # four numpy warnings. The same driving runs at n = 900. About 4 s.
+    err = _refused_without_warnings(["observe", "--n", "1000", "--u", "0", "--gammaL", "2",
+                                     "--gammaR", "0.5", "--out", str(tmp_path)], capsys)
+    assert ("the normaliser of the 1000-site chain leaves the normal floats at cut 561: "
+            "|s0| = 2.06e-308") in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_observe_at_an_extreme_rate_ratio(tmp_path, capsys):
     # with nothing ejected on the right, the chain fills up, and a current
     # of order G_R flows, uniform along the chain
@@ -822,6 +853,22 @@ def test_negative_seed_is_refused_before_any_family(tmp_path, capsys, monkeypatc
     assert cli.main([*argv, *extra, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: seed must be a non-negative whole number, got -1\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_a_negative_value_in_exponent_notation_follows_its_flag(tmp_path, capsys):
+    # argparse takes -1 and -.5 for values, but -1e-3 for an unknown option
+    from hubbard_lax import cli
+
+    argv = ["ness", "--n", "2", "--u", "1"]
+    assert cli.main([*argv, "--muR", "-1e-3", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main([*argv, "--muR=-1e-3", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "ness.json").read_bytes() == \
+           (tmp_path / "b" / "ness.json").read_bytes()
+    assert cli.main(["sweep", "--n", "2", "--u", "1", "--muR", "-1e-3,-2e-3",
+                     "--out", str(tmp_path / "s")]) == 0
+    doc = json.loads((tmp_path / "s" / "sweep.json").read_text())
+    assert sorted(c["driving"]["mu_R"] for c in doc["configurations"]) == [-2e-3, -1e-3]
+    capsys.readouterr()
 
 
 def test_sweep_deterministic_ordering(tmp_path):

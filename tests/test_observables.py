@@ -110,6 +110,31 @@ def test_antisymmetric_profile():
     assert np.max(np.abs(d + d[::-1])) < 1e-9
 
 
+@pytest.mark.parametrize("n", [6, 40, 200])
+@pytest.mark.parametrize("u", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
+def test_reflection_symmetry(driving, u, n):
+    """Reflection with particle-hole conjugation maps the driving (G_L, G_R,
+    mu_L, mu_R) to (G_R, G_L, -mu_R, -mu_L), <sz_j> to -<sz_{n+1-j}> and J_j
+    to J_{n-j}, for both species. The engine builds from the left root with
+    M's weights, so the two profiles come from different sweeps. Each value
+    is a ratio of two overlaps through the n - 1 pair transfers of its chain;
+    if each transfer rounds its entries by at most 2 eps relative, with no
+    cancellation, a value is off by at most about 2 n eps, and the two
+    reflected values by 4 n eps: absolute for the densities (|sz| <= 1),
+    relative for the currents. Measured: at most 0.17 n eps for the
+    densities and 0.78 n eps for the currents, both at n = 6."""
+    gL, gR, mL, mR = driving[:4]
+    obs = profile_and_currents_mpo(DrivingConfig(gL, gR, mL, mR, u, n))
+    ref = profile_and_currents_mpo(DrivingConfig(gR, gL, -mR, -mL, u, n))
+    bound = 4 * n * np.finfo(float).eps
+    for x, y in ((obs.densities_sigma, ref.densities_sigma),
+                 (obs.densities_tau, ref.densities_tau)):
+        assert np.abs(np.add(x, y[::-1])).max() <= bound
+    for x, y in ((obs.currents_sigma, ref.currents_sigma), (obs.currents_tau, ref.currents_tau)):
+        assert (np.abs(np.subtract(x, y[::-1])) / np.abs(x)).max() <= bound
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("driving", CANONICAL_DRIVINGS)
 def test_dense_reader_matches_cross_check(driving, n):
